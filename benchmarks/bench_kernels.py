@@ -11,11 +11,15 @@ Usage: python benchmarks/bench_kernels.py [--repeat N]
 
 import argparse
 import random
+import sys
 import time
+from pathlib import Path
 
-from token_covers import _search_py as pure
-from token_covers.graphs import complete, complete_bipartite
-from token_covers.tokens import johnson, line_graph, subdivision, token_graph
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from token_covers import _search_py as pure  # noqa: E402
+from token_covers.graphs import complete, complete_bipartite  # noqa: E402
+from token_covers.tokens import johnson, line_graph, subdivision, token_graph  # noqa: E402
 
 try:
     from token_covers import _search_c as compiled

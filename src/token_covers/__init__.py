@@ -11,6 +11,7 @@ from .algebra import (
     Coset,
     CyclicGroup,
     Permutation,
+    StabilizerChain,
     Subgroup,
     coset_translate,
     cosets,

@@ -1,6 +1,7 @@
-"""Finite cyclic groups, subgroups, right cosets, and vertex permutations.
+"""Finite cyclic groups, subgroups, right cosets, vertex permutations, and
+stabilizer chains of permutation groups.
 
-Only cyclic groups are implemented: every construction in this package
+Only cyclic voltage groups are implemented: every construction in this package
 voltages over Z_m, and for abelian groups the left/right coset distinction
 vanishes.  The coset type keeps a small arithmetic surface (translate,
 intersect) so covering-lift edge rules never materialize member sets.
@@ -9,8 +10,10 @@ intersect) so covering-lift edge rules never materialize member sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from itertools import islice, product
+from math import gcd, lcm, prod
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -222,10 +225,159 @@ def permutation_order(p: Permutation) -> int:
     return p.order()
 
 
+def _compose(p: tuple, q: tuple) -> tuple:
+    """Image tuple of p * q, that is x -> p(q(x)).  Needs degree >= 2, as
+    every permutation in a stabilizer chain has: for one index itemgetter
+    returns a bare item, not a tuple."""
+    return itemgetter(*q)(p)
+
+
+def _invert(p: tuple) -> tuple:
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+class StabilizerChain:
+    """Base, strong generating set and transversals of the group generated
+    by ``gens``, by deterministic Schreier-Sims (Sims 1970; Seress,
+    *Permutation Group Algorithms*, 2003, ch. 4).
+
+    Level i holds base point ``base[i]``, the strong generators fixing
+    ``base[:i]`` pointwise, and a transversal taking each point y of the
+    orbit of ``base[i]`` under them to a coset representative u with
+    u(base[i]) = y.  Every Schreier generator is sifted, so each group
+    element is exactly one product u_0 * u_1 * ... * u_{k-1} with u_i from
+    transversal i and the order is the product of the orbit lengths.  The
+    base and the result depend only on the generator sequence.
+    """
+
+    def __init__(self, gens: Sequence[Permutation], degree: Optional[int] = None):
+        gens = list(gens)
+        if degree is None:
+            degree = gens[0].degree if gens else 0
+        if any(g.degree != degree for g in gens):
+            raise ValueError("generators act on inconsistent domains")
+        self.degree = degree
+        self._identity = tuple(range(degree))
+        self._base = []
+        self._strong = []       # strong generators fixing base[:i], per level
+        self._transversal = []  # orbit point -> representative, per level
+        self._inverse = []      # orbit point -> representative's inverse
+        self._checked = []      # Schreier generators of the level known to sift
+        moving = [g.images for g in gens if not g.is_identity]
+        for g in moving:
+            if all(g[b] == b for b in self._base):
+                self._add_base_point(g)
+        for i in range(len(self._base)):
+            self._strong[i] = [g for g in moving if all(g[b] == b for b in self._base[:i])]
+            self._build_orbit(i)
+        i = len(self._base) - 1
+        while i >= 0:
+            j = self._extend_from_level(i)
+            i = i - 1 if j is None else j
+
+    def _add_base_point(self, g: tuple):
+        """Append the first point ``g`` moves as a base point, with an
+        empty level."""
+        self._base.append(next(x for x, y in enumerate(g) if x != y))
+        self._strong.append([])
+        self._transversal.append({})
+        self._inverse.append({})
+        self._checked.append(0)
+
+    def _build_orbit(self, i: int):
+        b = self._base[i]
+        trans = {b: self._identity}
+        queue = [b]
+        for y in queue:
+            u = trans[y]
+            for s in self._strong[i]:
+                z = s[y]
+                if z not in trans:
+                    trans[z] = _compose(s, u)
+                    queue.append(z)
+        self._transversal[i] = trans
+        self._inverse[i] = {y: _invert(u) for y, u in trans.items()}
+        self._checked[i] = 0
+
+    def _sift(self, g: tuple, level: int):
+        """Strip ``g`` through the transversals from ``level`` on; returns
+        the residue and the level where it left the chain (k if it passed
+        every level)."""
+        for j in range(level, len(self._base)):
+            inv = self._inverse[j].get(g[self._base[j]])
+            if inv is None:
+                return g, j
+            g = _compose(inv, g)
+        return g, len(self._base)
+
+    def _extend_from_level(self, i: int):
+        """Sift the Schreier generators of level i.  The first nontrivial
+        residue becomes a strong generator of each level it fixes the base
+        up to (with a new base point if it passed them all), and that level
+        is returned for rechecking; None once level i is closed.
+
+        A Schreier generator that sifted once stays in the group below, so
+        a later pass resumes after it unless level i itself was rebuilt.
+        """
+        trans, inverse, b = self._transversal[i], self._inverse[i], self._base[i]
+        schreier = product(trans.values(), self._strong[i])
+        for u, s in islice(schreier, self._checked[i], None):
+            su = _compose(s, u)
+            z = su[b]
+            if trans[z] != su:
+                h, j = self._sift(_compose(inverse[z], su), i + 1)
+                if h != self._identity:
+                    if j == len(self._base):
+                        self._add_base_point(h)
+                    for level in range(i + 1, j + 1):
+                        self._strong[level].append(h)
+                        self._build_orbit(level)
+                    return j
+            self._checked[i] += 1
+        return None
+
+    @property
+    def base(self) -> tuple:
+        return tuple(self._base)
+
+    @property
+    def orbit_lengths(self) -> tuple:
+        """Basic orbit lengths |orbit of base[i] under the level-i group|."""
+        return tuple(len(t) for t in self._transversal)
+
+    @property
+    def order(self) -> int:
+        return prod(self.orbit_lengths)
+
+    def elements(self) -> Iterator[Permutation]:
+        """Every group element once, identity first, in a fixed order: the
+        products u_0 * ... * u_{k-1} with the level-0 factor varying
+        slowest and each transversal in orbit discovery order."""
+        levels = [list(t.values()) for t in self._transversal]
+        if not levels:
+            yield Permutation(self._identity)
+            return
+        last = len(levels) - 1
+
+        def walk(i, prefix):
+            if i == last:
+                for u in levels[i]:
+                    yield Permutation(_compose(prefix, u))
+            else:
+                for u in levels[i]:
+                    yield from walk(i + 1, _compose(prefix, u))
+
+        yield from walk(0, self._identity)
+
+
 @dataclass(frozen=True)
 class Closure:
-    """Result of a capped group closure; ``len(elements)`` is always a
-    lower bound on the group order, exact when ``complete``."""
+    """Elements of a generated group, at most a cap of them;
+    ``len(elements)`` is the exact order when ``complete`` and a lower
+    bound otherwise."""
 
     elements: frozenset
     complete: bool
@@ -237,31 +389,14 @@ class Closure:
 
 def group_closure(gens: Sequence[Permutation], cap: int = 10**6, *,
                   degree: Optional[int] = None) -> Closure:
-    """Breadth-first closure of the generated permutation group.
+    """The elements of the generated permutation group, enumerated from its
+    stabilizer chain.
 
-    Stops once more than ``cap`` elements would be collected and returns the
-    partial set with ``complete=False`` (a recoverable overflow signal, not
-    an error).
+    ``complete`` is whether the order is at most ``cap``; when it is not,
+    exactly ``cap`` elements are returned (a recoverable overflow signal,
+    not an error).
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    gens = list(gens)
-    if degree is None:
-        degree = gens[0].degree if gens else 0
-    if any(g.degree != degree for g in gens):
-        raise ValueError("generators act on inconsistent domains")
-    ident = Permutation.identity(degree)
-    known = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in gens:
-                q = p * g
-                if q not in known:
-                    if len(known) >= cap:
-                        return Closure(frozenset(known), False)
-                    known.add(q)
-                    new.append(q)
-        frontier = new
-    return Closure(frozenset(known), True)
+    chain = StabilizerChain(gens, degree)
+    return Closure(frozenset(islice(chain.elements(), cap)), chain.order <= cap)

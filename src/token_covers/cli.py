@@ -16,7 +16,7 @@ from pathlib import Path
 from . import voltage
 from .graphs import make_family, to_dot, to_json
 from .report import STATUS_BUDGET_EXHAUSTED
-from .symmetry import zz_check
+from .symmetry import KernelResultError, zz_check
 from .tokens import inclusion_bigraph, johnson, line_graph, subdivision, token_graph
 
 EXIT_OK = 0
@@ -24,7 +24,7 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-CONFIG_KEYS = ("out_dir", "max_vertices", "group_cap", "budget")
+CONFIG_KEYS = ("out_dir", "max_vertices", "budget")
 
 
 def parse_family(text: str):
@@ -83,11 +83,10 @@ def resolve_settings(args):
                or os.environ.get("TOKEN_COVER_OUT")
                or "out")
     max_vertices = _pick(getattr(args, "max_vertices", None), cfg.get("max_vertices"), 200)
-    group_cap = _pick(getattr(args, "group_cap", None), cfg.get("group_cap"), 10**6)
     budget = _pick(getattr(args, "budget", None), cfg.get("budget"), 10**6)
-    if min(max_vertices, group_cap, budget) < 1:
+    if min(max_vertices, budget) < 1:
         raise ValueError("caps must be positive")
-    return Path(out_dir), max_vertices, group_cap, budget
+    return Path(out_dir), max_vertices, budget
 
 
 def write_file(directory: Path, name: str, content: str) -> Path:
@@ -107,7 +106,7 @@ def write_graph(directory, stem, graph, formats):
 
 
 def cmd_build(args) -> int:
-    out_dir, max_vertices, _, _ = resolve_settings(args)
+    out_dir, max_vertices, _ = resolve_settings(args)
     jobs = []
     if args.token:
         name, params = parse_family(args.token)
@@ -155,7 +154,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify_theorem1(args) -> int:
-    out_dir, max_vertices, _, _ = resolve_settings(args)
+    out_dir, max_vertices, _ = resolve_settings(args)
     values = parse_range(args.n)
     if len(values) == 1 and values[0] % 2 != 0:
         raise ValueError(f"n must be even, got {values[0]}")
@@ -174,7 +173,7 @@ def cmd_verify_theorem1(args) -> int:
 
 
 def cmd_zz(args) -> int:
-    out_dir, max_vertices, _, _ = resolve_settings(args)
+    out_dir, max_vertices, _ = resolve_settings(args)
     name, params = parse_family(args.family)
     stem_family = f"{name}{'_'.join(map(str, params))}"
     all_passed = True
@@ -189,7 +188,7 @@ def cmd_zz(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    out_dir, max_vertices, _, budget = resolve_settings(args)
+    out_dir, max_vertices, budget = resolve_settings(args)
     family = {1: "star_half", 2: "star_two"}[args.which]
     report = voltage.conjecture_search(family, args.n, budget=budget,
                                        max_vertices=max_vertices)
@@ -207,7 +206,6 @@ def add_common(parser):
     parser.add_argument("--out", help="output directory (default $TOKEN_COVER_OUT or ./out)")
     parser.add_argument("--config", help="key=value config file; flags win")
     parser.add_argument("--max-vertices", type=int, dest="max_vertices")
-    parser.add_argument("--group-cap", type=int, dest="group_cap")
     parser.add_argument("--budget", type=int)
 
 
@@ -262,6 +260,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KernelResultError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILED
 
 
 def entry():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import search
-from .algebra import Closure, Permutation, group_closure
+from .algebra import Closure, Permutation, StabilizerChain, group_closure
 from .graphs import SimpleGraph, is_connected, make_family
 from .report import Evidence, VerificationReport
 from .tokens import token_graph
@@ -46,25 +46,33 @@ def is_automorphism(X: SimpleGraph, p: Permutation) -> bool:
     return all(X.has_edge(p(u), p(v)) for u, v in X.edges)
 
 
+class KernelResultError(RuntimeError):
+    """The search kernel returned a generator or witness that fails the
+    independent adjacency re-check."""
+
+
 class AutGroup:
-    """Generators of Aut(X) plus a lazily computed, capped closure."""
+    """Generators of Aut(X) plus their stabilizer chain, built on first use."""
 
     def __init__(self, degree: int, generators):
         self.degree = degree
         self.generators = tuple(generators)
-        self._closure = None
+        self._chain = None
+
+    @property
+    def chain(self) -> StabilizerChain:
+        if self._chain is None:
+            self._chain = StabilizerChain(self.generators, self.degree)
+        return self._chain
 
     def closure(self, cap: int = DEFAULT_GROUP_CAP) -> Closure:
-        cached = self._closure
-        if cached is not None and (cached.complete or len(cached.elements) >= cap):
-            return cached
-        self._closure = group_closure(self.generators, cap, degree=self.degree)
-        return self._closure
+        """The group's elements, at most ``cap`` of them (see group_closure)."""
+        return group_closure(self.generators, cap, degree=self.degree)
 
-    def order(self, cap: int = DEFAULT_GROUP_CAP):
-        """(order-or-lower-bound, exact flag)."""
-        cl = self.closure(cap)
-        return len(cl.elements), cl.complete
+    def order(self):
+        """(order, True): the order is exact, the product of the chain's
+        basic orbit lengths; the flag is kept for callers that unpack it."""
+        return self.chain.order, True
 
     def __repr__(self):
         return f"AutGroup(degree={self.degree}, generators={len(self.generators)})"
@@ -77,7 +85,7 @@ def automorphisms(X: SimpleGraph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> 
     gens = [Permutation(t) for t in search.automorphism_generators(X.adjacency_masks)]
     for g in gens:
         if g.is_identity or not is_automorphism(X, g):
-            raise RuntimeError("search kernel returned an invalid generator")
+            raise KernelResultError("search kernel returned an invalid generator")
     return AutGroup(X.vertex_count, gens)
 
 
@@ -138,7 +146,7 @@ def is_isomorphic(X: SimpleGraph, Y: SimpleGraph, *,
     p = Permutation(raw)
     mapped = {tuple(sorted((p(u), p(v)))) for u, v in X.edges}
     if mapped != set(Y.edges):
-        raise RuntimeError("search kernel returned an invalid witness")
+        raise KernelResultError("search kernel returned an invalid witness")
     return p
 
 

@@ -422,6 +422,7 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     aut = automorphisms(X, max_vertices=max_vertices)
     closure = aut.closure(budget)
     complete_search = closure.complete
+    aut_order, aut_order_exact = aut.order()
 
     of_order = sorted((p for p in closure.elements if p.order() == m),
                       key=lambda p: p.images)
@@ -451,8 +452,8 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
         Evidence("k", k),
         Evidence("group_modulus", m),
         Evidence("token_vertices", X.vertex_count),
-        Evidence("aut_order", aut.order(budget)[0]),
-        Evidence("aut_order_exact", complete_search),
+        Evidence("aut_order", aut_order),
+        Evidence("aut_order_exact", aut_order_exact),
         Evidence("order_m_elements", len(of_order)),
         Evidence("free_actions", len(free)),
         Evidence("conjectured_base_sizes",

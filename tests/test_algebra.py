@@ -1,15 +1,23 @@
+from math import factorial, prod
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from token_covers.algebra import (
     Coset,
     CyclicGroup,
     Permutation,
+    StabilizerChain,
     Subgroup,
     coset_translate,
     cosets,
     group_closure,
     permutation_order,
 )
+from token_covers.graphs import complete
+from token_covers.symmetry import automorphisms
+from token_covers.tokens import johnson, token_graph
 
 
 def test_cosets_of_3z6():
@@ -170,3 +178,66 @@ def test_closure_k33_automorphism_order():
 def test_closure_domain_mismatch():
     with pytest.raises(ValueError):
         group_closure([Permutation.identity(3), Permutation.identity(4)])
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7, 60, 119, 120, 121])
+def test_capped_closure_returns_cap_group_elements(cap):
+    gens = [Permutation.from_cycles(5, [(0, 1)]), Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])]
+    full = group_closure(gens)
+    assert full.complete and len(full.elements) == 120
+    capped = group_closure(gens, cap)
+    assert capped.complete == (cap >= 120)
+    assert len(capped.elements) == min(cap, 120)
+    assert capped.elements <= full.elements
+
+
+def test_stabilizer_chain_k33():
+    gens = [
+        Permutation.from_cycles(6, [(0, 1)]),
+        Permutation.from_cycles(6, [(0, 1, 2)]),
+        Permutation.from_cycles(6, [(3, 4)]),
+        Permutation.from_cycles(6, [(3, 4, 5)]),
+        Permutation.from_cycles(6, [(0, 3), (1, 4), (2, 5)]),
+    ]
+    chain = StabilizerChain(gens)
+    assert chain.order == prod(chain.orbit_lengths) == 72
+    assert chain.base[0] == 0 and chain.orbit_lengths[0] == 6
+    elements = list(chain.elements())
+    assert elements[0] == Permutation.identity(6)
+    assert len(set(elements)) == 72
+
+
+def _generators(degree_max):
+    """Up to four random permutations of one degree in 1..degree_max."""
+    return st.integers(1, degree_max).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.permutations(range(n)), max_size=4)))
+
+
+def _sympy_group(n, images):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    perms = [combinatorics.Permutation(list(g), size=n) for g in images]
+    return combinatorics.PermutationGroup(perms or [combinatorics.Permutation(list(range(n)))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generators(9))
+def test_chain_order_matches_sympy(case):
+    n, images = case
+    chain = StabilizerChain([Permutation(tuple(g)) for g in images], degree=n)
+    assert chain.order == _sympy_group(n, images).order()
+
+
+# degree <= 7 keeps sympy's full enumeration of S_n at 5040 elements
+@settings(max_examples=60, deadline=None)
+@given(_generators(7))
+def test_closure_elements_match_sympy(case):
+    n, images = case
+    closure = group_closure([Permutation(tuple(g)) for g in images], degree=n)
+    expected = {tuple(p.array_form) for p in _sympy_group(n, images).generate()}
+    assert closure.complete
+    assert {p.images for p in closure.elements} == expected
+
+
+def test_closed_form_orders_past_the_old_closure():
+    assert automorphisms(token_graph(complete(9), 2)).order() == (factorial(9), True)
+    assert automorphisms(johnson(8, 4)).order() == (2 * factorial(8), True)

@@ -1,5 +1,6 @@
 import json
 
+from token_covers import search
 from token_covers.cli import main
 
 
@@ -105,6 +106,20 @@ def test_conjecture_2_divisibility(tmp_path):
 def test_conjecture_budget_exit_code(tmp_path):
     assert run("conjecture", "1", "--n", "3", "--budget", "3",
                "--out", str(tmp_path)) == 3
+
+
+def test_invalid_kernel_generator_exits_1(tmp_path, monkeypatch, capsys):
+    # swapping the end vertex and its neighbour is not an automorphism of P_4
+    monkeypatch.setattr(search, "automorphism_generators",
+                        lambda masks: [(1, 0) + tuple(range(2, len(masks)))])
+    assert run("zz", "--family", "path:4", "--k", "1", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: search kernel returned an invalid generator\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_group_cap_flag_removed(tmp_path):
+    assert run("zz", "--family", "complete:4", "--k", "2", "--group-cap", "5",
+               "--out", str(tmp_path)) == 2
 
 
 def test_usage_error_exit_code():

@@ -352,3 +352,5 @@ def test_conjecture_budget_exhaustion():
     report = conjecture_search("star_half", 3, budget=3)
     assert report.status == "budget_exhausted"
     assert not report.passed
+    assert report.find("aut_order") == 12
+    assert report.find("aut_order_exact") is True
