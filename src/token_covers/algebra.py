@@ -151,6 +151,14 @@ class Permutation:
             seen[x] = True
 
     @classmethod
+    def _trusted(cls, images: tuple) -> "Permutation":
+        """Wrap an image tuple already known to be a permutation (a product
+        of validated permutations), skipping ``__post_init__``."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))
 
@@ -361,11 +369,12 @@ class StabilizerChain:
             yield Permutation(self._identity)
             return
         last = len(levels) - 1
+        trusted = Permutation._trusted
 
         def walk(i, prefix):
             if i == last:
                 for u in levels[i]:
-                    yield Permutation(_compose(prefix, u))
+                    yield trusted(_compose(prefix, u))
             else:
                 for u in levels[i]:
                     yield from walk(i + 1, _compose(prefix, u))

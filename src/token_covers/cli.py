@@ -1,7 +1,8 @@
 """Command-line front end for reproducible verification runs.
 
 Exit codes: 0 success/completed, 1 verification failure, 2 usage or
-precondition error, 3 search budget exhausted.  Identical invocations
+precondition error, 3 search budget exhausted, 130 interrupted (Ctrl-C;
+the interrupted command writes no further report).  Identical invocations
 write byte-identical files (reports carry no timestamps and all orderings
 are canonical).
 """
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERRUPTED = 130
 
 CONFIG_KEYS = ("out_dir", "max_vertices", "budget")
 
@@ -195,9 +197,9 @@ def cmd_conjecture(args) -> int:
     write_file(out_dir, f"conjecture{args.which}_n{args.n}.json", report.to_json())
     found = report.find("verified_candidates")
     print(f"conjecture {args.which} n={args.n}: {report.status.upper()}, "
-          f"{len(found)} verified candidate(s)")
+          f"{len(found)} of {report.find('order_m_classes')} class(es) verified")
     for cand in found:
-        print(f"  base {cand['base_vertices']} vertices "
+        print(f"  class of {cand['class_elements']}: base {cand['base_vertices']} vertices "
               f"(free={cand['free']}, stabilizers={cand['stabilizer_sizes']})")
     return EXIT_BUDGET if report.status == STATUS_BUDGET_EXHAUSTED else EXIT_OK
 
@@ -263,6 +265,9 @@ def main(argv=None) -> int:
     except KernelResultError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entry():

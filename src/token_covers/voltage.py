@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from itertools import combinations
-from math import comb
+from math import comb, gcd
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .algebra import Coset, CyclicGroup, Permutation, Subgroup
@@ -388,6 +389,46 @@ def quotient_cyclic(X: SimpleGraph, g: Permutation):
 CONJECTURE_FAMILIES = ("star_half", "star_two")
 
 
+def cyclic_subgroup_classes(elements, generators, m: int):
+    """Partition order-m ``elements`` into classes under g ~ s g^j s^-1,
+    with s in the group ``generators`` generate and gcd(j, m) = 1: the
+    conjugacy classes of the cyclic subgroups the elements generate.
+
+    Classes come in the order of their first listed member, which is
+    listed first in its class, and each is walked from that member by
+    conjugating with the generators and taking coprime powers.  The walk
+    only passes through ``elements``: when they are every order-m element
+    of the group each class is exact, otherwise a class may split.
+    """
+    position = {p.images: i for i, p in enumerate(elements)}
+    # image tuples compose as itemgetter(*q)(p) = p * q
+    conjugators = [(s.images, itemgetter(*s.inverse().images)) for s in generators]
+    coprime = [j for j in range(2, m) if gcd(j, m) == 1]
+    assigned = [False] * len(elements)
+    classes = []
+    for start in range(len(elements)):
+        if assigned[start]:
+            continue
+        assigned[start] = True
+        members = [start]
+        for i in members:
+            h = elements[i].images
+            related = [itemgetter(*times_inverse(h))(s) for s, times_inverse in conjugators]
+            power, exponent = h, 1
+            for j in coprime:
+                while exponent < j:
+                    power = itemgetter(*power)(h)
+                    exponent += 1
+                related.append(power)
+            for images in related:
+                k = position.get(images)
+                if k is not None and not assigned[k]:
+                    assigned[k] = True
+                    members.append(k)
+        classes.append([elements[i] for i in sorted(members)])
+    return classes
+
+
 def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
                       budget: int = DEFAULT_GROUP_CAP,
                       max_vertices: int = DEFAULT_VERTEX_CAP) -> VerificationReport:
@@ -395,10 +436,21 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
 
     ``star_half`` targets F_{(n+1)/2}(K_{1,n}) over Z_{2n} (n odd);
     ``star_two`` targets F_2(K_{1,n}) over Z_n (n dividing C(n+1, 2)).
-    Free actions are tried first, then non-free cyclic actions; every
-    candidate whose lift verifies is listed with its base size compared to
-    the conjectured count(s).  A search that finds nothing still completes;
-    only exhausting the enumeration budget is reported separately.
+    The enumerated order-m automorphisms, free actions first, are split
+    into conjugacy classes of the cyclic subgroups they generate (see
+    ``cyclic_subgroup_classes``), and each class's first member is
+    quotiented and verified.  Verifying one member verifies its class:
+    <g^j> = <g> for gcd(j, m) = 1, so g^j has the same orbits, and its
+    voltages are those of g under the automorphism t -> j^-1 t of Z_m; an
+    automorphism s of X carries the orbits of <g> onto those of
+    <s g s^-1> and X onto itself, so that quotient is the same base graph
+    with a different transversal, that is a voltage switching (Gross &
+    Tucker, *Topological Graph Theory*).  Either way the lift is the same
+    graph up to isomorphism, with the same base size and stabilizers.
+    Every class whose lift verifies is listed with its size and its base
+    size compared to the conjectured count(s).  A search that finds
+    nothing still completes; only exhausting the enumeration budget is
+    reported separately.
     """
     if family == "star_half":
         if n < 3 or n % 2 == 0:
@@ -429,12 +481,15 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     free = [p for p in of_order if acts_freely(p, m)]
     nonfree = [p for p in of_order if not acts_freely(p, m)]
 
+    classes = cyclic_subgroup_classes(free + nonfree, aut.generators, m)
     candidates = []
-    for p in free + nonfree:
+    for members in classes:
+        p = members[0]
         cvg, rep = quotient_cyclic(X, p)
         if rep.passed:
             candidates.append({
                 "automorphism": p.cycle_string(),
+                "class_elements": len(members),
                 "free": acts_freely(p, m),
                 "base_vertices": cvg.base.vertex_count,
                 "base_edges": cvg.base.edge_count,
@@ -456,6 +511,7 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
         Evidence("aut_order_exact", aut_order_exact),
         Evidence("order_m_elements", len(of_order)),
         Evidence("free_actions", len(free)),
+        Evidence("order_m_classes", len(classes)),
         Evidence("conjectured_base_sizes",
                  {lbl: val for lbl, val in size_readings.items()}),
         Evidence("verified_candidates", candidates,

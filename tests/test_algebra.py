@@ -15,7 +15,7 @@ from token_covers.algebra import (
     group_closure,
     permutation_order,
 )
-from token_covers.graphs import complete
+from token_covers.graphs import complete, star
 from token_covers.symmetry import automorphisms
 from token_covers.tokens import johnson, token_graph
 
@@ -241,3 +241,22 @@ def test_closure_elements_match_sympy(case):
 def test_closed_form_orders_past_the_old_closure():
     assert automorphisms(token_graph(complete(9), 2)).order() == (factorial(9), True)
     assert automorphisms(johnson(8, 4)).order() == (2 * factorial(8), True)
+
+
+def test_closure_elements_are_valid_automorphisms():
+    """The chain wraps its products without re-validating them, so check
+    every element here: a permutation of the vertex set that maps the
+    edges onto the edges and compares equal to its validated twin."""
+    X = token_graph(star(7), 4)
+    edges = set(X.edges)
+    n = X.vertex_count
+    closure = automorphisms(X).closure()
+    assert closure.complete and len(closure.elements) == 10080
+    for p in closure.elements:
+        assert type(p.images) is tuple and len(p.images) == n
+        assert all(type(x) is int for x in p.images)
+        assert sorted(p.images) == list(range(n))
+        assert {(min(p.images[u], p.images[v]), max(p.images[u], p.images[v]))
+                for u, v in edges} == edges
+        assert Permutation(list(p.images)) == p
+        assert hash(Permutation(list(p.images))) == hash(p)

@@ -1,6 +1,6 @@
 import json
 
-from token_covers import search
+from token_covers import search, voltage
 from token_covers.cli import main
 
 
@@ -99,6 +99,13 @@ def test_conjecture_1_n5(tmp_path):
     assert candidates and all(c["base_vertices"] == 2 for c in candidates)
 
 
+def test_conjecture_summary_lists_classes(tmp_path, capsys):
+    assert run("conjecture", "1", "--n", "5", "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().out == (
+        "conjecture 1 n=5: COMPLETED, 1 of 1 class(es) verified\n"
+        "  class of 24: base 2 vertices (free=True, stabilizers=[1, 1])\n")
+
+
 def test_conjecture_2_divisibility(tmp_path):
     assert run("conjecture", "2", "--n", "4", "--out", str(tmp_path)) == 2
 
@@ -114,6 +121,18 @@ def test_invalid_kernel_generator_exits_1(tmp_path, monkeypatch, capsys):
                         lambda masks: [(1, 0) + tuple(range(2, len(masks)))])
     assert run("zz", "--family", "path:4", "--k", "1", "--out", str(tmp_path)) == 1
     assert capsys.readouterr().err == "error: search kernel returned an invalid generator\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_keyboard_interrupt_exits_130(tmp_path, monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(voltage, "conjecture_search", interrupted)
+    assert run("conjecture", "1", "--n", "5", "--out", str(tmp_path)) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "error: interrupted\n"
+    assert captured.out == ""
     assert not list(tmp_path.iterdir())
 
 

@@ -1,5 +1,5 @@
 import random
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -12,12 +12,13 @@ from token_covers.graphs import (
     star,
     underlying_simple,
 )
-from token_covers.symmetry import is_isomorphic
+from token_covers.symmetry import acts_freely, automorphisms, is_isomorphic
 from token_covers.tokens import induced_token_permutation, token_graph
 from token_covers.voltage import (
     CombinedVoltageGraph,
     conjecture_search,
     cover_token,
+    cyclic_subgroup_classes,
     lift,
     quotient_cyclic,
     quotient_free,
@@ -354,3 +355,71 @@ def test_conjecture_budget_exhaustion():
     assert not report.passed
     assert report.find("aut_order") == 12
     assert report.find("aut_order_exact") is True
+
+
+def _quotient_row(X, p):
+    cvg, rep = quotient_cyclic(X, p)
+    return (rep.passed, cvg.base.vertex_count, cvg.base.edge_count,
+            tuple(sorted(s.size for s in cvg.vertex_groups)))
+
+
+@pytest.mark.parametrize("family, n", [("star_half", 3), ("star_half", 5), ("star_two", 5)])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 10])
+def test_conjecture_classes_match_exhaustive_verification(family, n, m):
+    """One verified representative per class gives the same rows as
+    quotienting and verifying every order-m automorphism on its own."""
+    X = token_graph(star(n), (n + 1) // 2 if family == "star_half" else 2)
+    aut = automorphisms(X)
+    closure = aut.closure()
+    assert closure.complete
+    group = [p.images for p in closure.elements]
+    of_order = sorted((p for p in closure.elements if p.order() == m),
+                      key=lambda p: (not acts_freely(p, m), p.images))
+    classes = cyclic_subgroup_classes(of_order, aut.generators, m)
+    assert sorted(p.images for c in classes for p in c) == sorted(p.images for p in of_order)
+
+    rows = set()
+    for members in classes:
+        # exact class: every s g^j s^-1 over the whole group and coprime j
+        g = members[0].images
+        powers = [g]
+        while len(powers) < m - 1:
+            powers.append(tuple(g[x] for x in powers[-1]))
+        expected = set()
+        for j, h in enumerate(powers, 1):
+            if gcd(j, m) == 1:
+                for s in group:
+                    conj = [0] * len(s)
+                    for y, sy in enumerate(s):
+                        conj[sy] = s[h[y]]
+                    expected.add(tuple(conj))
+        assert {p.images for p in members} == expected
+        outcomes = {_quotient_row(X, p) for p in members}
+        assert len(outcomes) == 1, outcomes
+        rows |= outcomes
+
+    report = conjecture_search(family, n, group_order=m)
+    listed = report.find("verified_candidates")
+    assert report.find("order_m_elements") == len(of_order)
+    assert report.find("order_m_classes") == len(classes)
+    assert sum(c["class_elements"] for c in listed) == len(of_order)
+    assert {(True, c["base_vertices"], c["base_edges"], tuple(c["stabilizer_sizes"]))
+            for c in listed} == rows
+    assert [c["automorphism"] for c in listed] == [c[0].cycle_string() for c in classes]
+
+
+def test_cyclic_subgroup_classes_split_only_when_elements_are_missing():
+    X = token_graph(star(5), 3)
+    aut = automorphisms(X)
+    of_order = sorted((p for p in aut.closure().elements if p.order() == 10),
+                      key=lambda p: p.images)
+    (whole,) = cyclic_subgroup_classes(of_order, aut.generators, 10)
+    assert whole[0] == of_order[0] and len(whole) == 24
+    # a third of the elements: the walk cannot pass through the missing
+    # ones, so the class splits, each part led by its first listed member
+    kept = of_order[::3]
+    parts = cyclic_subgroup_classes(kept, aut.generators, 10)
+    assert len(parts) > 1
+    assert sorted(p.images for c in parts for p in c) == [p.images for p in kept]
+    assert [kept.index(c[0]) for c in parts] == sorted(kept.index(c[0]) for c in parts)
+    assert all(kept.index(c[0]) == min(kept.index(p) for p in c) for c in parts)
