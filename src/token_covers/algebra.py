@@ -4,7 +4,8 @@ stabilizer chains of permutation groups.
 Only cyclic voltage groups are implemented: every construction in this package
 voltages over Z_m, and for abelian groups the left/right coset distinction
 vanishes.  The coset type keeps a small arithmetic surface (translate,
-intersect) so covering-lift edge rules never materialize member sets.
+intersect) that decides coset incidence without materializing member sets;
+it is the reference rule the covering lift's congruence is tested against.
 """
 
 from __future__ import annotations

@@ -8,13 +8,18 @@ orientation; the reversed dart implicitly carries the negated voltage, so
 the cover's edge relation is orientation-independent.  The fiber over a
 vertex x is the coset space of its subgroup, and a base edge x-y with
 voltage w lifts to one edge per coset pair (K, H) with (K + w) meeting H.
+Over Z_m the cosets of the index-d subgroup are r + dZ_m (0 <= r < d), and
+r + w + d_x Z_m meets s + d_y Z_m exactly when r + w = s mod
+gcd(d_x, d_y), so ``lift`` lists the matching s for each r instead of
+testing every pair: its cost is that of the cover it returns, and its
+edges come ordered by base edge, then r, then s.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, gcd
 from operator import itemgetter
 from typing import NamedTuple, Optional
@@ -125,40 +130,42 @@ def lift(cvg: CombinedVoltageGraph) -> Cover:
     """Covering graph of a combined voltage graph.
 
     Vertices are (base vertex, coset) pairs ordered by (base vertex, coset
-    representative).  Each base edge contributes one lifted edge per
-    satisfying coset pair; a base loop of voltage w contributes one edge
-    per unordered pair {K, K + w} of cosets.
+    representative), so cover vertex (x, r) has index offset[x] + r, with
+    offset[x] the total fiber size of the base vertices before x.  A base
+    edge u-v of voltage w lifts to one edge per coset pair (K_r, H_s) with
+    K_r + w meeting H_s, which holds exactly when r + w = s mod
+    gcd(d_u, d_v) for fiber sizes d_u, d_v; the matching s are listed
+    directly, so the cost is that of the output.  Edges come ordered by
+    base edge, then r, then s.  A base loop of voltage w contributes one
+    edge per unordered pair {r, r + w mod d_u}, in order of its first r.
     """
     base = cvg.base
+    sizes = [H.index for H in cvg.vertex_groups]
+    offset = list(accumulate(sizes, initial=0))
     verts = []
-    for x in range(base.vertex_count):
-        for K in cvg.vertex_groups[x].cosets():
-            verts.append(CoverVertex(x, K))
-    index = {(cv.base_vertex, cv.coset.rep): i for i, cv in enumerate(verts)}
     labels = []
-    for cv in verts:
-        x = cv.base_vertex
+    for x, H in enumerate(cvg.vertex_groups):
         name = base.labels[x] if base.labels is not None else str(x)
-        members = ",".join(map(str, cv.coset.members()))
-        labels.append(f"({name},{{{members}}})")
+        for K in H.cosets():
+            verts.append(CoverVertex(x, K))
+            members = ",".join(map(str, K.members()))
+            labels.append(f"({name},{{{members}}})")
     edges = []
-    for eid, (u, v) in enumerate(base.edges):
-        w = cvg.voltages[eid]
+    for (u, v), w in zip(base.edges, cvg.voltages):
+        du, ou = sizes[u], offset[u]
         if u == v:
             seen = set()
-            for K in cvg.vertex_groups[u].cosets():
-                K2 = K.translate(w)
-                pair = frozenset((K.rep, K2.rep))
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                edges.append((index[(u, K.rep)], index[(u, K2.rep)]))
+            for r in range(du):
+                r2 = (r + w) % du
+                pair = (r, r2) if r <= r2 else (r2, r)
+                if pair not in seen:
+                    seen.add(pair)
+                    edges.append((ou + r, ou + r2))
         else:
-            for K in cvg.vertex_groups[u].cosets():
-                shifted = K.translate(w)
-                for H in cvg.vertex_groups[v].cosets():
-                    if shifted.intersects(H):
-                        edges.append((index[(u, K.rep)], index[(v, H.rep)]))
+            dv, ov = sizes[v], offset[v]
+            g = gcd(du, dv)
+            edges.extend((ou + r, ov + s) for r in range(du)
+                         for s in range((r + w) % g, dv, g))
     return Cover(Multigraph(len(verts), edges, labels=labels), verts)
 
 
@@ -216,10 +223,14 @@ def verify_theorem1(n: int, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> Verifi
     """Machine check that the lifted base graph is F_2(K_n) for even n:
     vertex count, bijectivity of the explicit map, edge-preservation in
     both directions on underlying simple graphs, and an independent
-    isomorphism search."""
+    isomorphism search.  A cover with more than ``max_vertices`` vertices
+    is rejected before anything is lifted or built, as the independent
+    search could not run on it."""
     cvg = theorem1_base(n)
-    cover = lift(cvg)
     target = comb(n, 2)
+    if target > max_vertices:
+        raise ValueError("graph too large for isomorphism search")
+    cover = lift(cvg)
     count_ok = cover.graph.vertex_count == target
 
     images = [cover_token(n, cv) for cv in cover.vertices]

@@ -67,6 +67,16 @@ def test_verify_theorem1_odd_rejected(tmp_path):
     assert run("verify-theorem1", "--n", "7", "--out", str(tmp_path)) == 2
 
 
+def test_verify_theorem1_over_cap_fails_before_lifting(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("lift must not run past the vertex cap")
+
+    monkeypatch.setattr(voltage, "lift", never)
+    assert run("verify-theorem1", "--n", "40", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: graph too large for isomorphism search\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_zz_complete(tmp_path):
     assert run("zz", "--family", "complete:5", "--k", "2..4", "--out", str(tmp_path)) == 0
     assert len(list(tmp_path.glob("zz_complete5_k*.json"))) == 3

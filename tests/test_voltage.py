@@ -2,6 +2,8 @@ import random
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from token_covers.algebra import CyclicGroup, Permutation, Subgroup
 from token_covers.graphs import (
@@ -13,9 +15,10 @@ from token_covers.graphs import (
     underlying_simple,
 )
 from token_covers.symmetry import acts_freely, automorphisms, is_isomorphic
-from token_covers.tokens import induced_token_permutation, token_graph
+from token_covers.tokens import induced_token_permutation, ksubsets, token_graph
 from token_covers.voltage import (
     CombinedVoltageGraph,
+    CoverVertex,
     conjecture_search,
     cover_token,
     cyclic_subgroup_classes,
@@ -151,6 +154,75 @@ def test_lift_edge_rule_orientation_independent():
         assert forward_pairs == backward_pairs
 
 
+def oracle_lift(cvg):
+    """Reference lift by set-wise coset intersection: (vertices, labels,
+    edges) with every coset pair of every base edge tested, and a loop's
+    pairs deduplicated as unordered pairs."""
+    base = cvg.base
+    vertices = [CoverVertex(x, K) for x in range(base.vertex_count)
+                for K in cvg.vertex_groups[x].cosets()]
+    index = {(cv.base_vertex, cv.coset.rep): i for i, cv in enumerate(vertices)}
+    labels = []
+    for cv in vertices:
+        name = base.labels[cv.base_vertex] if base.labels is not None else str(cv.base_vertex)
+        labels.append(f"({name},{{{','.join(map(str, cv.coset.members()))}}})")
+    edges = []
+    for (u, v), w in zip(base.edges, cvg.voltages):
+        seen = set()
+        for K in cvg.vertex_groups[u].cosets():
+            shifted = set(K.translate(w).members())
+            for H in cvg.vertex_groups[v].cosets():
+                if not shifted & set(H.members()):
+                    continue
+                if u == v:
+                    pair = frozenset((K.rep, H.rep))
+                    if pair in seen:
+                        continue
+                    seen.add(pair)
+                a, b = index[(u, K.rep)], index[(v, H.rep)]
+                edges.append((a, b) if a <= b else (b, a))
+    return vertices, labels, edges
+
+
+def assert_lift_matches_oracle(cvg):
+    cover = lift(cvg)
+    vertices, labels, edges = oracle_lift(cvg)
+    assert cover.vertices == tuple(vertices)
+    assert cover.graph.vertex_count == len(vertices)
+    assert cover.graph.labels == tuple(labels)
+    assert cover.graph.edges == tuple(edges)
+
+
+@st.composite
+def _voltage_graphs(draw):
+    """Z_m (m <= 12), a subgroup of any index at each vertex, and up to 8
+    edges drawn with repetition, so parallel edges and loops occur; half
+    the voltages are 0 or m // 2 (the involution when m is even)."""
+    m = draw(st.integers(1, 12))
+    G = CyclicGroup(m)
+    n = draw(st.integers(1, 4))
+    indices = [d for d in range(1, m + 1) if m % d == 0]
+    vertex_groups = [Subgroup(G, draw(st.sampled_from(indices))) for _ in range(n)]
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = [(min(a, b), max(a, b)) for a, b in draw(st.lists(ends, max_size=8))]
+    voltage = st.one_of(st.sampled_from([0, m // 2]), st.integers(0, m - 1))
+    volts = [draw(voltage) for _ in edges]
+    labels = draw(st.one_of(st.none(), st.just([f"v{x}" for x in range(n)])))
+    return CombinedVoltageGraph(Multigraph(n, edges, labels=labels), G, volts,
+                                vertex_groups)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_voltage_graphs())
+def test_lift_matches_set_oracle(cvg):
+    assert_lift_matches_oracle(cvg)
+
+
+@pytest.mark.parametrize("n", range(4, 31, 2))
+def test_theorem1_lift_matches_set_oracle(n):
+    assert_lift_matches_oracle(theorem1_base(n))
+
+
 def test_theorem1_base_n4_structure():
     cvg = theorem1_base(4)
     assert cvg.base.vertex_count == 2
@@ -228,6 +300,28 @@ def test_verify_theorem1_passes(n):
     assert report.find("explicit_map_bijective")
     assert report.find("explicit_map_isomorphism")
     assert report.find("independent_search_agrees")
+
+
+@pytest.mark.parametrize("n", [22, 26, 30])
+def test_theorem1_explicit_map_past_workload_sizes(n):
+    # the explicit map alone, without the capped isomorphism search
+    cover = lift(theorem1_base(n))
+    assert cover.graph.vertex_count == comb(n, 2)
+    position = {p: i for i, p in enumerate(ksubsets(n, 2))}
+    to_token = [position[(a - 1, b - 1)]
+                for a, b in (cover_token(n, cv) for cv in cover.vertices)]
+    assert sorted(to_token) == list(range(comb(n, 2)))
+    simple = underlying_simple(cover.graph)
+    tokens = token_graph(complete(n), 2)
+    mapped = {tuple(sorted((to_token[u], to_token[v]))) for u, v in simple.edges}
+    assert simple.edge_count == tokens.edge_count
+    assert mapped == set(tokens.edges)
+
+
+def test_verify_theorem1_rejects_oversized_cover():
+    with pytest.raises(ValueError, match="graph too large for isomorphism search"):
+        verify_theorem1(8, max_vertices=27)
+    assert verify_theorem1(8, max_vertices=28).passed
 
 
 def test_verify_theorem1_rejects_odd():
