@@ -6,17 +6,26 @@ automorphism group, found by walking the identity path of the search tree
 and harvesting one generator per new orbit point) and
 ``isomorphism_witness`` (first color-preserving bijection found, or None).
 
-The compiled extension ``_search_c`` implements the identical algorithm
-with the identical tie-breaking; outputs of the two backends match
-exactly, which the test suite checks.
+The compiled extension ``_search_c`` gives identical outputs (the same
+generators and witnesses, in the same order), which the test suite
+checks; its refinement still rescans all n vertices per splitter.
 
 Refinement is the classic splitter-queue procedure run on both sides in
 lockstep: for a splitter class ``s``, every class is partitioned by the
 number of neighbors its members have inside ``s``.  New color ids are
-allocated by ascending count within ascending class id, so two sides that
-stay compatible always carry structurally aligned colorings; a mismatch in
-any class's count multiset proves no color-preserving isomorphism extends
-the current branch.
+allocated by ascending count within ascending class id (the smallest count
+keeps the old id), so two sides that stay compatible always carry
+structurally aligned colorings; a mismatch in any class's count multiset
+proves no color-preserving isomorphism extends the current branch.
+
+The refinement is cell-indexed (McKay & Piperno, "Practical graph
+isomorphism, II", 2014): each call builds one member bitmask per class,
+and a splitter pop visits only the splitter's members and their
+neighbors.  Classes with no neighbor in the splitter cannot split; a
+touched class's zero-count members number its size minus its touched
+members, and only vertices that change class are recolored.  One pop
+therefore costs O(|s| + |N(s)|) big-integer operations on masks of n
+bits, instead of three passes over all n vertices.
 """
 
 from __future__ import annotations
@@ -30,69 +39,95 @@ def _refine(adj_l, col_l, adj_r, col_r, ncolors, seeds):
     """Refine both colorings to a common equitable partition.
 
     Mutates ``col_l``/``col_r``; returns the new color count or -1 when the
-    sides are incompatible.  ``seeds`` primes the splitter queue.
+    sides are incompatible.  ``seeds`` primes the splitter queue.  Both
+    colorings must have the same class sizes, which every caller keeps.
     """
     n = len(adj_l)
+    # member mask of every class, built once per call; a class's size is
+    # the popcount of its mask
+    cell_l = [0] * n
+    cell_r = [0] * n
+    for v, c in enumerate(col_l):
+        cell_l[c] |= 1 << v
+    for v, c in enumerate(col_r):
+        cell_r[c] |= 1 << v
     in_queue = bytearray(n + 1)
     queue = deque()
     for s in seeds:
         if not in_queue[s]:
             in_queue[s] = 1
             queue.append(s)
+    stride = n + 1
     while queue:
         s = queue.popleft()
         in_queue[s] = 0
-        mask_l = 0
-        mask_r = 0
-        for v in range(n):
-            if col_l[v] == s:
-                mask_l |= 1 << v
-            if col_r[v] == s:
-                mask_r |= 1 << v
-        cnt_l = [0] * n
-        cnt_r = [0] * n
-        hist_l = {}
-        hist_r = {}
-        for v in range(n):
-            k = (adj_l[v] & mask_l).bit_count()
-            cnt_l[v] = k
-            c = col_l[v]
-            h = hist_l.get(c)
-            if h is None:
-                hist_l[c] = h = {}
-            h[k] = h.get(k, 0) + 1
-            k = (adj_r[v] & mask_r).bit_count()
-            cnt_r[v] = k
-            c = col_r[v]
-            h = hist_r.get(c)
-            if h is None:
-                hist_r[c] = h = {}
-            h[k] = h.get(k, 0) + 1
-        splits = {}
-        for c in sorted(hist_l):
-            h = hist_l[c]
-            if hist_r.get(c) != h:
+        hits_l = _splitter_hits(adj_l, cell_l[s], col_l, stride)
+        hits_r = _splitter_hits(adj_r, cell_r[s], col_r, stride)
+        # untouched classes have all-zero counts on both sides; touched ones
+        # must agree on every (class, count) group size
+        if len(hits_l) != len(hits_r):
+            return -1
+        for key, mask in hits_l.items():
+            other = hits_r.get(key)
+            if other is None or mask.bit_count() != other.bit_count():
                 return -1
-            if len(h) > 1:
-                values = sorted(h)
-                table = {values[0]: c}
-                for val in values[1:]:
-                    table[val] = ncolors
-                    ncolors += 1
-                splits[c] = table
-                for cc in table.values():
-                    if not in_queue[cc]:
-                        in_queue[cc] = 1
-                        queue.append(cc)
-        if splits:
-            for v in range(n):
-                t = splits.get(col_l[v])
-                if t is not None:
-                    col_l[v] = t[cnt_l[v]]
-                t = splits.get(col_r[v])
-                if t is not None:
-                    col_r[v] = t[cnt_r[v]]
+        # keys sort by class, then count: the allocation order of new ids
+        keys = sorted(hits_l)
+        end = 0
+        while end < len(keys):
+            start = end
+            c = keys[start] // stride
+            touched = 0
+            while end < len(keys) and keys[end] // stride == c:
+                touched += hits_l[keys[end]].bit_count()
+                end += 1
+            if touched == cell_l[c].bit_count():
+                start += 1  # no zero-count members: the smallest count keeps c
+            if start == end:
+                continue
+            if not in_queue[c]:
+                in_queue[c] = 1
+                queue.append(c)
+            for key in keys[start:end]:
+                new = ncolors
+                ncolors += 1
+                moved_l = hits_l[key]
+                moved_r = hits_r[key]
+                cell_l[c] ^= moved_l
+                cell_r[c] ^= moved_r
+                cell_l[new] = moved_l
+                cell_r[new] = moved_r
+                while moved_l:
+                    low = moved_l & -moved_l
+                    col_l[low.bit_length() - 1] = new
+                    moved_l ^= low
+                while moved_r:
+                    low = moved_r & -moved_r
+                    col_r[low.bit_length() - 1] = new
+                    moved_r ^= low
+                in_queue[new] = 1
+                queue.append(new)
     return ncolors
+
+
+def _splitter_hits(adj, splitter, col, stride):
+    """Group the neighbours of the ``splitter`` mask by class and by their
+    number of neighbours inside it: ``{class * stride + count: members}``,
+    member sets as bitmasks.  Visits only the splitter and its neighbours."""
+    reach = 0
+    rest = splitter
+    while rest:
+        low = rest & -rest
+        reach |= adj[low.bit_length() - 1]
+        rest ^= low
+    hits = {}
+    while reach:
+        low = reach & -reach
+        v = low.bit_length() - 1
+        reach ^= low
+        key = col[v] * stride + (adj[v] & splitter).bit_count()
+        hits[key] = hits.get(key, 0) | low
+    return hits
 
 
 def _target_cell(col, ncolors, n):

@@ -38,14 +38,16 @@ def token_graph(X: SimpleGraph, k: int) -> SimpleGraph:
         raise ValueError("token graph exceeds the supported size")
     subs = ksubsets(n, k)
     index = {s: i for i, s in enumerate(subs)}
+    nbrs = [X.neighbors(u) for u in range(n)]
     edges = []
     for i, sub in enumerate(subs):
         inside = set(sub)
-        for u, v in X.edges:
-            if (u in inside) ^ (v in inside):
-                j = index[tuple(sorted(inside ^ {u, v}))]
-                if i < j:
-                    edges.append((i, j))
+        for u in sub:
+            for v in nbrs[u]:
+                # trading u for a larger v gives a lexicographically later
+                # subset, so each edge is emitted once, from its earlier end
+                if v > u and v not in inside:
+                    edges.append((i, index[tuple(sorted(inside ^ {u, v}))]))
     return SimpleGraph(len(subs), edges, labels=[subset_label(s) for s in subs])
 
 

@@ -1,8 +1,21 @@
 """Shared test oracles, independent of the library's search machinery."""
 
+import random
+from collections import deque
 from itertools import combinations, permutations
 
-from token_covers.graphs import Multigraph, SimpleGraph
+from hypothesis import strategies as st
+
+from token_covers.graphs import (
+    Multigraph,
+    SimpleGraph,
+    complete,
+    complete_bipartite,
+    cycle,
+    path,
+    star,
+)
+from token_covers.tokens import johnson, line_graph, subdivision, token_graph
 
 
 def brute_force_isomorphism(X, Y):
@@ -77,3 +90,133 @@ def random_multigraph(rng, n: int, m_edges: int) -> Multigraph:
         v = rng.randrange(n)
         edges.append((u, v))
     return Multigraph(n, edges)
+
+
+@st.composite
+def simple_graphs(draw, min_vertices=1, max_vertices=12):
+    n = draw(st.integers(min_vertices, max_vertices))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def graph_pairs(draw, max_vertices=12):
+    """A graph and either an independent graph on as many vertices, or a
+    relabelling of it with up to four degree-preserving edge switches."""
+    X = draw(simple_graphs(max_vertices=max_vertices))
+    n = X.vertex_count
+    if draw(st.booleans()):
+        return X, draw(simple_graphs(n, n))
+    edges = set(relabel(X, draw(st.permutations(range(n)))).edges)
+    for _ in range(draw(st.integers(0, 4))):
+        # ab, cd -> ad, cb keeps every degree
+        switches = [((a, b), (c, d), (min(a, d), max(a, d)), (min(c, b), max(c, b)))
+                    for (a, b), (x, y) in combinations(sorted(edges), 2)
+                    for c, d in ((x, y), (y, x)) if len({a, b, c, d}) == 4]
+        switches = [sw for sw in switches if not {sw[2], sw[3]} & edges]
+        if not switches:
+            break
+        ab, cd, ad, cb = draw(st.sampled_from(switches))
+        edges -= {ab, (min(cd), max(cd))}
+        edges |= {ad, cb}
+    return X, SimpleGraph(n, edges)
+
+
+def kernel_corpus():
+    """Graphs the search-kernel tests run every kernel entry point on."""
+    graphs = [
+        complete(1), complete(2), complete(6), cycle(4), cycle(7), path(5),
+        star(4), complete_bipartite(2, 3), complete_bipartite(3, 3),
+        token_graph(complete(5), 2), token_graph(star(4), 2),
+        token_graph(complete_bipartite(2, 4), 3),
+        johnson(5, 2), subdivision(complete(4)), line_graph(complete(5)),
+    ]
+    rng = random.Random(3)
+    for _ in range(25):
+        graphs.append(random_simple_graph(rng, rng.randint(2, 12), rng.random()))
+    return graphs
+
+
+def kernel_witness_pairs():
+    """Adjacency-mask pairs for the isomorphism-witness tests: each corpus
+    graph with a seeded relabelling of itself, then neighbouring corpus
+    graphs paired up (mostly non-isomorphic, some of unequal size)."""
+    rng = random.Random(5)
+    graphs = kernel_corpus()
+    pairs = []
+    for g in graphs:
+        images = list(range(g.vertex_count))
+        rng.shuffle(images)
+        pairs.append((g.adjacency_masks, relabel(g, images).adjacency_masks))
+    for a, b in zip(graphs[::2], graphs[1::2]):
+        pairs.append((a.adjacency_masks, b.adjacency_masks))
+    return pairs
+
+
+def full_scan_refine(adj_l, col_l, adj_r, col_r, ncolors, seeds):
+    """Reference equitable refinement: the search kernel's original
+    splitter-queue loop, which rescans all n vertices for every splitter
+    (splitter masks, per-vertex counts, per-class histograms, recoloring).
+    Same contract as ``_search_py._refine``."""
+    n = len(adj_l)
+    in_queue = bytearray(n + 1)
+    queue = deque()
+    for s in seeds:
+        if not in_queue[s]:
+            in_queue[s] = 1
+            queue.append(s)
+    while queue:
+        s = queue.popleft()
+        in_queue[s] = 0
+        mask_l = 0
+        mask_r = 0
+        for v in range(n):
+            if col_l[v] == s:
+                mask_l |= 1 << v
+            if col_r[v] == s:
+                mask_r |= 1 << v
+        cnt_l = [0] * n
+        cnt_r = [0] * n
+        hist_l = {}
+        hist_r = {}
+        for v in range(n):
+            k = (adj_l[v] & mask_l).bit_count()
+            cnt_l[v] = k
+            c = col_l[v]
+            h = hist_l.get(c)
+            if h is None:
+                hist_l[c] = h = {}
+            h[k] = h.get(k, 0) + 1
+            k = (adj_r[v] & mask_r).bit_count()
+            cnt_r[v] = k
+            c = col_r[v]
+            h = hist_r.get(c)
+            if h is None:
+                hist_r[c] = h = {}
+            h[k] = h.get(k, 0) + 1
+        splits = {}
+        for c in sorted(hist_l):
+            h = hist_l[c]
+            if hist_r.get(c) != h:
+                return -1
+            if len(h) > 1:
+                values = sorted(h)
+                table = {values[0]: c}
+                for val in values[1:]:
+                    table[val] = ncolors
+                    ncolors += 1
+                splits[c] = table
+                for cc in table.values():
+                    if not in_queue[cc]:
+                        in_queue[cc] = 1
+                        queue.append(cc)
+        if splits:
+            for v in range(n):
+                t = splits.get(col_l[v])
+                if t is not None:
+                    col_l[v] = t[cnt_l[v]]
+                t = splits.get(col_r[v])
+                if t is not None:
+                    col_r[v] = t[cnt_r[v]]
+    return ncolors

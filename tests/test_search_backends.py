@@ -1,50 +1,24 @@
 """The compiled kernel and the pure-Python twin must agree exactly."""
 
-import random
-
 import pytest
 
 from token_covers import _search_py as pure
-from token_covers.graphs import complete, complete_bipartite, cycle, path, star
-from token_covers.tokens import johnson, line_graph, subdivision, token_graph
 
-from helpers import random_simple_graph, relabel
+from helpers import kernel_corpus, kernel_witness_pairs
 
 compiled = pytest.importorskip("token_covers._search_c")
 
 
-def corpus():
-    graphs = [
-        complete(1), complete(2), complete(6), cycle(4), cycle(7), path(5),
-        star(4), complete_bipartite(2, 3), complete_bipartite(3, 3),
-        token_graph(complete(5), 2), token_graph(star(4), 2),
-        token_graph(complete_bipartite(2, 4), 3),
-        johnson(5, 2), subdivision(complete(4)), line_graph(complete(5)),
-    ]
-    rng = random.Random(3)
-    for _ in range(25):
-        graphs.append(random_simple_graph(rng, rng.randint(2, 12), rng.random()))
-    return graphs
-
-
 def test_generator_agreement():
-    for g in corpus():
+    for g in kernel_corpus():
         assert (pure.automorphism_generators(g.adjacency_masks)
                 == compiled.automorphism_generators(g.adjacency_masks))
 
 
 def test_witness_agreement():
-    rng = random.Random(5)
-    graphs = corpus()
-    for g in graphs:
-        images = list(range(g.vertex_count))
-        rng.shuffle(images)
-        h = relabel(g, images)
-        assert (pure.isomorphism_witness(g.adjacency_masks, h.adjacency_masks)
-                == compiled.isomorphism_witness(g.adjacency_masks, h.adjacency_masks))
-    for a, b in zip(graphs[::2], graphs[1::2]):
-        assert (pure.isomorphism_witness(a.adjacency_masks, b.adjacency_masks)
-                == compiled.isomorphism_witness(a.adjacency_masks, b.adjacency_masks))
+    for adj1, adj2 in kernel_witness_pairs():
+        assert (pure.isomorphism_witness(adj1, adj2)
+                == compiled.isomorphism_witness(adj1, adj2))
 
 
 def test_backend_names():

@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +29,11 @@ from helpers import (
     brute_force_automorphisms,
     brute_force_isomorphism,
     disjoint_union,
+    graph_pairs,
     kneser,
     random_simple_graph,
     relabel,
+    simple_graphs,
 )
 
 
@@ -137,37 +138,6 @@ def test_isomorphic_matches_brute_force():
             assert mapped == set(b.edges)
 
 
-@st.composite
-def _graphs(draw, min_vertices=1, max_vertices=12):
-    n = draw(st.integers(min_vertices, max_vertices))
-    pairs = list(combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return SimpleGraph(n, [e for e, k in zip(pairs, keep) if k])
-
-
-@st.composite
-def _graph_pairs(draw):
-    """A graph and either an independent graph on as many vertices, or a
-    relabelling of it with up to four degree-preserving edge switches."""
-    X = draw(_graphs())
-    n = X.vertex_count
-    if draw(st.booleans()):
-        return X, draw(_graphs(n, n))
-    edges = set(relabel(X, draw(st.permutations(range(n)))).edges)
-    for _ in range(draw(st.integers(0, 4))):
-        # ab, cd -> ad, cb keeps every degree
-        switches = [((a, b), (c, d), (min(a, d), max(a, d)), (min(c, b), max(c, b)))
-                    for (a, b), (x, y) in combinations(sorted(edges), 2)
-                    for c, d in ((x, y), (y, x)) if len({a, b, c, d}) == 4]
-        switches = [sw for sw in switches if not {sw[2], sw[3]} & edges]
-        if not switches:
-            break
-        ab, cd, ad, cb = draw(st.sampled_from(switches))
-        edges -= {ab, (min(cd), max(cd))}
-        edges |= {ad, cb}
-    return X, SimpleGraph(n, edges)
-
-
 def _networkx(nx, X):
     G = nx.Graph()
     G.add_nodes_from(range(X.vertex_count))
@@ -181,7 +151,7 @@ def _maps_edges_onto(witness, X, Y):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_graphs(), st.data())
+@given(simple_graphs(), st.data())
 def test_isomorphic_to_relabelling(X, data):
     Y = relabel(X, data.draw(st.permutations(range(X.vertex_count))))
     witness = is_isomorphic(X, Y)
@@ -189,7 +159,7 @@ def test_isomorphic_to_relabelling(X, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_graph_pairs())
+@given(graph_pairs())
 def test_isomorphic_agrees_with_networkx(pair):
     nx = pytest.importorskip("networkx")
     X, Y = pair

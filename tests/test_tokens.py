@@ -18,7 +18,13 @@ from token_covers.tokens import (
     token_graph,
 )
 
-from helpers import complement, kneser, random_simple_graph, token_degree_oracle
+from helpers import (
+    complement,
+    kneser,
+    random_simple_graph,
+    simple_graphs,
+    token_degree_oracle,
+)
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 8) for k in range(1, n)])
@@ -147,6 +153,23 @@ def test_token_degree_formula(n, rng):
         F = token_graph(X, k)
         for i, sub in enumerate(combinations(range(n), k)):
             assert F.degree(i) == token_degree_oracle(X, sub)
+
+
+@given(simple_graphs(max_vertices=8))
+@settings(max_examples=150, deadline=None)
+def test_token_graph_matches_definition(X):
+    """Every k: k-subsets adjacent exactly when their symmetric difference
+    is an edge of X; vertices and labels in lexicographic subset order."""
+    n = X.vertex_count
+    for k in range(1, n):
+        subs = list(combinations(range(n), k))
+        edges = [(i, j) for i, j in combinations(range(len(subs)), 2)
+                 if len(diff := set(subs[i]) ^ set(subs[j])) == 2
+                 and X.has_edge(*diff)]
+        F = token_graph(X, k)
+        assert F.vertex_count == len(subs)
+        assert F.edges == tuple(edges)
+        assert F.labels == tuple("{" + ",".join(map(str, s)) + "}" for s in subs)
 
 
 def test_induced_token_permutation():
