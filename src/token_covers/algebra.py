@@ -392,10 +392,6 @@ class Closure:
     elements: frozenset
     complete: bool
 
-    @property
-    def order_lower_bound(self) -> int:
-        return len(self.elements)
-
 
 def group_closure(gens: Sequence[Permutation], cap: int = 10**6, *,
                   degree: Optional[int] = None) -> Closure:

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import voltage
 from .graphs import make_family, to_dot, to_json
 from .report import STATUS_BUDGET_EXHAUSTED
-from .symmetry import KernelResultError, zz_check
+from .symmetry import DEFAULT_GROUP_CAP, DEFAULT_VERTEX_CAP, KernelResultError, zz_check
 from .tokens import inclusion_bigraph, johnson, line_graph, subdivision, token_graph
 
 EXIT_OK = 0
@@ -84,8 +84,9 @@ def resolve_settings(args):
                or cfg.get("out_dir")
                or os.environ.get("TOKEN_COVER_OUT")
                or "out")
-    max_vertices = _pick(getattr(args, "max_vertices", None), cfg.get("max_vertices"), 200)
-    budget = _pick(getattr(args, "budget", None), cfg.get("budget"), 10**6)
+    max_vertices = _pick(getattr(args, "max_vertices", None), cfg.get("max_vertices"),
+                         DEFAULT_VERTEX_CAP)
+    budget = _pick(getattr(args, "budget", None), cfg.get("budget"), DEFAULT_GROUP_CAP)
     if min(max_vertices, budget) < 1:
         raise ValueError("caps must be positive")
     return Path(out_dir), max_vertices, budget
@@ -259,7 +260,8 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: an unreadable --config or an unwritable output directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KernelResultError as exc:

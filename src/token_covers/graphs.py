@@ -447,15 +447,15 @@ def from_json(text: str) -> Multigraph:
         n = payload["vertices"]
         records = payload["edges"]
         labels = payload.get("labels")
+        edges = [None] * len(records)
+        for rec in records:
+            e, u, v = rec["id"], rec["u"], rec["v"]
+            if not (0 <= e < len(records)) or edges[e] is not None:
+                raise ValueError(f"bad or duplicate edge id {e}")
+            edges[e] = (u, v)
+        return Multigraph(n, edges, labels=labels)
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
-    edges = [None] * len(records)
-    for rec in records:
-        e, u, v = rec["id"], rec["u"], rec["v"]
-        if not (0 <= e < len(records)) or edges[e] is not None:
-            raise ValueError(f"bad or duplicate edge id {e}")
-        edges[e] = (u, v)
-    return Multigraph(n, edges, labels=labels)
 
 
 def export(G, fmt: str) -> bytes:

@@ -158,7 +158,7 @@ def full_scan_refine(adj_l, col_l, adj_r, col_r, ncolors, seeds):
     """Reference equitable refinement: the search kernel's original
     splitter-queue loop, which rescans all n vertices for every splitter
     (splitter masks, per-vertex counts, per-class histograms, recoloring).
-    Same contract as ``_search_py._refine``."""
+    Same contract as ``search._refine``."""
     n = len(adj_l)
     in_queue = bytearray(n + 1)
     queue = deque()

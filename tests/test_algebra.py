@@ -159,7 +159,7 @@ def test_closure_empty_and_overflow():
         [Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(0, 1, 2, 3)])],
         cap=10)
     assert not partial.complete
-    assert partial.order_lower_bound == 10
+    assert len(partial.elements) == 10
 
 
 def test_closure_k33_automorphism_order():

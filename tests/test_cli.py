@@ -186,6 +186,23 @@ def test_bad_config_rejected(tmp_path):
                "--out", str(tmp_path)) == 2
 
 
+def test_missing_config_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no-such.conf"
+    assert run("zz", "--family", "complete:5", "--k", "2", "--config", str(missing),
+               "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_unwritable_out_dir_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    assert run("zz", "--family", "complete:5", "--k", "2",
+               "--out", str(blocker / "x")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+
+
 def test_out_dir_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("TOKEN_COVER_OUT", str(tmp_path / "envout"))
     assert run("build", "--family", "cycle:3") == 0

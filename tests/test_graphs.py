@@ -163,6 +163,17 @@ def test_export_bytes_and_errors():
         from_json('{"vertices": 1, "labels": null, "edges": [{"id": 5, "u": 0, "v": 0}]}')
 
 
+@pytest.mark.parametrize("edge_record", [
+    '{"u": 0, "v": 1}',
+    '{"id": "0", "u": 0, "v": 1}',
+    '[0, 1]',
+    '{"id": 0, "u": "a", "v": 1}',
+])
+def test_from_json_rejects_malformed_edge_records(edge_record):
+    with pytest.raises(ValueError, match="malformed graph JSON"):
+        from_json(f'{{"vertices": 2, "labels": null, "edges": [{edge_record}]}}')
+
+
 def test_export_deterministic():
     g = token_graph(complete(5), 2)
     assert to_json(g) == to_json(token_graph(complete(5), 2))

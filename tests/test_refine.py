@@ -1,10 +1,11 @@
-"""The cell-indexed refinement of the pure kernel against the full-scan
+"""The cell-indexed refinement of the search kernel against the full-scan
 refinement it replaced (``helpers.full_scan_refine``)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from token_covers import _search_py
+import token_covers
+from token_covers import search
 
 from helpers import full_scan_refine, graph_pairs, kernel_corpus, kernel_witness_pairs
 
@@ -12,8 +13,8 @@ from helpers import full_scan_refine, graph_pairs, kernel_corpus, kernel_witness
 def _refine_both(adj_l, col_l, adj_r, col_r, ncolors, seeds):
     """Run both refinements on copies of the colorings and require the same
     color count (or -1 verdict) and the same colorings; return the result."""
-    got = (_search_py._refine(adj_l, cl := list(col_l), adj_r, cr := list(col_r),
-                              ncolors, seeds), cl, cr)
+    got = (search._refine(adj_l, cl := list(col_l), adj_r, cr := list(col_r),
+                          ncolors, seeds), cl, cr)
     want = (full_scan_refine(adj_l, cl := list(col_l), adj_r, cr := list(col_r),
                              ncolors, seeds), cl, cr)
     assert got == want
@@ -42,13 +43,14 @@ def test_refine_matches_full_scan(pair, data):
 
 
 def _kernel_outputs():
-    generators = [_search_py.automorphism_generators(g.adjacency_masks)
+    generators = [search.automorphism_generators(g.adjacency_masks)
                   for g in kernel_corpus()]
-    witnesses = [_search_py.isomorphism_witness(a, b) for a, b in kernel_witness_pairs()]
+    witnesses = [search.isomorphism_witness(a, b) for a, b in kernel_witness_pairs()]
     return generators, witnesses
 
 
 def test_search_outputs_match_full_scan_refinement(monkeypatch):
+    assert token_covers.SEARCH_BACKEND == "python"
     outputs = _kernel_outputs()
-    monkeypatch.setattr(_search_py, "_refine", full_scan_refine)
+    monkeypatch.setattr(search, "_refine", full_scan_refine)
     assert _kernel_outputs() == outputs
