@@ -2,8 +2,8 @@
 """Time the search kernel.
 
 Runs the automorphism-generator search and the isomorphism-witness search
-on representative token/Johnson/line-graph workloads and prints the best
-per-case timing over ``--repeat`` runs.
+on representative token/Johnson/line-graph workloads, some of them
+relabelled, and prints the best per-case timing over ``--repeat`` runs.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -17,7 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from token_covers import search  # noqa: E402
-from token_covers.graphs import complete, complete_bipartite  # noqa: E402
+from token_covers.graphs import complete, complete_bipartite, star  # noqa: E402
 from token_covers.tokens import johnson, line_graph, subdivision, token_graph  # noqa: E402
 
 # perfbench's kernel gate reads this attribute and skips when it is None;
@@ -46,6 +46,12 @@ def workloads():
            (token_graph(complete_bipartite(2, 6), 4).adjacency_masks,))
     yield ("aut subdivision(K_7), 28v", "aut",
            (subdivision(complete(7)).adjacency_masks,))
+    # relabelled, as the order graphs of perfbench's symmetry workload are:
+    # their searches refine many sibling branches
+    yield ("aut F_3(K_8) relabeled, 56v", "aut",
+           (relabeled(token_graph(complete(8), 3), 2),))
+    yield ("aut F_4(K_{1,7}) relabeled, 70v", "aut",
+           (relabeled(token_graph(star(7), 4), 3),))
     f2k10 = token_graph(complete(10), 2)
     yield ("iso F_2(K_10) ~ L(K_10), 45v", "iso",
            (f2k10.adjacency_masks, line_graph(complete(10)).adjacency_masks))

@@ -140,6 +140,23 @@ class SimpleGraph:
                 raise ValueError("labels length must equal vertex_count")
         self._labels = labels
 
+    @classmethod
+    def _trusted(cls, vertex_count: int, edges, labels) -> "SimpleGraph":
+        """Wrap edges already known to be ``(u, v)`` pairs with
+        ``0 <= u < v < vertex_count``, each once (a construction's own
+        output), skipping the checks of ``__init__``; they are still
+        sorted.  ``labels`` are ``vertex_count`` strings."""
+        g = object.__new__(cls)
+        adj = [0] * vertex_count
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        g._n = vertex_count
+        g._edges = tuple(sorted(edges))
+        g._adj = tuple(adj)
+        g._labels = tuple(labels)
+        return g
+
     @property
     def vertex_count(self) -> int:
         return self._n
@@ -440,16 +457,23 @@ def to_json(G) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; floats and booleans (an ``int`` subclass) are not."""
+    if type(value) is not int:
+        raise ValueError(f"malformed graph JSON: {what} must be an integer, got {value!r}")
+    return value
+
+
 def from_json(text: str) -> Multigraph:
     """Parse the to_json format back into a Multigraph."""
     try:
         payload = json.loads(text)
-        n = payload["vertices"]
+        n = _json_int(payload["vertices"], "vertices")
         records = payload["edges"]
         labels = payload.get("labels")
         edges = [None] * len(records)
         for rec in records:
-            e, u, v = rec["id"], rec["u"], rec["v"]
+            e, u, v = (_json_int(rec[key], f"edge {key}") for key in ("id", "u", "v"))
             if not (0 <= e < len(records)) or edges[e] is not None:
                 raise ValueError(f"bad or duplicate edge id {e}")
             edges[e] = (u, v)

@@ -2,80 +2,91 @@
 
 Adjacency comes in as a sequence of per-vertex integer bitmasks.  The two
 entry points are ``automorphism_generators`` (a generating set of the
-automorphism group, found by walking the identity path of the search tree
-and harvesting one generator per new orbit point) and
-``isomorphism_witness`` (first color-preserving bijection found, or None).
+automorphism group, found by walking the first path of the search tree and
+harvesting one generator per new orbit point) and ``isomorphism_witness``
+(first color-preserving bijection found, or None).
 
-Refinement is the classic splitter-queue procedure run on both sides in
-lockstep: for a splitter class ``s``, every class is partitioned by the
-number of neighbors its members have inside ``s``.  New color ids are
-allocated by ascending count within ascending class id (the smallest count
-keeps the old id), so two sides that stay compatible always carry
-structurally aligned colorings; a mismatch in any class's count multiset
-proves no color-preserving isomorphism extends the current branch.
+Refinement is the classic splitter-queue procedure: for a splitter class
+``s``, every class is partitioned by the number of neighbors its members
+have inside ``s``.  New color ids are allocated by ascending count within
+ascending class id (the smallest count keeps the old id).  It is
+cell-indexed (McKay & Piperno, "Practical graph isomorphism, II", 2014):
+each call builds one member bitmask per class, and a splitter pop visits
+only the splitter's members and their neighbors, so one pop costs
+O(|s| + |N(s)|) big-integer operations on masks of n bits.
 
-The refinement is cell-indexed (McKay & Piperno, "Practical graph
-isomorphism, II", 2014): each call builds one member bitmask per class,
-and a splitter pop visits only the splitter's members and their
-neighbors.  Classes with no neighbor in the splitter cannot split; a
-touched class's zero-count members number its size minus its touched
-members, and only vertices that change class are recolored.  One pop
-therefore costs O(|s| + |N(s)|) big-integer operations on masks of n
-bits, instead of three passes over all n vertices.
+Every branch of the search pairs the same left side with a different right
+side.  The left side is the *first path*: the initial refinement, then at
+each level the least vertex of the target cell individualized and the
+coloring refined again.  It is refined once per level and kept, together
+with its split trace: per splitter pop, the size of each (class, count)
+group and the keys that received new ids.  A right side is never refined on its own;
+it replays that trace on its own graph, and the first pop whose groups
+differ in keys or sizes proves that no color-preserving isomorphism
+extends the branch.  A matching replay allocates the same ids as the left,
+so the two colorings stay structurally aligned down to a discrete leaf.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 
 
-def _refine(adj_l, col_l, adj_r, col_r, ncolors, seeds):
-    """Refine both colorings to a common equitable partition.
+def _refine(adj, col, ncolors, trace, seeds=None):
+    """Refine ``col`` (mutated) on one graph; return the new color count.
 
-    Mutates ``col_l``/``col_r``; returns the new color count or -1 when the
-    sides are incompatible.  ``seeds`` primes the splitter queue.  Both
-    colorings must have the same class sizes, which every caller keeps.
+    With ``seeds`` this refines a level of the first path: the splitter
+    queue starts from ``seeds`` and each pop is appended to ``trace`` as
+    ``(splitter, {key: group size}, moved keys)`` over the pop's
+    ``_splitter_hits``.  Without, this refines a right side against that
+    ``trace``: it pops the recorded splitters in order and returns -1 on
+    the first pop whose hits differ from the recorded ones in key set or
+    group sizes.  The queue depends only on those keys and on class sizes,
+    which then agree pop by pop, so a replay needs no queue and pops
+    exactly as often as the recording.  ``col`` must have the class sizes
+    of the coloring the trace was recorded from.
     """
-    n = len(adj_l)
+    n = len(adj)
+    stride = n + 1
     # member mask of every class, built once per call; a class's size is
     # the popcount of its mask
-    cell_l = [0] * n
-    cell_r = [0] * n
-    for v, c in enumerate(col_l):
-        cell_l[c] |= 1 << v
-    for v, c in enumerate(col_r):
-        cell_r[c] |= 1 << v
+    cells = [0] * n
+    for v, c in enumerate(col):
+        cells[c] |= 1 << v
+    if seeds is None:
+        for s, want, moves in trace:
+            hits = _splitter_hits(adj, cells[s], col, stride)
+            if len(hits) != len(want):
+                return -1
+            for key, size in want.items():
+                other = hits.get(key)
+                if other is None or other.bit_count() != size:
+                    return -1
+            ncolors = _split(cells, col, ncolors, hits, moves, stride)
+        return ncolors
     in_queue = bytearray(n + 1)
     queue = deque()
     for s in seeds:
         if not in_queue[s]:
             in_queue[s] = 1
             queue.append(s)
-    stride = n + 1
     while queue:
         s = queue.popleft()
         in_queue[s] = 0
-        hits_l = _splitter_hits(adj_l, cell_l[s], col_l, stride)
-        hits_r = _splitter_hits(adj_r, cell_r[s], col_r, stride)
-        # untouched classes have all-zero counts on both sides; touched ones
-        # must agree on every (class, count) group size
-        if len(hits_l) != len(hits_r):
-            return -1
-        for key, mask in hits_l.items():
-            other = hits_r.get(key)
-            if other is None or mask.bit_count() != other.bit_count():
-                return -1
+        hits = _splitter_hits(adj, cells[s], col, stride)
+        sizes = {key: mask.bit_count() for key, mask in hits.items()}
         # keys sort by class, then count: the allocation order of new ids
-        keys = sorted(hits_l)
+        keys = sorted(sizes)
+        moves = []
         end = 0
         while end < len(keys):
             start = end
             c = keys[start] // stride
             touched = 0
             while end < len(keys) and keys[end] // stride == c:
-                touched += hits_l[keys[end]].bit_count()
+                touched += sizes[keys[end]]
                 end += 1
-            if touched == cell_l[c].bit_count():
+            if touched == cells[c].bit_count():
                 start += 1  # no zero-count members: the smallest count keeps c
             if start == end:
                 continue
@@ -83,24 +94,12 @@ def _refine(adj_l, col_l, adj_r, col_r, ncolors, seeds):
                 in_queue[c] = 1
                 queue.append(c)
             for key in keys[start:end]:
-                new = ncolors
-                ncolors += 1
-                moved_l = hits_l[key]
-                moved_r = hits_r[key]
-                cell_l[c] ^= moved_l
-                cell_r[c] ^= moved_r
-                cell_l[new] = moved_l
-                cell_r[new] = moved_r
-                while moved_l:
-                    low = moved_l & -moved_l
-                    col_l[low.bit_length() - 1] = new
-                    moved_l ^= low
-                while moved_r:
-                    low = moved_r & -moved_r
-                    col_r[low.bit_length() - 1] = new
-                    moved_r ^= low
+                new = ncolors + len(moves)
+                moves.append(key)
                 in_queue[new] = 1
                 queue.append(new)
+        ncolors = _split(cells, col, ncolors, hits, moves, stride)
+        trace.append((s, sizes, moves))
     return ncolors
 
 
@@ -124,18 +123,56 @@ def _splitter_hits(adj, splitter, col, stride):
     return hits
 
 
-def _target_cell(col, ncolors, n):
-    """Smallest non-singleton class, ties to the lowest id; -1 if discrete."""
+def _split(cells, col, ncolors, hits, moves, stride):
+    """Give each moved key's members the next new id; only vertices that
+    change class are recolored.  Returns the new color count."""
+    for key in moves:
+        moved = hits[key]
+        cells[key // stride] ^= moved
+        cells[ncolors] = moved
+        while moved:
+            low = moved & -moved
+            col[low.bit_length() - 1] = ncolors
+            moved ^= low
+        ncolors += 1
+    return ncolors
+
+
+_Level = namedtuple("_Level", "col ncolors cell vertex trace")
+
+
+def _level(col, ncolors, trace):
+    """A first-path level: the coloring, its color count, the target cell
+    (smallest non-singleton class, ties to the lowest id) and its least
+    member, to be individualized (both -1 once the coloring is discrete),
+    and the trace that refined the coloring."""
     sizes = [0] * ncolors
-    for v in range(n):
-        sizes[col[v]] += 1
-    best = -1
-    best_size = n + 1
-    for c in range(ncolors):
-        if 2 <= sizes[c] < best_size:
-            best = c
-            best_size = sizes[c]
-    return best
+    for c in col:
+        sizes[c] += 1
+    cells = [c for c in range(ncolors) if sizes[c] >= 2]
+    if not cells:
+        return _Level(col, ncolors, -1, -1, trace)
+    best = min(cells, key=sizes.__getitem__)
+    return _Level(col, ncolors, best, col.index(best), trace)
+
+
+def _first_path(adj):
+    """The first path's level 0: the refined uniform coloring."""
+    col = [0] * len(adj)
+    trace = []
+    return [_level(col, _refine(adj, col, 1, trace, (0,)), trace)]
+
+
+def _path_level(adj, path, depth):
+    """Level ``depth`` of the first path, refining the missing levels."""
+    while len(path) <= depth:
+        last = path[-1]
+        col = last.col.copy()
+        col[last.vertex] = last.ncolors
+        trace = []
+        path.append(_level(col, _refine(adj, col, last.ncolors + 1, trace,
+                                        (last.cell, last.ncolors)), trace))
+    return path[depth]
 
 
 def _extract(col_l, col_r, n):
@@ -174,30 +211,29 @@ def isomorphism_witness(adj1, adj2):
         return None
     if n == 0:
         return ()
-    col_l = [0] * n
-    col_r = [0] * n
-    nc = _refine(adj1, col_l, adj2, col_r, 1, (0,))
-    if nc < 0:
+    path = _first_path(adj1)
+    col = [0] * n
+    if _refine(adj2, col, 1, path[0].trace) < 0:
         return None
-    return _iso_search(adj1, col_l, adj2, col_r, nc)
+    return _descend(adj1, path, 0, adj2, col)
 
 
-def _iso_search(adj_l, col_l, adj_r, col_r, nc):
+def _descend(adj_l, path, depth, adj_r, col_r):
+    """First bijection below a right side ``col_r`` aligned with the first
+    path's level ``depth``: each member of the target cell on the right is
+    individualized against the first path's vertex, in order."""
     n = len(adj_l)
-    c = _target_cell(col_l, nc, n)
+    col_l, nc, c, _, _ = path[depth]
     if c < 0:
         sigma = _extract(col_l, col_r, n)
         return sigma if _preserves(adj_l, adj_r, sigma, n) else None
-    v = min(_members(col_l, c, n))
+    trace = _path_level(adj_l, path, depth + 1).trace
     for u in _members(col_r, c, n):
-        cl = col_l.copy()
         cr = col_r.copy()
-        cl[v] = nc
         cr[u] = nc
-        nc2 = _refine(adj_l, cl, adj_r, cr, nc + 1, (c, nc))
-        if nc2 < 0:
+        if _refine(adj_r, cr, nc + 1, trace) < 0:
             continue
-        found = _iso_search(adj_l, cl, adj_r, cr, nc2)
+        found = _descend(adj_l, path, depth + 1, adj_r, cr)
         if found is not None:
             return found
     return None
@@ -206,75 +242,38 @@ def _iso_search(adj_l, col_l, adj_r, col_r, nc):
 def automorphism_generators(adj):
     """Generating set of the automorphism group, deterministic order.
 
-    The identity path individualizes, at each level, the least vertex of
-    the target cell mapped to itself.  Sibling branches map it to other
-    members of the cell; each sibling subtree is searched for a single
-    automorphism, and siblings already reachable from known generators
-    fixing the current base prefix are pruned (Schreier-style generation,
-    so the harvested set generates the full group).
+    The first path individualizes, at each level, the least vertex of the
+    target cell; mapped to itself, it is the identity.  Sibling branches
+    map it to other members of the cell; each sibling subtree is searched
+    for a single automorphism, and siblings already reachable from known
+    generators fixing the current base prefix are pruned (Schreier-style
+    generation, so the harvested set generates the full group).  Levels
+    are visited deepest first, so deeper stabilizer generators exist
+    before the orbit pruning consults them.
     """
     adj = tuple(adj)
     n = len(adj)
     gens = []
     if n <= 1:
         return gens
-    col_l = [0] * n
-    col_r = [0] * n
-    nc = _refine(adj, col_l, adj, col_r, 1, (0,))
-    _aut_search(adj, col_l, col_r, nc, [], 0, gens)
+    path = _first_path(adj)
+    while path[-1].cell >= 0:
+        _path_level(adj, path, len(path))
+    for depth in reversed(range(len(path) - 1)):
+        col, nc, c, v, _ = path[depth]
+        trace = path[depth + 1].trace
+        prefix = [level.vertex for level in path[:depth]]
+        for u in _members(col, c, n):
+            if u == v or _in_orbit(v, u, gens, prefix):
+                continue
+            cr = col.copy()
+            cr[u] = nc
+            if _refine(adj, cr, nc + 1, trace) < 0:
+                continue
+            found = _descend(adj, path, depth + 1, adj, cr)
+            if found is not None:
+                gens.append(found)
     return gens
-
-
-def _aut_search(adj, col_l, col_r, nc, base, depth, gens):
-    n = len(adj)
-    c = _target_cell(col_l, nc, n)
-    if c < 0:
-        return  # identity leaf
-    v = min(_members(col_l, c, n))
-    base.append(v)
-    # identity branch first: deeper stabilizer generators must exist before
-    # the sibling orbit pruning below consults them
-    cl = col_l.copy()
-    cr = col_r.copy()
-    cl[v] = nc
-    cr[v] = nc
-    nc2 = _refine(adj, cl, adj, cr, nc + 1, (c, nc))
-    _aut_search(adj, cl, cr, nc2, base, depth + 1, gens)
-    prefix = base[:depth]
-    for u in _members(col_r, c, n):
-        if u == v or _in_orbit(v, u, gens, prefix):
-            continue
-        cl = col_l.copy()
-        cr = col_r.copy()
-        cl[v] = nc
-        cr[u] = nc
-        nc2 = _refine(adj, cl, adj, cr, nc + 1, (c, nc))
-        if nc2 < 0:
-            continue
-        found = _first_automorphism(adj, cl, cr, nc2)
-        if found is not None:
-            gens.append(found)
-
-
-def _first_automorphism(adj, col_l, col_r, nc):
-    n = len(adj)
-    c = _target_cell(col_l, nc, n)
-    if c < 0:
-        sigma = _extract(col_l, col_r, n)
-        return sigma if _preserves(adj, adj, sigma, n) else None
-    v = min(_members(col_l, c, n))
-    for u in _members(col_r, c, n):
-        cl = col_l.copy()
-        cr = col_r.copy()
-        cl[v] = nc
-        cr[u] = nc
-        nc2 = _refine(adj, cl, adj, cr, nc + 1, (c, nc))
-        if nc2 < 0:
-            continue
-        found = _first_automorphism(adj, cl, cr, nc2)
-        if found is not None:
-            return found
-    return None
 
 
 def _in_orbit(v, u, gens, prefix):

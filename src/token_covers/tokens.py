@@ -48,7 +48,7 @@ def token_graph(X: SimpleGraph, k: int) -> SimpleGraph:
                 # subset, so each edge is emitted once, from its earlier end
                 if v > u and v not in inside:
                     edges.append((i, index[tuple(sorted(inside ^ {u, v}))]))
-    return SimpleGraph(len(subs), edges, labels=[subset_label(s) for s in subs])
+    return SimpleGraph._trusted(len(subs), edges, [subset_label(s) for s in subs])
 
 
 def johnson(n: int, k: int) -> SimpleGraph:

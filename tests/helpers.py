@@ -158,7 +158,9 @@ def full_scan_refine(adj_l, col_l, adj_r, col_r, ncolors, seeds):
     """Reference equitable refinement: the search kernel's original
     splitter-queue loop, which rescans all n vertices for every splitter
     (splitter masks, per-vertex counts, per-class histograms, recoloring).
-    Same contract as ``search._refine``."""
+    Refines both sides in lockstep; mutates ``col_l``/``col_r`` and returns
+    the new color count, or -1 when the sides are incompatible.  Both
+    colorings must have the same class sizes."""
     n = len(adj_l)
     in_queue = bytearray(n + 1)
     queue = deque()
@@ -220,3 +222,112 @@ def full_scan_refine(adj_l, col_l, adj_r, col_r, ncolors, seeds):
                 if t is not None:
                     col_r[v] = t[cnt_r[v]]
     return ncolors
+
+
+def reference_isomorphism_witness(adj1, adj2):
+    """Reference search: the kernel's original isomorphism search, which
+    refines both graphs in lockstep at every node (``full_scan_refine``)."""
+    adj1 = tuple(adj1)
+    adj2 = tuple(adj2)
+    n = len(adj1)
+    if len(adj2) != n:
+        return None
+    if n == 0:
+        return ()
+    col_l = [0] * n
+    col_r = [0] * n
+    nc = full_scan_refine(adj1, col_l, adj2, col_r, 1, (0,))
+    if nc < 0:
+        return None
+    return _lockstep_first(adj1, col_l, adj2, col_r, nc)
+
+
+def reference_automorphism_generators(adj):
+    """Reference search: the kernel's original automorphism search (the
+    identity path first, then one lockstep search per unpruned sibling)."""
+    adj = tuple(adj)
+    n = len(adj)
+    gens = []
+    if n <= 1:
+        return gens
+    col_l = [0] * n
+    col_r = [0] * n
+    nc = full_scan_refine(adj, col_l, adj, col_r, 1, (0,))
+    _lockstep_aut(adj, col_l, col_r, nc, [], 0, gens)
+    return gens
+
+
+def _lockstep_target(col, nc):
+    """Smallest non-singleton class, ties to the lowest id, and its least
+    member; (-1, -1) if the coloring is discrete."""
+    sizes = [col.count(c) for c in range(nc)]
+    cells = [c for c in range(nc) if sizes[c] >= 2]
+    if not cells:
+        return -1, -1
+    c = min(cells, key=lambda c: (sizes[c], c))
+    return c, col.index(c)
+
+
+def _lockstep_first(adj_l, col_l, adj_r, col_r, nc):
+    n = len(adj_l)
+    c, v = _lockstep_target(col_l, nc)
+    if c < 0:
+        where = {col_r[u]: u for u in range(n)}
+        sigma = tuple(where[col_l[x]] for x in range(n))
+        ok = all({sigma[y] for y in range(n) if adj_l[x] >> y & 1}
+                 == {y for y in range(n) if adj_r[sigma[x]] >> y & 1} for x in range(n))
+        return sigma if ok else None
+    for u in [w for w in range(n) if col_r[w] == c]:
+        cl = col_l.copy()
+        cr = col_r.copy()
+        cl[v] = nc
+        cr[u] = nc
+        nc2 = full_scan_refine(adj_l, cl, adj_r, cr, nc + 1, (c, nc))
+        if nc2 < 0:
+            continue
+        found = _lockstep_first(adj_l, cl, adj_r, cr, nc2)
+        if found is not None:
+            return found
+    return None
+
+
+def _lockstep_aut(adj, col_l, col_r, nc, base, depth, gens):
+    n = len(adj)
+    c, v = _lockstep_target(col_l, nc)
+    if c < 0:
+        return  # identity leaf
+    base.append(v)
+    cl = col_l.copy()
+    cr = col_r.copy()
+    cl[v] = cr[v] = nc
+    nc2 = full_scan_refine(adj, cl, adj, cr, nc + 1, (c, nc))
+    _lockstep_aut(adj, cl, cr, nc2, base, depth + 1, gens)
+    prefix = base[:depth]
+    for u in [w for w in range(n) if col_r[w] == c]:
+        if u == v or _lockstep_in_orbit(v, u, gens, prefix):
+            continue
+        cl = col_l.copy()
+        cr = col_r.copy()
+        cl[v] = nc
+        cr[u] = nc
+        nc2 = full_scan_refine(adj, cl, adj, cr, nc + 1, (c, nc))
+        if nc2 < 0:
+            continue
+        found = _lockstep_first(adj, cl, adj, cr, nc2)
+        if found is not None:
+            gens.append(found)
+
+
+def _lockstep_in_orbit(v, u, gens, prefix):
+    """Whether u lies in the orbit of v under the known generators that fix
+    every point of ``prefix``."""
+    useful = [g for g in gens if all(g[b] == b for b in prefix)]
+    seen = {v}
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for g in useful:
+            if g[x] not in seen:
+                seen.add(g[x])
+                stack.append(g[x])
+    return u in seen

@@ -174,6 +174,23 @@ def test_from_json_rejects_malformed_edge_records(edge_record):
         from_json(f'{{"vertices": 2, "labels": null, "edges": [{edge_record}]}}')
 
 
+@pytest.mark.parametrize("text", [
+    '{"vertices": 2.0, "labels": null, "edges": []}',
+    '{"vertices": true, "labels": null, "edges": []}',
+    '{"vertices": "2", "labels": null, "edges": []}',
+    '{"vertices": 2, "labels": null, "edges": [{"id": true, "u": 0, "v": 1}]}',
+    '{"vertices": 2, "labels": null, "edges": [{"id": false, "u": 0, "v": 1}]}',
+    '{"vertices": 2, "labels": null, "edges": [{"id": 0.0, "u": 0, "v": 1}]}',
+    '{"vertices": 2, "labels": null, "edges": [{"id": 0, "u": 0.0, "v": 1}]}',
+    '{"vertices": 2, "labels": null, "edges": [{"id": 0, "u": 0, "v": 1.0}]}',
+    '{"vertices": 2, "labels": null, "edges": [{"id": 0, "u": false, "v": 1}]}',
+    '{"vertices": 2, "labels": null, "edges": [{"id": 0, "u": 0, "v": true}]}',
+])
+def test_from_json_rejects_non_integer_counts_ids_and_endpoints(text):
+    with pytest.raises(ValueError, match="must be an integer"):
+        from_json(text)
+
+
 def test_export_deterministic():
     g = token_graph(complete(5), 2)
     assert to_json(g) == to_json(token_graph(complete(5), 2))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from token_covers.algebra import Permutation
-from token_covers.graphs import complete, cycle, path, star
+from token_covers.graphs import SimpleGraph, complete, complete_bipartite, cycle, path, star
 from token_covers.symmetry import is_automorphism, is_isomorphic
 from token_covers.tokens import (
     induced_token_permutation,
@@ -30,6 +30,20 @@ from helpers import (
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 8) for k in range(1, n)])
 def test_token_vertex_count(n, k):
     assert token_graph(complete(n), k).vertex_count == comb(n, k)
+
+
+@pytest.mark.parametrize("family", [
+    complete(2), complete(6), cycle(7), path(5), star(4), star(7),
+    complete_bipartite(2, 4), complete_bipartite(3, 3),
+])
+def test_token_graph_equals_validated_construction(family):
+    """token_graph skips SimpleGraph's checks; the validated constructor
+    must accept its output and give the same graph."""
+    for k in range(1, family.vertex_count):
+        g = token_graph(family, k)
+        checked = SimpleGraph(g.vertex_count, g.edges, labels=g.labels)
+        assert (g, g.edges, g.adjacency_masks, g.labels) == \
+            (checked, checked.edges, checked.adjacency_masks, checked.labels)
 
 
 def test_token_k_range():
