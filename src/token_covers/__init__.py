@@ -7,16 +7,11 @@ instances, and searches for cyclic quotient bases of star token graphs.
 """
 
 from .algebra import (
-    Closure,
     Coset,
     CyclicGroup,
     Permutation,
     StabilizerChain,
     Subgroup,
-    coset_translate,
-    cosets,
-    group_closure,
-    permutation_order,
 )
 from .graphs import (
     Multigraph,

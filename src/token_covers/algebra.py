@@ -87,6 +87,7 @@ class Subgroup:
         return x % self.generator == 0
 
     def cosets(self):
+        """All [G:H] cosets, sorted by canonical representative."""
         return [Coset(self, r) for r in range(self.generator)]
 
     def coset_of(self, x: int) -> "Coset":
@@ -110,6 +111,7 @@ class Coset:
         return x % self.subgroup.generator == self.rep
 
     def translate(self, v: int) -> "Coset":
+        """The set-wise translate K + v, representative recanonicalized."""
         return Coset(self.subgroup, self.rep + v)
 
     def intersects(self, other: "Coset") -> bool:
@@ -119,16 +121,6 @@ class Coset:
             raise ValueError("cosets live in different groups")
         d = gcd(self.subgroup.generator, other.subgroup.generator)
         return (self.rep - other.rep) % d == 0
-
-
-def cosets(H: Subgroup):
-    """All [G:H] cosets of H, sorted by canonical representative."""
-    return H.cosets()
-
-
-def coset_translate(K: Coset, v: int) -> Coset:
-    """The set-wise translate K + v with recanonicalized representative."""
-    return K.translate(v)
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +215,11 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
 
     def order(self) -> int:
+        """Least t >= 1 with p^t = identity (lcm of cycle lengths)."""
         return lcm(*(len(c) for c in self.orbits())) if self.images else 1
 
     def fixed_points(self):
         return [i for i, x in enumerate(self.images) if i == x]
-
-
-def permutation_order(p: Permutation) -> int:
-    """Least t >= 1 with p^t = identity (lcm of cycle lengths)."""
-    return p.order()
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
@@ -382,27 +370,3 @@ class StabilizerChain:
 
         yield from walk(0, self._identity)
 
-
-@dataclass(frozen=True)
-class Closure:
-    """Elements of a generated group, at most a cap of them;
-    ``len(elements)`` is the exact order when ``complete`` and a lower
-    bound otherwise."""
-
-    elements: frozenset
-    complete: bool
-
-
-def group_closure(gens: Sequence[Permutation], cap: int = 10**6, *,
-                  degree: Optional[int] = None) -> Closure:
-    """The elements of the generated permutation group, enumerated from its
-    stabilizer chain.
-
-    ``complete`` is whether the order is at most ``cap``; when it is not,
-    exactly ``cap`` elements are returned (a recoverable overflow signal,
-    not an error).
-    """
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    chain = StabilizerChain(gens, degree)
-    return Closure(frozenset(islice(chain.elements(), cap)), chain.order <= cap)

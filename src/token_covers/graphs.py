@@ -141,11 +141,11 @@ class SimpleGraph:
         self._labels = labels
 
     @classmethod
-    def _trusted(cls, vertex_count: int, edges, labels) -> "SimpleGraph":
+    def _trusted(cls, vertex_count: int, edges, labels=None) -> "SimpleGraph":
         """Wrap edges already known to be ``(u, v)`` pairs with
         ``0 <= u < v < vertex_count``, each once (a construction's own
         output), skipping the checks of ``__init__``; they are still
-        sorted.  ``labels`` are ``vertex_count`` strings."""
+        sorted.  ``labels`` are None or ``vertex_count`` strings."""
         g = object.__new__(cls)
         adj = [0] * vertex_count
         for u, v in edges:
@@ -154,7 +154,7 @@ class SimpleGraph:
         g._n = vertex_count
         g._edges = tuple(sorted(edges))
         g._adj = tuple(adj)
-        g._labels = tuple(labels)
+        g._labels = None if labels is None else tuple(labels)
         return g
 
     @property
@@ -274,11 +274,9 @@ def make_family(name: str, *params: int) -> SimpleGraph:
 
 def underlying_simple(G: Multigraph) -> SimpleGraph:
     """Simple reduction: loops dropped, parallel classes collapsed."""
-    seen = set()
-    for u, v in G.edges:
-        if u != v:
-            seen.add((u, v))
-    return SimpleGraph(G.vertex_count, sorted(seen), labels=G.labels)
+    # Multigraph edges are in range and stored as (min, max)
+    return SimpleGraph._trusted(G.vertex_count, {e for e in G.edges if e[0] != e[1]},
+                                G.labels)
 
 
 def as_simple(G: Multigraph) -> SimpleGraph:
@@ -470,7 +468,13 @@ def from_json(text: str) -> Multigraph:
         payload = json.loads(text)
         n = _json_int(payload["vertices"], "vertices")
         records = payload["edges"]
+        if not isinstance(records, list):
+            raise ValueError(f"malformed graph JSON: edges must be a list, got {records!r}")
         labels = payload.get("labels")
+        if labels is not None and not (isinstance(labels, list)
+                                       and all(isinstance(x, str) for x in labels)):
+            raise ValueError("malformed graph JSON: labels must be null or a list "
+                             f"of strings, got {labels!r}")
         edges = [None] * len(records)
         for rec in records:
             e, u, v = (_json_int(rec[key], f"edge {key}") for key in ("id", "u", "v"))

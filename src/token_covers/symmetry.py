@@ -10,9 +10,11 @@ adjacency checks, independent of the search path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from . import search
-from .algebra import Closure, Permutation, StabilizerChain, group_closure
+from .algebra import Permutation, StabilizerChain
 from .graphs import SimpleGraph, is_connected, make_family
 from .report import Evidence, VerificationReport
 from .tokens import token_graph
@@ -65,9 +67,15 @@ class AutGroup:
             self._chain = StabilizerChain(self.generators, self.degree)
         return self._chain
 
-    def closure(self, cap: int = DEFAULT_GROUP_CAP) -> Closure:
-        """The group's elements, at most ``cap`` of them (see group_closure)."""
-        return group_closure(self.generators, cap, degree=self.degree)
+    def closure(self, cap: int = DEFAULT_GROUP_CAP) -> tuple[Iterator[Permutation], bool]:
+        """A stream of the first ``cap`` elements of the chain's walk (see
+        ``StabilizerChain.elements``) and whether they are the whole group.
+
+        The stream holds no elements; a caller keeps only those it selects.
+        """
+        if cap < 1:
+            raise ValueError("cap must be positive")
+        return islice(self.chain.elements(), cap), self.chain.order <= cap
 
     def order(self):
         """(order, True): the order is exact, the product of the chain's
@@ -153,7 +161,7 @@ def is_isomorphic(X: SimpleGraph, Y: SimpleGraph, *,
 @dataclass(frozen=True)
 class ActionSearch:
     """Order-m free actions found, plus whether the enumeration was
-    exhaustive (False only when the group closure overflowed the budget)."""
+    exhaustive (False only when the group is larger than the budget)."""
 
     actions: tuple
     complete: bool
@@ -168,8 +176,9 @@ def free_cyclic_actions(X: SimpleGraph, m: int, *, budget: int = DEFAULT_GROUP_C
                         aut: AutGroup = None) -> ActionSearch:
     """Automorphisms of order exactly m all of whose cycles have length m.
 
-    Enumerates the full automorphism group when its order fits the budget;
-    otherwise filters the partial closure and reports incompleteness.
+    Walks the full automorphism group when its order fits the budget;
+    otherwise filters the first ``budget`` elements and reports
+    incompleteness.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -177,12 +186,9 @@ def free_cyclic_actions(X: SimpleGraph, m: int, *, budget: int = DEFAULT_GROUP_C
         return ActionSearch((), True)
     if aut is None:
         aut = automorphisms(X)
-    cl = aut.closure(budget)
-    found = sorted(
-        (p for p in cl.elements if acts_freely(p, m)),
-        key=lambda p: p.images,
-    )
-    return ActionSearch(tuple(found), cl.complete)
+    elements, complete = aut.closure(budget)
+    found = sorted((p for p in elements if acts_freely(p, m)), key=lambda p: p.images)
+    return ActionSearch(tuple(found), complete)
 
 
 # ---------------------------------------------------------------------------

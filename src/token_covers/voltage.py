@@ -345,11 +345,13 @@ def _cyclic_quotient(X: SimpleGraph, g: Permutation) -> CombinedVoltageGraph:
     return CombinedVoltageGraph(base, group, tuple(volts), vertex_groups)
 
 
-def quotient_free(X: SimpleGraph, g: Permutation) -> CombinedVoltageGraph:
+def quotient_free(X: SimpleGraph, g: Permutation, *,
+                  max_vertices: int = DEFAULT_VERTEX_CAP) -> CombinedVoltageGraph:
     """Quotient by a free cyclic action: trivial subgroups everywhere.
 
     Rejects non-automorphisms and non-free actions; the returned graph
-    carries ``lift_verified`` = whether the lift reproduces X.
+    carries ``lift_verified`` = whether the lift reproduces X, decided by
+    an isomorphism search capped at ``max_vertices``.
     """
     if not is_automorphism(X, g):
         raise ValueError("g is not an automorphism of X")
@@ -357,18 +359,20 @@ def quotient_free(X: SimpleGraph, g: Permutation) -> CombinedVoltageGraph:
     if any(len(orb) != m for orb in g.orbits()):
         raise ValueError("action is not free: some cycle is shorter than the order")
     cvg = _cyclic_quotient(X, g)
-    witness = is_isomorphic(underlying_simple(lift(cvg).graph), X)
+    witness = is_isomorphic(underlying_simple(lift(cvg).graph), X, max_vertices=max_vertices)
     return replace(cvg, lift_verified=witness is not None)
 
 
-def quotient_cyclic(X: SimpleGraph, g: Permutation):
+def quotient_cyclic(X: SimpleGraph, g: Permutation, *,
+                    max_vertices: int = DEFAULT_VERTEX_CAP):
     """Quotient by an arbitrary cyclic action; subgroups record the orbit
     stabilizers.  Returns the candidate base graph and a report stating
-    whether its lift reconstructs X (failure is reported, not raised)."""
+    whether its lift reconstructs X (failure is reported, not raised),
+    decided by an isomorphism search capped at ``max_vertices``."""
     cvg = _cyclic_quotient(X, g)
     cover = lift(cvg)
     simple = underlying_simple(cover.graph)
-    witness = is_isomorphic(simple, X)
+    witness = is_isomorphic(simple, X, max_vertices=max_vertices)
     passed = witness is not None
     evidence = [
         Evidence("automorphism", g.cycle_string()),
@@ -447,9 +451,10 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
 
     ``star_half`` targets F_{(n+1)/2}(K_{1,n}) over Z_{2n} (n odd);
     ``star_two`` targets F_2(K_{1,n}) over Z_n (n dividing C(n+1, 2)).
-    The enumerated order-m automorphisms, free actions first, are split
-    into conjugacy classes of the cyclic subgroups they generate (see
-    ``cyclic_subgroup_classes``), and each class's first member is
+    The order-m automorphisms among the first ``budget`` elements of the
+    group's walk (``AutGroup.closure``; only they are kept), free actions
+    first, are split into conjugacy classes of the cyclic subgroups they
+    generate (see ``cyclic_subgroup_classes``), and each class's first member is
     quotiented and verified.  Verifying one member verifies its class:
     <g^j> = <g> for gcd(j, m) = 1, so g^j has the same orbits, and its
     voltages are those of g under the automorphism t -> j^-1 t of Z_m; an
@@ -483,12 +488,10 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     if X.vertex_count > max_vertices:
         raise ValueError(f"token graph too large ({X.vertex_count} > {max_vertices})")
     aut = automorphisms(X, max_vertices=max_vertices)
-    closure = aut.closure(budget)
-    complete_search = closure.complete
+    elements, complete_search = aut.closure(budget)
     aut_order, aut_order_exact = aut.order()
 
-    of_order = sorted((p for p in closure.elements if p.order() == m),
-                      key=lambda p: p.images)
+    of_order = sorted((p for p in elements if p.order() == m), key=lambda p: p.images)
     free = [p for p in of_order if acts_freely(p, m)]
     nonfree = [p for p in of_order if not acts_freely(p, m)]
 
@@ -496,7 +499,7 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     candidates = []
     for members in classes:
         p = members[0]
-        cvg, rep = quotient_cyclic(X, p)
+        cvg, rep = quotient_cyclic(X, p, max_vertices=max_vertices)
         if rep.passed:
             candidates.append({
                 "automorphism": p.cycle_string(),

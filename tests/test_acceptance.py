@@ -7,7 +7,7 @@ from math import comb, factorial
 
 import pytest
 
-from token_covers.algebra import CyclicGroup, Permutation, Subgroup, cosets
+from token_covers.algebra import CyclicGroup, Permutation, Subgroup
 from token_covers.cli import main as cli_main
 from token_covers.graphs import (
     complete,
@@ -205,8 +205,8 @@ def test_criterion_10_property_suites():
             subs = G.subgroups()
             for H1 in subs:
                 for H2 in subs:
-                    for K in cosets(H1):
-                        for H in cosets(H2):
+                    for K in H1.cosets():
+                        for H in H2.cosets():
                             truth = bool(set(K.members()) & set(H.members()))
                             assert K.intersects(H) == truth
                             for v in range(m):

@@ -10,30 +10,26 @@ from token_covers.algebra import (
     Permutation,
     StabilizerChain,
     Subgroup,
-    coset_translate,
-    cosets,
-    group_closure,
-    permutation_order,
 )
 from token_covers.graphs import complete, star
-from token_covers.symmetry import automorphisms
+from token_covers.symmetry import AutGroup, automorphisms
 from token_covers.tokens import johnson, token_graph
 
 
 def test_cosets_of_3z6():
     H = Subgroup(CyclicGroup(6), 3)
-    ks = cosets(H)
+    ks = H.cosets()
     assert [k.rep for k in ks] == [0, 1, 2]
     assert [set(k.members()) for k in ks] == [{0, 3}, {1, 4}, {2, 5}]
 
 
 def test_trivial_and_full_subgroup_cosets():
     G = CyclicGroup(6)
-    assert len(cosets(G.trivial_subgroup())) == 6
-    assert all(len(list(k.members())) == 1 for k in cosets(G.trivial_subgroup()))
+    assert len(G.trivial_subgroup().cosets()) == 6
+    assert all(len(list(k.members())) == 1 for k in G.trivial_subgroup().cosets())
     full = Subgroup(G, 1)
-    assert len(cosets(full)) == 1
-    assert set(cosets(full)[0].members()) == set(range(6))
+    assert len(full.cosets()) == 1
+    assert set(full.cosets()[0].members()) == set(range(6))
 
 
 def test_subgroup_validation():
@@ -50,14 +46,14 @@ def test_coset_translate_examples():
     assert set(Coset(H, 0).translate(1).members()) == {1, 4}
     assert set(Coset(H, 1).translate(3).members()) == {1, 4}  # absorbed
     assert set(Coset(H, 2).translate(5).members()) == {1, 4}
-    assert coset_translate(Coset(H, 0), 1) == Coset(H, 1)
+    assert Coset(H, 0).translate(1) == Coset(H, 1)
 
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_coset_partition(m):
     G = CyclicGroup(m)
     for H in G.subgroups():
-        ks = cosets(H)
+        ks = H.cosets()
         assert len(ks) == H.index
         union = set()
         total = 0
@@ -73,7 +69,7 @@ def test_coset_partition(m):
 def test_translate_compatibility(m):
     G = CyclicGroup(m)
     for H in G.subgroups():
-        for K in cosets(H):
+        for K in H.cosets():
             for a in range(m):
                 for b in range(m):
                     assert K.translate(a).translate(b) == K.translate((a + b) % m)
@@ -86,8 +82,8 @@ def test_coset_intersection_symmetry(m):
     subs = G.subgroups()
     for H1 in subs:
         for H2 in subs:
-            for K in cosets(H1):
-                for H in cosets(H2):
+            for K in H1.cosets():
+                for H in H2.cosets():
                     for v in range(m):
                         assert K.translate(v).intersects(H) == H.translate(-v).intersects(K)
 
@@ -98,8 +94,8 @@ def test_intersects_matches_set_oracle(m):
     subs = G.subgroups()
     for H1 in subs:
         for H2 in subs:
-            for K in cosets(H1):
-                for H in cosets(H2):
+            for K in H1.cosets():
+                for H in H2.cosets():
                     truth = bool(set(K.members()) & set(H.members()))
                     assert K.intersects(H) == truth
 
@@ -113,10 +109,10 @@ def test_intersects_rejects_mixed_groups():
 
 def test_permutation_basics():
     p = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
-    assert permutation_order(p) == 5
-    assert permutation_order(Permutation.identity(5)) == 1
+    assert p.order() == 5
+    assert Permutation.identity(5).order() == 1
     q = Permutation.from_cycles(5, [(0, 1), (2, 3, 4)])
-    assert permutation_order(q) == 6
+    assert q.order() == 6
     assert (p * p.inverse()).is_identity
     assert p.inverse()(p(3)) == 3
     with pytest.raises(ValueError):
@@ -140,26 +136,27 @@ def test_permutation_orbits_order():
     assert g.cycle_string() == "(0 2 4)(1 5)"
 
 
+def _s_n_generators(n):
+    return [Permutation.from_cycles(n, [(0, 1)]), Permutation.from_cycles(n, [tuple(range(n))])]
+
+
 def test_closure_symmetric_group():
-    gens = [Permutation.from_cycles(4, [(0, 1)]),
-            Permutation.from_cycles(4, [(0, 1, 2, 3)])]
-    cl = group_closure(gens)
-    assert cl.complete and len(cl.elements) == 24
+    els = set(StabilizerChain(_s_n_generators(4)).elements())
+    assert len(els) == 24
     # closed under composition and inverse
-    els = cl.elements
     assert all(p.inverse() in els for p in els)
     sample = sorted(els, key=lambda p: p.images)[:6]
     assert all((p * q) in els for p in sample for q in sample)
 
 
 def test_closure_empty_and_overflow():
-    cl = group_closure([], degree=5)
-    assert cl.complete and cl.elements == frozenset({Permutation.identity(5)})
-    partial = group_closure(
-        [Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(0, 1, 2, 3)])],
-        cap=10)
-    assert not partial.complete
-    assert len(partial.elements) == 10
+    elements, whole = AutGroup(5, []).closure()
+    assert whole and list(elements) == [Permutation.identity(5)]
+    elements, whole = AutGroup(4, _s_n_generators(4)).closure(10)
+    assert not whole
+    assert len(list(elements)) == 10
+    with pytest.raises(ValueError):
+        AutGroup(4, _s_n_generators(4)).closure(0)
 
 
 def test_closure_k33_automorphism_order():
@@ -171,24 +168,27 @@ def test_closure_k33_automorphism_order():
         Permutation.from_cycles(6, [(3, 4, 5)]),
         Permutation.from_cycles(6, [(0, 3), (1, 4), (2, 5)]),
     ]
-    cl = group_closure(gens)
-    assert cl.complete and len(cl.elements) == 72
+    elements, whole = AutGroup(6, gens).closure()
+    assert whole and len(set(elements)) == 72
 
 
 def test_closure_domain_mismatch():
     with pytest.raises(ValueError):
-        group_closure([Permutation.identity(3), Permutation.identity(4)])
+        StabilizerChain([Permutation.identity(3), Permutation.identity(4)])
+    with pytest.raises(ValueError):
+        AutGroup(4, [Permutation.identity(3)]).closure()
 
 
 @pytest.mark.parametrize("cap", [1, 2, 7, 60, 119, 120, 121])
 def test_capped_closure_returns_cap_group_elements(cap):
-    gens = [Permutation.from_cycles(5, [(0, 1)]), Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])]
-    full = group_closure(gens)
-    assert full.complete and len(full.elements) == 120
-    capped = group_closure(gens, cap)
-    assert capped.complete == (cap >= 120)
-    assert len(capped.elements) == min(cap, 120)
-    assert capped.elements <= full.elements
+    aut = AutGroup(5, _s_n_generators(5))
+    full = set(aut.chain.elements())
+    assert len(full) == 120
+    elements, whole = aut.closure(cap)
+    capped = list(elements)
+    assert whole == (cap >= 120)
+    assert len(capped) == len(set(capped)) == min(cap, 120)
+    assert set(capped) <= full
 
 
 def test_stabilizer_chain_k33():
@@ -232,10 +232,11 @@ def test_chain_order_matches_sympy(case):
 @given(_generators(7))
 def test_closure_elements_match_sympy(case):
     n, images = case
-    closure = group_closure([Permutation(tuple(g)) for g in images], degree=n)
+    chain = StabilizerChain([Permutation(tuple(g)) for g in images], degree=n)
     expected = {tuple(p.array_form) for p in _sympy_group(n, images).generate()}
-    assert closure.complete
-    assert {p.images for p in closure.elements} == expected
+    walked = [p.images for p in chain.elements()]
+    assert len(walked) == chain.order
+    assert set(walked) == expected
 
 
 def test_closed_form_orders_past_the_old_closure():
@@ -250,9 +251,11 @@ def test_closure_elements_are_valid_automorphisms():
     X = token_graph(star(7), 4)
     edges = set(X.edges)
     n = X.vertex_count
-    closure = automorphisms(X).closure()
-    assert closure.complete and len(closure.elements) == 10080
-    for p in closure.elements:
+    elements, whole = automorphisms(X).closure()
+    assert whole
+    walked = 0
+    for p in elements:
+        walked += 1
         assert type(p.images) is tuple and len(p.images) == n
         assert all(type(x) is int for x in p.images)
         assert sorted(p.images) == list(range(n))
@@ -260,3 +263,4 @@ def test_closure_elements_are_valid_automorphisms():
                 for u, v in edges} == edges
         assert Permutation(list(p.images)) == p
         assert hash(Permutation(list(p.images))) == hash(p)
+    assert walked == 10080

@@ -191,6 +191,16 @@ def test_from_json_rejects_non_integer_counts_ids_and_endpoints(text):
         from_json(text)
 
 
+@pytest.mark.parametrize("text", [
+    '{"vertices": 2, "labels": "ab", "edges": []}',
+    '{"vertices": 2, "labels": [1, null], "edges": []}',
+    '{"vertices": 2, "labels": null, "edges": {}}',
+])
+def test_from_json_rejects_non_list_labels_and_edges(text):
+    with pytest.raises(ValueError, match="malformed graph JSON"):
+        from_json(text)
+
+
 def test_export_deterministic():
     g = token_graph(complete(5), 2)
     assert to_json(g) == to_json(token_graph(complete(5), 2))

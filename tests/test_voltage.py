@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from token_covers import algebra, voltage
 from token_covers.algebra import CyclicGroup, Permutation, Subgroup
 from token_covers.graphs import (
     Multigraph,
+    SimpleGraph,
     complete,
     cycle,
     path,
@@ -415,6 +417,68 @@ def test_quotient_cyclic_rejects_non_automorphism():
         quotient_cyclic(path(3), Permutation.from_cycles(3, [(0, 1)]))
 
 
+def test_quotients_check_isomorphism_under_the_given_cap():
+    X = cycle(6)
+    g = Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
+    assert quotient_free(X, g, max_vertices=6).lift_verified
+    assert quotient_cyclic(X, g, max_vertices=6)[1].passed
+    with pytest.raises(ValueError, match="too large for isomorphism search"):
+        quotient_free(X, g, max_vertices=5)
+    with pytest.raises(ValueError, match="too large for isomorphism search"):
+        quotient_cyclic(X, g, max_vertices=5)
+
+
+def test_conjecture_search_passes_its_vertex_cap_to_the_quotient_checks(monkeypatch):
+    caps = []
+
+    def recording(X, Y, **kwargs):
+        caps.append(kwargs.get("max_vertices"))
+        return is_isomorphic(X, Y, **kwargs)
+
+    monkeypatch.setattr(voltage, "is_isomorphic", recording)
+    report = conjecture_search("star_half", 5, max_vertices=25)
+    assert report.find("verified_candidates")
+    assert caps and set(caps) == {25}
+
+
+def test_conjecture_search_builds_one_chain_per_group(monkeypatch):
+    built = []
+    init = algebra.StabilizerChain.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(algebra.StabilizerChain, "__init__", counting)
+    report = conjecture_search("star_half", 5)
+    assert report.status == "completed"
+    assert len(built) == 1
+
+
+def _validated_underlying_simple(G):
+    """The simple reduction through the validating constructor."""
+    edges = sorted({(min(u, v), max(u, v)) for u, v in G.edges if u != v})
+    return SimpleGraph(G.vertex_count, edges, labels=G.labels)
+
+
+def test_underlying_simple_matches_validated_constructor():
+    covers = [lift(theorem1_base(n)).graph for n in range(4, 21, 2)]
+    rng = random.Random(23)
+    for _ in range(40):
+        G = CyclicGroup(rng.randint(1, 6))
+        base = random_multigraph(rng, rng.randint(1, 4), rng.randint(1, 8))
+        volts = tuple(rng.randrange(G.modulus) for _ in range(base.edge_count))
+        subgroups = tuple(rng.choice(G.subgroups()) for _ in range(base.vertex_count))
+        covers.append(lift(CombinedVoltageGraph(base, G, volts, subgroups)).graph)
+    assert any(u == v for C in covers for u, v in C.edges)
+    assert any(len(set(C.edges)) < C.edge_count for C in covers)
+    for C in covers:
+        got, want = underlying_simple(C), _validated_underlying_simple(C)
+        assert got == want
+        assert got.labels == want.labels
+        assert got.adjacency_masks == want.adjacency_masks
+
+
 def test_conjecture_star_half_3():
     report = conjecture_search("star_half", 3)
     assert report.passed and report.status == "completed"
@@ -464,10 +528,11 @@ def test_conjecture_classes_match_exhaustive_verification(family, n, m):
     quotienting and verifying every order-m automorphism on its own."""
     X = token_graph(star(n), (n + 1) // 2 if family == "star_half" else 2)
     aut = automorphisms(X)
-    closure = aut.closure()
-    assert closure.complete
-    group = [p.images for p in closure.elements]
-    of_order = sorted((p for p in closure.elements if p.order() == m),
+    elements, whole = aut.closure()
+    assert whole
+    elements = list(elements)
+    group = [p.images for p in elements]
+    of_order = sorted((p for p in elements if p.order() == m),
                       key=lambda p: (not acts_freely(p, m), p.images))
     classes = cyclic_subgroup_classes(of_order, aut.generators, m)
     assert sorted(p.images for c in classes for p in c) == sorted(p.images for p in of_order)
@@ -505,7 +570,7 @@ def test_conjecture_classes_match_exhaustive_verification(family, n, m):
 def test_cyclic_subgroup_classes_split_only_when_elements_are_missing():
     X = token_graph(star(5), 3)
     aut = automorphisms(X)
-    of_order = sorted((p for p in aut.closure().elements if p.order() == 10),
+    of_order = sorted((p for p in aut.closure()[0] if p.order() == 10),
                       key=lambda p: p.images)
     (whole,) = cyclic_subgroup_classes(of_order, aut.generators, 10)
     assert whole[0] == of_order[0] and len(whole) == 24
