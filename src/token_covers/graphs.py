@@ -141,7 +141,7 @@ class SimpleGraph:
         self._labels = labels
 
     @classmethod
-    def _trusted(cls, vertex_count: int, edges, labels=None) -> "SimpleGraph":
+    def _trusted(cls, vertex_count: int, edges, labels) -> "SimpleGraph":
         """Wrap edges already known to be ``(u, v)`` pairs with
         ``0 <= u < v < vertex_count``, each once (a construction's own
         output), skipping the checks of ``__init__``; they are still

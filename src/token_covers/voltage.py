@@ -345,13 +345,11 @@ def _cyclic_quotient(X: SimpleGraph, g: Permutation) -> CombinedVoltageGraph:
     return CombinedVoltageGraph(base, group, tuple(volts), vertex_groups)
 
 
-def quotient_free(X: SimpleGraph, g: Permutation, *,
-                  max_vertices: int = DEFAULT_VERTEX_CAP) -> CombinedVoltageGraph:
+def quotient_free(X: SimpleGraph, g: Permutation) -> CombinedVoltageGraph:
     """Quotient by a free cyclic action: trivial subgroups everywhere.
 
     Rejects non-automorphisms and non-free actions; the returned graph
-    carries ``lift_verified`` = whether the lift reproduces X, decided by
-    an isomorphism search capped at ``max_vertices``.
+    carries ``lift_verified`` = whether the lift reproduces X.
     """
     if not is_automorphism(X, g):
         raise ValueError("g is not an automorphism of X")
@@ -359,7 +357,7 @@ def quotient_free(X: SimpleGraph, g: Permutation, *,
     if any(len(orb) != m for orb in g.orbits()):
         raise ValueError("action is not free: some cycle is shorter than the order")
     cvg = _cyclic_quotient(X, g)
-    witness = is_isomorphic(underlying_simple(lift(cvg).graph), X, max_vertices=max_vertices)
+    witness = is_isomorphic(underlying_simple(lift(cvg).graph), X)
     return replace(cvg, lift_verified=witness is not None)
 
 
