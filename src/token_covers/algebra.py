@@ -83,15 +83,9 @@ class Subgroup:
     def members(self) -> range:
         return range(0, self.group.modulus, self.generator)
 
-    def contains(self, x: int) -> bool:
-        return x % self.generator == 0
-
     def cosets(self):
         """All [G:H] cosets, sorted by canonical representative."""
         return [Coset(self, r) for r in range(self.generator)]
-
-    def coset_of(self, x: int) -> "Coset":
-        return Coset(self, x)
 
 
 @dataclass(frozen=True)
@@ -106,9 +100,6 @@ class Coset:
 
     def members(self) -> range:
         return range(self.rep, self.subgroup.group.modulus, self.subgroup.generator)
-
-    def contains(self, x: int) -> bool:
-        return x % self.subgroup.generator == self.rep
 
     def translate(self, v: int) -> "Coset":
         """The set-wise translate K + v, representative recanonicalized."""

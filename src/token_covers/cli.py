@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import comb
 from pathlib import Path
 
 from . import voltage
@@ -108,32 +109,50 @@ def write_graph(directory, stem, graph, formats):
     return written
 
 
+def _binomial(n: int, k: int) -> int:
+    """C(n, k), or 0 where the builder rejects (n, k) with its own error."""
+    return comb(n, k) if 0 <= k <= n else 0
+
+
 def cmd_build(args) -> int:
     out_dir, max_vertices, _ = resolve_settings(args)
     jobs = []
+
+    def add(stem, vertices, build):
+        """Build a graph of ``vertices`` vertices once its count is within
+        the cap, so an oversized graph is never built."""
+        if vertices > max_vertices:
+            raise ValueError(f"{stem}: {vertices} vertices exceed the cap {max_vertices}")
+        jobs.append((stem, build()))
+
     if args.token:
         name, params = parse_family(args.token)
         if args.k is None:
             raise ValueError("--token requires --k")
-        graph = token_graph(make_family(name, *params), args.k)
-        jobs.append((f"token_{name}{'_'.join(map(str, params))}_k{args.k}", graph))
+        base = make_family(name, *params)
+        add(f"token_{name}{'_'.join(map(str, params))}_k{args.k}",
+            _binomial(base.vertex_count, args.k), lambda: token_graph(base, args.k))
     if args.johnson:
         n, k = args.johnson
-        jobs.append((f"johnson_{n}_{k}", johnson(n, k)))
+        add(f"johnson_{n}_{k}", _binomial(n, k), lambda: johnson(n, k))
     if args.line:
         name, params = parse_family(args.line)
-        jobs.append((f"line_{name}{'_'.join(map(str, params))}",
-                     line_graph(make_family(name, *params))))
+        base = make_family(name, *params)
+        add(f"line_{name}{'_'.join(map(str, params))}", base.edge_count,
+            lambda: line_graph(base))
     if args.subdivision:
         name, params = parse_family(args.subdivision)
-        jobs.append((f"subdivision_{name}{'_'.join(map(str, params))}",
-                     subdivision(make_family(name, *params))))
+        base = make_family(name, *params)
+        add(f"subdivision_{name}{'_'.join(map(str, params))}",
+            base.vertex_count + base.edge_count, lambda: subdivision(base))
     if args.inclusion:
         n, a, b = args.inclusion
-        jobs.append((f"inclusion_{n}_{a}_{b}", inclusion_bigraph(n, a, b)))
+        add(f"inclusion_{n}_{a}_{b}", comb(n, a) + comb(n, b) if 0 <= a < b <= n else 0,
+            lambda: inclusion_bigraph(n, a, b))
     if args.family:
         name, params = parse_family(args.family)
-        jobs.append((f"{name}{'_'.join(map(str, params))}", make_family(name, *params)))
+        base = make_family(name, *params)
+        add(f"{name}{'_'.join(map(str, params))}", base.vertex_count, lambda: base)
     if args.theorem1_base is not None:
         cvg = voltage.theorem1_base(args.theorem1_base)
         stem = f"theorem1_base_{args.theorem1_base}"
@@ -143,14 +162,13 @@ def cmd_build(args) -> int:
             write_file(out_dir, f"{stem}.json", cvg.to_json())
         print(f"{stem}: {cvg.base.vertex_count} vertices, {cvg.base.edge_count} edges")
     if args.theorem1_cover is not None:
-        cover = voltage.lift(voltage.theorem1_base(args.theorem1_cover))
-        jobs.append((f"theorem1_cover_{args.theorem1_cover}", cover.graph))
+        cvg = voltage.theorem1_base(args.theorem1_cover)
+        add(f"theorem1_cover_{args.theorem1_cover}", cvg.cover_vertex_count(),
+            lambda: voltage.lift(cvg).graph)
     if not jobs and args.theorem1_base is None:
         raise ValueError("nothing to build; pass --token/--johnson/--line/"
                          "--subdivision/--inclusion/--family/--theorem1-base/--theorem1-cover")
     for stem, graph in jobs:
-        if graph.vertex_count > max_vertices:
-            raise ValueError(f"{stem}: {graph.vertex_count} vertices exceed the cap {max_vertices}")
         write_graph(out_dir, stem, graph, args.format)
         print(f"{stem}: {graph.vertex_count} vertices, {graph.edge_count} edges")
     return EXIT_OK

@@ -284,25 +284,33 @@ def as_simple(G: Multigraph) -> SimpleGraph:
     return SimpleGraph(G.vertex_count, G.edges, labels=G.labels)
 
 
-def connected_components(G: SimpleGraph):
-    """Vertex sets of the components, each sorted, ordered by minimum."""
-    seen = [False] * G.vertex_count
+def components(count: int, neighbours):
+    """Components of the graph on points ``0..count-1`` that joins each
+    point ``x`` to every point ``neighbours(x)`` yields, each sorted,
+    ordered by least point.  One breadth-first walk from each point not
+    yet reached, in increasing order.
+
+    Orbits are such components: for a finite group the points its
+    generators map ``x`` to are enough, as each inverse is a power."""
+    seen = [False] * count
     comps = []
-    for start in range(G.vertex_count):
+    for start in range(count):
         if seen[start]:
             continue
-        comp = []
-        queue = deque([start])
         seen[start] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in G.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
+        comp = [start]
+        for x in comp:
+            for y in neighbours(x):
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
         comps.append(sorted(comp))
     return comps
+
+
+def connected_components(G: SimpleGraph):
+    """Vertex sets of the components, each sorted, ordered by minimum."""
+    return components(G.vertex_count, G.neighbors)
 
 
 def is_connected(G: SimpleGraph) -> bool:

@@ -62,6 +62,3 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    def summary(self) -> str:
-        return f"{self.name}: {self.status.upper()}"

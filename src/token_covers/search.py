@@ -245,26 +245,30 @@ def automorphism_generators(adj):
     The first path individualizes, at each level, the least vertex of the
     target cell; mapped to itself, it is the identity.  Sibling branches
     map it to other members of the cell; each sibling subtree is searched
-    for a single automorphism, and siblings already reachable from known
-    generators fixing the current base prefix are pruned (Schreier-style
-    generation, so the harvested set generates the full group).  Levels
-    are visited deepest first, so deeper stabilizer generators exist
-    before the orbit pruning consults them.
+    for a single automorphism, and siblings already in the vertex's orbit
+    under the known generators are pruned (Schreier-style generation, so
+    the harvested set generates the full group).  One orbit partition
+    serves every level, each generator merged into it as it is found:
+    levels are visited deepest first, and a generator found at depth d'
+    fixes the vertices the first path individualized before level d'
+    (singleton cells on both sides), so every generator known at a level
+    fixes that level's prefix: all of them lie in the stabilizer whose
+    orbits the pruning needs.
     """
     adj = tuple(adj)
     n = len(adj)
     gens = []
     if n <= 1:
         return gens
+    parent = list(range(n))  # orbit partition under ``gens``, as a forest
     path = _first_path(adj)
     while path[-1].cell >= 0:
         _path_level(adj, path, len(path))
     for depth in reversed(range(len(path) - 1)):
         col, nc, c, v, _ = path[depth]
         trace = path[depth + 1].trace
-        prefix = [level.vertex for level in path[:depth]]
         for u in _members(col, c, n):
-            if u == v or _in_orbit(v, u, gens, prefix):
+            if _root(parent, u) == _root(parent, v):
                 continue
             cr = col.copy()
             cr[u] = nc
@@ -273,24 +277,15 @@ def automorphism_generators(adj):
             found = _descend(adj, path, depth + 1, adj, cr)
             if found is not None:
                 gens.append(found)
+                for x, y in enumerate(found):
+                    x, y = _root(parent, x), _root(parent, y)
+                    if x != y:
+                        parent[y] = x
     return gens
 
 
-def _in_orbit(v, u, gens, prefix):
-    """Whether u lies in the orbit of v under the known generators that fix
-    every base point in ``prefix``."""
-    useful = [g for g in gens if all(g[b] == b for b in prefix)]
-    if not useful:
-        return False
-    seen = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for g in useful:
-            y = g[x]
-            if y == u:
-                return True
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return False
+def _root(parent, x):
+    """The root of ``x``'s tree in the orbit forest, halving its path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x

@@ -11,34 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from math import comb
 from typing import Iterator
 
 from . import search
 from .algebra import Permutation, StabilizerChain
-from .graphs import SimpleGraph, is_connected, make_family
+from .graphs import SimpleGraph, components, is_connected, make_family
 from .report import Evidence, VerificationReport
 from .tokens import token_graph
 
 DEFAULT_VERTEX_CAP = 200
 DEFAULT_GROUP_CAP = 10**6
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
 
 
 def is_automorphism(X: SimpleGraph, p: Permutation) -> bool:
@@ -54,7 +37,8 @@ class KernelResultError(RuntimeError):
 
 
 class AutGroup:
-    """Generators of Aut(X) plus their stabilizer chain, built on first use."""
+    """Generators of a permutation group (Aut(X) when ``automorphisms``
+    returns it) plus their stabilizer chain, built on first use."""
 
     def __init__(self, degree: int, generators):
         self.degree = degree
@@ -101,31 +85,25 @@ def vertex_orbits(X: SimpleGraph, aut: AutGroup = None):
     """Orbits of Aut(X) on vertices, each sorted, ordered by minimum."""
     if aut is None:
         aut = automorphisms(X)
-    uf = _UnionFind(X.vertex_count)
-    for g in aut.generators:
-        for v in range(X.vertex_count):
-            uf.union(v, g(v))
-    groups = {}
-    for v in range(X.vertex_count):
-        groups.setdefault(uf.find(v), []).append(v)
-    return [groups[r] for r in sorted(groups)]
+    gens = [g.images for g in aut.generators]
+    return components(X.vertex_count, lambda v: [g[v] for g in gens])
 
 
 def edge_orbits(X: SimpleGraph, aut: AutGroup = None):
-    """Orbits of Aut(X) on edges (generator closure, no full enumeration)."""
+    """Orbits on edges of the group ``aut``'s generators generate (by
+    default Aut(X)), each in sorted edge order, ordered by least edge
+    (generator closure, no full enumeration)."""
     if aut is None:
         aut = automorphisms(X)
+    gens = [g.images for g in aut.generators]
     edges = X.edges
     index = {e: i for i, e in enumerate(edges)}
-    uf = _UnionFind(len(edges))
-    for g in aut.generators:
-        for i, (u, v) in enumerate(edges):
-            gu, gv = g(u), g(v)
-            uf.union(i, index[(gu, gv) if gu < gv else (gv, gu)])
-    groups = {}
-    for i in range(len(edges)):
-        groups.setdefault(uf.find(i), []).append(edges[i])
-    return [groups[r] for r in sorted(groups)]
+
+    def images(i):
+        u, v = edges[i]
+        return [index[(g[u], g[v]) if g[u] < g[v] else (g[v], g[u])] for g in gens]
+
+    return [[edges[i] for i in orbit] for orbit in components(len(edges), images)]
 
 
 def is_vertex_transitive(X: SimpleGraph, aut: AutGroup = None) -> bool:
@@ -256,9 +234,10 @@ def zz_check(family: str, params, k: int, *,
         mirrored = _in_classification(name, norm, n_x - k)
         predicted = direct or mirrored
         rule = f"classification case for {name}{norm}" if predicted else "no classification case matches"
+    vertices = comb(n_x, k)  # checked before the token graph is built
+    if vertices > max_vertices:
+        raise ValueError(f"token graph too large ({vertices} > {max_vertices})")
     F = token_graph(X, k)
-    if F.vertex_count > max_vertices:
-        raise ValueError(f"token graph too large ({F.vertex_count} > {max_vertices})")
     orbits = edge_orbits(F)
     computed = len(orbits) <= 1
     passed = computed == predicted

@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .algebra import Coset, CyclicGroup, Permutation, Subgroup
-from .graphs import Multigraph, SimpleGraph, complete, star, underlying_simple
+from .graphs import Multigraph, SimpleGraph, complete, components, star, underlying_simple
 from .report import (
     STATUS_BUDGET_EXHAUSTED,
     STATUS_COMPLETED,
@@ -35,8 +35,10 @@ from .report import (
 from .symmetry import (
     DEFAULT_GROUP_CAP,
     DEFAULT_VERTEX_CAP,
+    AutGroup,
     acts_freely,
     automorphisms,
+    edge_orbits,
     is_automorphism,
     is_isomorphic,
 )
@@ -70,9 +72,6 @@ class CombinedVoltageGraph:
         """Voltage along a dart; reversed darts carry the negated voltage."""
         w = self.voltages[dart >> 1]
         return w if dart & 1 == 0 else self.group.negate(w)
-
-    def fiber_size(self, v: int) -> int:
-        return self.vertex_groups[v].index
 
     def cover_vertex_count(self) -> int:
         return sum(s.index for s in self.vertex_groups)
@@ -317,16 +316,8 @@ def _cyclic_quotient(X: SimpleGraph, g: Permutation) -> CombinedVoltageGraph:
 
     edges = []
     volts = []
-    seen = set()
-    for e in X.edges:
-        if e in seen:
-            continue
-        cur = e
-        while cur not in seen:
-            seen.add(cur)
-            a, b = g(cur[0]), g(cur[1])
-            cur = (a, b) if a < b else (b, a)
-        u, v = e
+    # one base edge per edge orbit of <g>, represented by its least edge
+    for (u, v), *_ in edge_orbits(X, AutGroup(X.vertex_count, (g,))):
         A, B = orbit_of[u], orbit_of[v]
         if A == B:
             span = len(orbits[A])
@@ -353,12 +344,9 @@ def quotient_free(X: SimpleGraph, g: Permutation) -> CombinedVoltageGraph:
     """
     if not is_automorphism(X, g):
         raise ValueError("g is not an automorphism of X")
-    m = g.order()
-    if any(len(orb) != m for orb in g.orbits()):
+    if not acts_freely(g, g.order()):
         raise ValueError("action is not free: some cycle is shorter than the order")
-    cvg = _cyclic_quotient(X, g)
-    witness = is_isomorphic(underlying_simple(lift(cvg).graph), X)
-    return replace(cvg, lift_verified=witness is not None)
+    return quotient_cyclic(X, g)[0]
 
 
 def quotient_cyclic(X: SimpleGraph, g: Permutation, *,
@@ -417,29 +405,20 @@ def cyclic_subgroup_classes(elements, generators, m: int):
     # image tuples compose as itemgetter(*q)(p) = p * q
     conjugators = [(s.images, itemgetter(*s.inverse().images)) for s in generators]
     coprime = [j for j in range(2, m) if gcd(j, m) == 1]
-    assigned = [False] * len(elements)
-    classes = []
-    for start in range(len(elements)):
-        if assigned[start]:
-            continue
-        assigned[start] = True
-        members = [start]
-        for i in members:
-            h = elements[i].images
-            related = [itemgetter(*times_inverse(h))(s) for s, times_inverse in conjugators]
-            power, exponent = h, 1
-            for j in coprime:
-                while exponent < j:
-                    power = itemgetter(*power)(h)
-                    exponent += 1
-                related.append(power)
-            for images in related:
-                k = position.get(images)
-                if k is not None and not assigned[k]:
-                    assigned[k] = True
-                    members.append(k)
-        classes.append([elements[i] for i in sorted(members)])
-    return classes
+
+    def related(i):
+        h = elements[i].images
+        found = [itemgetter(*times_inverse(h))(s) for s, times_inverse in conjugators]
+        power, exponent = h, 1
+        for j in coprime:
+            while exponent < j:
+                power = itemgetter(*power)(h)
+                exponent += 1
+            found.append(power)
+        return [k for k in map(position.get, found) if k is not None]
+
+    return [[elements[i] for i in members]
+            for members in components(len(elements), related)]
 
 
 def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
@@ -482,9 +461,10 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {CONJECTURE_FAMILIES}")
 
+    vertices = comb(n + 1, k)  # checked before the token graph is built
+    if vertices > max_vertices:
+        raise ValueError(f"token graph too large ({vertices} > {max_vertices})")
     X = token_graph(star(n), k)
-    if X.vertex_count > max_vertices:
-        raise ValueError(f"token graph too large ({X.vertex_count} > {max_vertices})")
     aut = automorphisms(X, max_vertices=max_vertices)
     elements, complete_search = aut.closure(budget)
     aut_order, aut_order_exact = aut.order()

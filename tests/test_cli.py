@@ -1,6 +1,8 @@
 import json
 
-from token_covers import search, voltage
+import pytest
+
+from token_covers import cli, search, symmetry, voltage
 from token_covers.cli import main
 
 
@@ -74,6 +76,49 @@ def test_verify_theorem1_over_cap_fails_before_lifting(tmp_path, monkeypatch, ca
     monkeypatch.setattr(voltage, "lift", never)
     assert run("verify-theorem1", "--n", "40", "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == "error: graph too large for isomorphism search\n"
+    assert not list(tmp_path.iterdir())
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("no graph may be built past the vertex cap")
+
+
+@pytest.mark.parametrize("flags, builder, message", [
+    (("--token", "complete:40", "--k", "3"), "token_graph",
+     "token_complete40_k3: 9880 vertices exceed the cap 200"),
+    (("--johnson", "16", "8"), "johnson", "johnson_16_8: 12870 vertices exceed the cap 200"),
+    (("--line", "complete:21"), "line_graph", "line_complete21: 210 vertices exceed the cap 200"),
+    (("--subdivision", "complete:20"), "subdivision",
+     "subdivision_complete20: 210 vertices exceed the cap 200"),
+    (("--inclusion", "12", "2", "3"), "inclusion_bigraph",
+     "inclusion_12_2_3: 286 vertices exceed the cap 200"),
+])
+def test_build_over_cap_fails_before_building(tmp_path, monkeypatch, capsys,
+                                              flags, builder, message):
+    monkeypatch.setattr(cli, builder, _never)
+    assert run("build", *flags, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_build_theorem1_cover_over_cap_fails_before_lifting(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(voltage, "lift", _never)
+    assert run("build", "--theorem1-cover", "22", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: theorem1_cover_22: 231 vertices exceed the cap 200\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_zz_over_cap_fails_before_building(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(symmetry, "token_graph", _never)
+    assert run("zz", "--family", "complete:40", "--k", "3", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: token graph too large (9880 > 200)\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_conjecture_over_cap_fails_before_building(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(voltage, "token_graph", _never)
+    assert run("conjecture", "1", "--n", "9", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: token graph too large (252 > 200)\n"
     assert not list(tmp_path.iterdir())
 
 

@@ -25,7 +25,7 @@ from token_covers.graphs import (
 )
 from token_covers.tokens import token_graph
 
-from helpers import disjoint_union
+from helpers import disjoint_union, relabel, simple_graphs
 
 
 def test_complete_4():
@@ -210,6 +210,19 @@ def test_export_deterministic():
 def test_connected_components():
     g = disjoint_union(cycle(3), path(2))
     assert connected_components(g) == [[0, 1, 2], [3, 4]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(simple_graphs(0, 6), simple_graphs(0, 6), st.data())
+def test_connected_components_match_networkx(A, B, data):
+    """Components of a relabelled disjoint union, against networkx's."""
+    nx = pytest.importorskip("networkx")
+    X = disjoint_union(A, B)
+    X = relabel(X, data.draw(st.permutations(range(X.vertex_count))))
+    G = nx.Graph()
+    G.add_nodes_from(range(X.vertex_count))
+    G.add_edges_from(X.edges)
+    assert connected_components(X) == sorted(sorted(c) for c in nx.connected_components(G))
 
 
 def test_biregular_star():

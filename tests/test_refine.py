@@ -14,6 +14,7 @@ from token_covers.graphs import SimpleGraph, complete, star
 from token_covers.tokens import token_graph
 
 from helpers import (
+    disjoint_union,
     full_scan_refine,
     graph_pairs,
     kernel_corpus,
@@ -21,6 +22,7 @@ from helpers import (
     reference_automorphism_generators,
     reference_isomorphism_witness,
     relabel,
+    simple_graphs,
 )
 
 
@@ -104,3 +106,25 @@ def test_search_matches_lockstep_reference():
         assert search.automorphism_generators(adj) == reference_automorphism_generators(adj)
     for a, b in pairs:
         assert search.isomorphism_witness(a, b) == reference_isomorphism_witness(a, b)
+
+
+@st.composite
+def _drawn_graphs(draw):
+    """A drawn graph, or the disjoint union of one with a relabelling of
+    itself, whose automorphisms (each copy's and the swap of the two) are
+    found at many levels, so the orbit pruning acts deep in the search."""
+    X = draw(simple_graphs(max_vertices=10))
+    if draw(st.booleans()):
+        return X
+    return disjoint_union(X, relabel(X, draw(st.permutations(range(X.vertex_count)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drawn_graphs(), st.data())
+def test_search_matches_lockstep_reference_on_drawn_graphs(X, data):
+    """Generator lists (order included) and witnesses are the lockstep
+    search's on drawn graphs, each paired with a relabelling of itself."""
+    adj = X.adjacency_masks
+    assert search.automorphism_generators(adj) == reference_automorphism_generators(adj)
+    other = relabel(X, data.draw(st.permutations(range(X.vertex_count)))).adjacency_masks
+    assert search.isomorphism_witness(adj, other) == reference_isomorphism_witness(adj, other)

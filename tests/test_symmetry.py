@@ -138,6 +138,20 @@ def test_isomorphic_matches_brute_force():
             assert mapped == set(b.edges)
 
 
+@settings(max_examples=150, deadline=None)
+@given(simple_graphs(max_vertices=8))
+def test_orbits_are_the_orbits_of_every_element(X):
+    """Vertex and edge orbits, lists and order included, against the
+    images of each vertex and edge under every element of Aut(X)."""
+    aut = automorphisms(X)
+    elements = list(aut.chain.elements())
+    vertex = {tuple(sorted({g(v) for g in elements})) for v in range(X.vertex_count)}
+    assert vertex_orbits(X, aut) == [list(o) for o in sorted(vertex)]
+    edge = {tuple(sorted({tuple(sorted((g(u), g(v)))) for g in elements}))
+            for u, v in X.edges}
+    assert edge_orbits(X, aut) == [list(o) for o in sorted(edge)]
+
+
 def _networkx(nx, X):
     G = nx.Graph()
     G.add_nodes_from(range(X.vertex_count))
