@@ -22,6 +22,7 @@ from .graphs import (
     connected_components,
     cycle,
     export,
+    family_size,
     from_json,
     is_biregular,
     is_connected,

@@ -1,5 +1,6 @@
 """Finite cyclic groups, subgroups, right cosets, vertex permutations, and
-stabilizer chains of permutation groups.
+stabilizer chains of permutation groups, read off a base and strong
+generating set the search kernel's first path already found.
 
 Only cyclic voltage groups are implemented: every construction in this package
 voltages over Z_m, and for abelian groups the left/right coset distinction
@@ -11,10 +12,9 @@ it is the reference rule the covering lift's congruence is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
 from math import gcd, lcm, prod
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -220,116 +220,43 @@ def _compose(p: tuple, q: tuple) -> tuple:
     return itemgetter(*q)(p)
 
 
-def _invert(p: tuple) -> tuple:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
 class StabilizerChain:
-    """Base, strong generating set and transversals of the group generated
-    by ``gens``, by deterministic Schreier-Sims (Sims 1970; Seress,
-    *Permutation Group Algorithms*, 2003, ch. 4).
+    """Transversals of a permutation group along a base it is given with a
+    strong generating set: the search kernel's first path and the
+    generators it harvests along it (see
+    ``search.automorphism_generators``), so no Schreier-Sims is run.
 
-    Level i holds base point ``base[i]``, the strong generators fixing
-    ``base[:i]`` pointwise, and a transversal taking each point y of the
-    orbit of ``base[i]`` under them to a coset representative u with
-    u(base[i]) = y.  Every Schreier generator is sifted, so each group
-    element is exactly one product u_0 * u_1 * ... * u_{k-1} with u_i from
-    transversal i and the order is the product of the orbit lengths.  The
-    base and the result depend only on the generator sequence.
+    ``generators`` must be strong relative to ``base``: for each i, those
+    fixing ``base[:i]`` pointwise generate the pointwise stabilizer of
+    ``base[:i]``.  Level i holds base point ``base[i]`` and a transversal
+    taking each point y of the orbit of ``base[i]`` under those generators
+    to a coset representative u with u(base[i]) = y.  Each group element
+    is then exactly one product u_0 * u_1 * ... * u_{k-1} with u_i from
+    transversal i, and the order is the product of the orbit lengths
+    (Sims 1970; Seress, *Permutation Group Algorithms*, 2003, ch. 4).
     """
 
-    def __init__(self, gens: Sequence[Permutation], degree: Optional[int] = None):
-        gens = list(gens)
-        if degree is None:
-            degree = gens[0].degree if gens else 0
-        if any(g.degree != degree for g in gens):
-            raise ValueError("generators act on inconsistent domains")
+    def __init__(self, generators: Sequence[Permutation], base: Sequence[int], degree: int):
         self.degree = degree
+        self.base = tuple(base)
         self._identity = tuple(range(degree))
-        self._base = []
-        self._strong = []       # strong generators fixing base[:i], per level
-        self._transversal = []  # orbit point -> representative, per level
-        self._inverse = []      # orbit point -> representative's inverse
-        self._checked = []      # Schreier generators of the level known to sift
-        moving = [g.images for g in gens if not g.is_identity]
-        for g in moving:
-            if all(g[b] == b for b in self._base):
-                self._add_base_point(g)
-        for i in range(len(self._base)):
-            self._strong[i] = [g for g in moving if all(g[b] == b for b in self._base[:i])]
-            self._build_orbit(i)
-        i = len(self._base) - 1
-        while i >= 0:
-            j = self._extend_from_level(i)
-            i = i - 1 if j is None else j
+        gens = [g.images for g in generators]
+        self._transversal = [
+            self._build_orbit(b, [g for g in gens if all(g[x] == x for x in self.base[:i])])
+            for i, b in enumerate(self.base)]
 
-    def _add_base_point(self, g: tuple):
-        """Append the first point ``g`` moves as a base point, with an
-        empty level."""
-        self._base.append(next(x for x, y in enumerate(g) if x != y))
-        self._strong.append([])
-        self._transversal.append({})
-        self._inverse.append({})
-        self._checked.append(0)
-
-    def _build_orbit(self, i: int):
-        b = self._base[i]
+    def _build_orbit(self, b: int, strong: list) -> dict:
+        """Orbit point -> representative, in breadth-first discovery order."""
         trans = {b: self._identity}
         queue = [b]
         for y in queue:
             u = trans[y]
-            for s in self._strong[i]:
+            for s in strong:
                 z = s[y]
                 if z not in trans:
                     trans[z] = _compose(s, u)
                     queue.append(z)
-        self._transversal[i] = trans
-        self._inverse[i] = {y: _invert(u) for y, u in trans.items()}
-        self._checked[i] = 0
-
-    def _sift(self, g: tuple, level: int):
-        """Strip ``g`` through the transversals from ``level`` on; returns
-        the residue and the level where it left the chain (k if it passed
-        every level)."""
-        for j in range(level, len(self._base)):
-            inv = self._inverse[j].get(g[self._base[j]])
-            if inv is None:
-                return g, j
-            g = _compose(inv, g)
-        return g, len(self._base)
-
-    def _extend_from_level(self, i: int):
-        """Sift the Schreier generators of level i.  The first nontrivial
-        residue becomes a strong generator of each level it fixes the base
-        up to (with a new base point if it passed them all), and that level
-        is returned for rechecking; None once level i is closed.
-
-        A Schreier generator that sifted once stays in the group below, so
-        a later pass resumes after it unless level i itself was rebuilt.
-        """
-        trans, inverse, b = self._transversal[i], self._inverse[i], self._base[i]
-        schreier = product(trans.values(), self._strong[i])
-        for u, s in islice(schreier, self._checked[i], None):
-            su = _compose(s, u)
-            z = su[b]
-            if trans[z] != su:
-                h, j = self._sift(_compose(inverse[z], su), i + 1)
-                if h != self._identity:
-                    if j == len(self._base):
-                        self._add_base_point(h)
-                    for level in range(i + 1, j + 1):
-                        self._strong[level].append(h)
-                        self._build_orbit(level)
-                    return j
-            self._checked[i] += 1
-        return None
-
-    @property
-    def base(self) -> tuple:
-        return tuple(self._base)
+        return trans
 
     @property
     def orbit_lengths(self) -> tuple:

@@ -16,7 +16,7 @@ from math import comb
 from pathlib import Path
 
 from . import voltage
-from .graphs import make_family, to_dot, to_json
+from .graphs import family_size, make_family, to_dot, to_json
 from .report import STATUS_BUDGET_EXHAUSTED
 from .symmetry import DEFAULT_GROUP_CAP, DEFAULT_VERTEX_CAP, KernelResultError, zz_check
 from .tokens import inclusion_bigraph, johnson, line_graph, subdivision, token_graph
@@ -120,7 +120,8 @@ def cmd_build(args) -> int:
 
     def add(stem, vertices, build):
         """Build a graph of ``vertices`` vertices once its count is within
-        the cap, so an oversized graph is never built."""
+        the cap, so an oversized graph (or its base family graph) is never
+        built."""
         if vertices > max_vertices:
             raise ValueError(f"{stem}: {vertices} vertices exceed the cap {max_vertices}")
         jobs.append((stem, build()))
@@ -129,30 +130,29 @@ def cmd_build(args) -> int:
         name, params = parse_family(args.token)
         if args.k is None:
             raise ValueError("--token requires --k")
-        base = make_family(name, *params)
-        add(f"token_{name}{'_'.join(map(str, params))}_k{args.k}",
-            _binomial(base.vertex_count, args.k), lambda: token_graph(base, args.k))
+        vertices, _ = family_size(name, *params)
+        add(f"token_{name}{'_'.join(map(str, params))}_k{args.k}", _binomial(vertices, args.k),
+            lambda: token_graph(make_family(name, *params), args.k))
     if args.johnson:
         n, k = args.johnson
         add(f"johnson_{n}_{k}", _binomial(n, k), lambda: johnson(n, k))
     if args.line:
         name, params = parse_family(args.line)
-        base = make_family(name, *params)
-        add(f"line_{name}{'_'.join(map(str, params))}", base.edge_count,
-            lambda: line_graph(base))
+        _, edges = family_size(name, *params)
+        add(f"line_{name}{'_'.join(map(str, params))}", edges,
+            lambda: line_graph(make_family(name, *params)))
     if args.subdivision:
         name, params = parse_family(args.subdivision)
-        base = make_family(name, *params)
-        add(f"subdivision_{name}{'_'.join(map(str, params))}",
-            base.vertex_count + base.edge_count, lambda: subdivision(base))
+        add(f"subdivision_{name}{'_'.join(map(str, params))}", sum(family_size(name, *params)),
+            lambda: subdivision(make_family(name, *params)))
     if args.inclusion:
         n, a, b = args.inclusion
         add(f"inclusion_{n}_{a}_{b}", comb(n, a) + comb(n, b) if 0 <= a < b <= n else 0,
             lambda: inclusion_bigraph(n, a, b))
     if args.family:
         name, params = parse_family(args.family)
-        base = make_family(name, *params)
-        add(f"{name}{'_'.join(map(str, params))}", base.vertex_count, lambda: base)
+        vertices, _ = family_size(name, *params)
+        add(f"{name}{'_'.join(map(str, params))}", vertices, lambda: make_family(name, *params))
     if args.theorem1_base is not None:
         cvg = voltage.theorem1_base(args.theorem1_base)
         stem = f"theorem1_base_{args.theorem1_base}"

@@ -249,23 +249,39 @@ def cycle(n: int) -> SimpleGraph:
     return SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+# name -> (builder, arity, (vertex count, edge count) from the parameters)
 FAMILY_BUILDERS = {
-    "complete": (complete, 1),
-    "star": (star, 1),
-    "complete_bipartite": (complete_bipartite, 2),
-    "path": (path, 1),
-    "cycle": (cycle, 1),
+    "complete": (complete, 1, lambda n: (n, n * (n - 1) // 2)),
+    "star": (star, 1, lambda n: (n + 1, n)),
+    "complete_bipartite": (complete_bipartite, 2, lambda m, n: (m + n, m * n)),
+    "path": (path, 1, lambda n: (n, n - 1)),
+    "cycle": (cycle, 1, lambda n: (n, n)),
 }
+
+
+def _family(name: str, params):
+    """The builder and size rule of a named family, arity checked."""
+    if name not in FAMILY_BUILDERS:
+        raise ValueError(f"unknown family {name!r}; expected one of {sorted(FAMILY_BUILDERS)}")
+    builder, arity, size = FAMILY_BUILDERS[name]
+    if len(params) != arity:
+        raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
+    return builder, size
 
 
 def make_family(name: str, *params: int) -> SimpleGraph:
     """Build a named family graph, e.g. ``make_family("complete", 4)``."""
-    if name not in FAMILY_BUILDERS:
-        raise ValueError(f"unknown family {name!r}; expected one of {sorted(FAMILY_BUILDERS)}")
-    builder, arity = FAMILY_BUILDERS[name]
-    if len(params) != arity:
-        raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
+    builder, _ = _family(name, params)
     return builder(*params)
+
+
+def family_size(name: str, *params: int) -> tuple:
+    """(vertex count, edge count) of ``make_family(name, *params)`` from the
+    parameters alone, so a cap can be checked before the graph is built.
+    For parameters the builder rejects the counts mean nothing; the
+    builder raises once it is called."""
+    _, size = _family(name, params)
+    return size(*params)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Search kernel: equitable refinement plus backtracking.
 
 Adjacency comes in as a sequence of per-vertex integer bitmasks.  The two
-entry points are ``automorphism_generators`` (a generating set of the
-automorphism group, found by walking the first path of the search tree and
-harvesting one generator per new orbit point) and ``isomorphism_witness``
-(first color-preserving bijection found, or None).
+entry points are ``automorphism_generators`` (a strong generating set of
+the automorphism group relative to the first path's base, found by walking
+that path and harvesting one generator per new orbit point, each with the
+base point it moves) and ``isomorphism_witness`` (first color-preserving
+bijection found, or None).
 
 Refinement is the classic splitter-queue procedure: for a splitter class
 ``s``, every class is partitioned by the number of neighbors its members
@@ -240,20 +241,32 @@ def _descend(adj_l, path, depth, adj_r, col_r):
 
 
 def automorphism_generators(adj):
-    """Generating set of the automorphism group, deterministic order.
+    """Strong generating set of the automorphism group relative to the
+    first path's base, deterministic order: a list of ``(generator, base
+    point)`` pairs, deepest base point first.
 
-    The first path individualizes, at each level, the least vertex of the
-    target cell; mapped to itself, it is the identity.  Sibling branches
-    map it to other members of the cell; each sibling subtree is searched
-    for a single automorphism, and siblings already in the vertex's orbit
-    under the known generators are pruned (Schreier-style generation, so
-    the harvested set generates the full group).  One orbit partition
-    serves every level, each generator merged into it as it is found:
-    levels are visited deepest first, and a generator found at depth d'
-    fixes the vertices the first path individualized before level d'
-    (singleton cells on both sides), so every generator known at a level
-    fixes that level's prefix: all of them lie in the stabilizer whose
-    orbits the pruning needs.
+    The first path individualizes, at each level d, the least vertex v_d
+    of the target cell; mapped to itself, it is the identity.  Sibling
+    branches map v_d to other members of the cell; each sibling subtree is
+    searched for a single automorphism, and siblings already in the orbit
+    of v_d under the known generators are pruned.  One orbit partition
+    serves every level, each generator merged into it as it is found.
+    Levels are visited deepest first, and a generator found at depth d
+    fixes v_0..v_{d-1} (singleton cells on both sides) and moves v_d, its
+    base point; so every generator known at level d lies in the pointwise
+    stabilizer G_d of v_0..v_{d-1}, whose orbits the pruning needs.
+
+    The generators of depth >= d generate G_d (McKay & Piperno, "Practical
+    graph isomorphism, II", 2014).  By induction from the discrete leaf,
+    where G_d is trivial: those of depth > d generate G_{d+1}, the
+    stabilizer of v_d in G_d, since refinement commutes with automorphisms
+    and G_d is the group of the level-d coloring.  Every sibling u in the
+    G_d-orbit of v_d is either pruned, so already reached from v_d, or
+    searched, and the search finds a generator mapping v_d to u.  So the
+    group the depth >= d generators generate contains G_{d+1} and has the
+    orbit of v_d under G_d: it is G_d.  The pairs are therefore a base
+    (their base points, shallowest first) and a strong generating set, and
+    |Aut| is the product of the basic orbit lengths.
     """
     adj = tuple(adj)
     n = len(adj)
@@ -276,7 +289,7 @@ def automorphism_generators(adj):
                 continue
             found = _descend(adj, path, depth + 1, adj, cr)
             if found is not None:
-                gens.append(found)
+                gens.append((found, v))
                 for x, y in enumerate(found):
                     x, y = _root(parent, x), _root(parent, y)
                     if x != y:

@@ -16,7 +16,7 @@ from typing import Iterator
 
 from . import search
 from .algebra import Permutation, StabilizerChain
-from .graphs import SimpleGraph, components, is_connected, make_family
+from .graphs import SimpleGraph, components, family_size, is_connected, make_family
 from .report import Evidence, VerificationReport
 from .tokens import token_graph
 
@@ -32,23 +32,25 @@ def is_automorphism(X: SimpleGraph, p: Permutation) -> bool:
 
 
 class KernelResultError(RuntimeError):
-    """The search kernel returned a generator or witness that fails the
-    independent adjacency re-check."""
+    """The search kernel returned a generator, base point or witness that
+    fails the independent re-check."""
 
 
 class AutGroup:
-    """Generators of a permutation group (Aut(X) when ``automorphisms``
-    returns it) plus their stabilizer chain, built on first use."""
+    """Aut(X) as ``automorphisms`` returns it: the search kernel's strong
+    generators, the base of its first path, and their stabilizer chain,
+    built on first use (orbits need only the generators)."""
 
-    def __init__(self, degree: int, generators):
+    def __init__(self, degree: int, generators, base):
         self.degree = degree
         self.generators = tuple(generators)
+        self.base = tuple(base)
         self._chain = None
 
     @property
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            self._chain = StabilizerChain(self.generators, self.degree)
+            self._chain = StabilizerChain(self.generators, self.base, self.degree)
         return self._chain
 
     def closure(self, cap: int = DEFAULT_GROUP_CAP) -> tuple[Iterator[Permutation], bool]:
@@ -71,31 +73,47 @@ class AutGroup:
 
 
 def automorphisms(X: SimpleGraph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> AutGroup:
-    """Generating set of Aut(X), deterministic for a given graph."""
+    """Aut(X) from the search kernel, deterministic for a given graph.
+
+    Each generator is re-checked against X, and against its base point:
+    it must move that point and fix every shallower one, which is what
+    makes the generators fixing a prefix of the base the ones the chain
+    takes for that prefix's stabilizer.
+    """
     if X.vertex_count > max_vertices:
         raise ValueError(f"graph too large ({X.vertex_count} > {max_vertices} vertices)")
-    gens = [Permutation(t) for t in search.automorphism_generators(X.adjacency_masks)]
-    for g in gens:
-        if g.is_identity or not is_automorphism(X, g):
+    found = search.automorphism_generators(X.adjacency_masks)
+    # found deepest level first: the base is their points, shallowest first
+    base = tuple(dict.fromkeys(b for _, b in reversed(found)))
+    gens = []
+    for images, b in found:
+        g = Permutation(images)
+        if not is_automorphism(X, g):
             raise KernelResultError("search kernel returned an invalid generator")
-    return AutGroup(X.vertex_count, gens)
+        fixed = set(g.fixed_points())
+        if (b not in range(X.vertex_count) or b in fixed
+                or not fixed.issuperset(base[:base.index(b)])):
+            raise KernelResultError("search kernel returned a generator off its base point")
+        gens.append(g)
+    return AutGroup(X.vertex_count, gens, base)
 
 
-def vertex_orbits(X: SimpleGraph, aut: AutGroup = None):
-    """Orbits of Aut(X) on vertices, each sorted, ordered by minimum."""
-    if aut is None:
-        aut = automorphisms(X)
-    gens = [g.images for g in aut.generators]
+def vertex_orbits(X: SimpleGraph, generators=None):
+    """Orbits on vertices of the group ``generators`` generate (by default
+    Aut(X)), each sorted, ordered by minimum."""
+    if generators is None:
+        generators = automorphisms(X).generators
+    gens = [g.images for g in generators]
     return components(X.vertex_count, lambda v: [g[v] for g in gens])
 
 
-def edge_orbits(X: SimpleGraph, aut: AutGroup = None):
-    """Orbits on edges of the group ``aut``'s generators generate (by
-    default Aut(X)), each in sorted edge order, ordered by least edge
-    (generator closure, no full enumeration)."""
-    if aut is None:
-        aut = automorphisms(X)
-    gens = [g.images for g in aut.generators]
+def edge_orbits(X: SimpleGraph, generators=None):
+    """Orbits on edges of the group ``generators`` generate (by default
+    Aut(X)), each in sorted edge order, ordered by least edge (generator
+    closure, no full enumeration)."""
+    if generators is None:
+        generators = automorphisms(X).generators
+    gens = [g.images for g in generators]
     edges = X.edges
     index = {e: i for i, e in enumerate(edges)}
 
@@ -106,13 +124,13 @@ def edge_orbits(X: SimpleGraph, aut: AutGroup = None):
     return [[edges[i] for i in orbit] for orbit in components(len(edges), images)]
 
 
-def is_vertex_transitive(X: SimpleGraph, aut: AutGroup = None) -> bool:
-    return len(vertex_orbits(X, aut)) <= 1
+def is_vertex_transitive(X: SimpleGraph, generators=None) -> bool:
+    return len(vertex_orbits(X, generators)) <= 1
 
 
-def is_edge_transitive(X: SimpleGraph, aut: AutGroup = None) -> bool:
+def is_edge_transitive(X: SimpleGraph, generators=None) -> bool:
     """Single Aut-orbit on edges (vacuously true for edgeless graphs)."""
-    return len(edge_orbits(X, aut)) <= 1
+    return len(edge_orbits(X, generators)) <= 1
 
 
 def is_isomorphic(X: SimpleGraph, Y: SimpleGraph, *,
@@ -219,12 +237,15 @@ def zz_check(family: str, params, k: int, *,
     k = 1 and k = |V| - 1 reduce to the base graph itself and are predicted
     by its own edge-transitivity (outside the classification's k-range).
     """
+    n_x, _ = family_size(family, *params)
+    if not 1 <= k <= n_x - 1:
+        raise ValueError(f"k={k} out of range 1..{n_x - 1}")
+    vertices = comb(n_x, k)  # checked before the family and token graphs are built
+    if vertices > max_vertices:
+        raise ValueError(f"token graph too large ({vertices} > {max_vertices})")
     X = make_family(family, *params)
     if not is_connected(X):
         raise ValueError("classification check requires a connected graph")
-    n_x = X.vertex_count
-    if not 1 <= k <= n_x - 1:
-        raise ValueError(f"k={k} out of range 1..{n_x - 1}")
     name, norm = _canonical_family(family, tuple(params))
     if k == 1 or k == n_x - 1:
         predicted = is_edge_transitive(X)
@@ -234,9 +255,6 @@ def zz_check(family: str, params, k: int, *,
         mirrored = _in_classification(name, norm, n_x - k)
         predicted = direct or mirrored
         rule = f"classification case for {name}{norm}" if predicted else "no classification case matches"
-    vertices = comb(n_x, k)  # checked before the token graph is built
-    if vertices > max_vertices:
-        raise ValueError(f"token graph too large ({vertices} > {max_vertices})")
     F = token_graph(X, k)
     orbits = edge_orbits(F)
     computed = len(orbits) <= 1

@@ -35,7 +35,6 @@ from .report import (
 from .symmetry import (
     DEFAULT_GROUP_CAP,
     DEFAULT_VERTEX_CAP,
-    AutGroup,
     acts_freely,
     automorphisms,
     edge_orbits,
@@ -317,7 +316,7 @@ def _cyclic_quotient(X: SimpleGraph, g: Permutation) -> CombinedVoltageGraph:
     edges = []
     volts = []
     # one base edge per edge orbit of <g>, represented by its least edge
-    for (u, v), *_ in edge_orbits(X, AutGroup(X.vertex_count, (g,))):
+    for (u, v), *_ in edge_orbits(X, (g,)):
         A, B = orbit_of[u], orbit_of[v]
         if A == B:
             span = len(orbits[A])
@@ -470,8 +469,9 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     aut_order, aut_order_exact = aut.order()
 
     of_order = sorted((p for p in elements if p.order() == m), key=lambda p: p.images)
-    free = [p for p in of_order if acts_freely(p, m)]
-    nonfree = [p for p in of_order if not acts_freely(p, m)]
+    free, nonfree = [], []
+    for p in of_order:
+        (free if acts_freely(p, m) else nonfree).append(p)
 
     classes = cyclic_subgroup_classes(free + nonfree, aut.generators, m)
     candidates = []

@@ -123,6 +123,17 @@ def graph_pairs(draw, max_vertices=12):
     return X, SimpleGraph(n, edges)
 
 
+@st.composite
+def graphs_or_doubles(draw, max_vertices=10):
+    """A drawn graph, or the disjoint union of one with a relabelling of
+    itself, whose automorphisms (each copy's and the swap of the two) are
+    found at many levels, so the orbit pruning acts deep in the search."""
+    X = draw(simple_graphs(max_vertices=max_vertices))
+    if draw(st.booleans()):
+        return X
+    return disjoint_union(X, relabel(X, draw(st.permutations(range(X.vertex_count)))))
+
+
 def kernel_corpus():
     """Graphs the search-kernel tests run every kernel entry point on."""
     graphs = [
@@ -244,7 +255,8 @@ def reference_isomorphism_witness(adj1, adj2):
 
 def reference_automorphism_generators(adj):
     """Reference search: the kernel's original automorphism search (the
-    identity path first, then one lockstep search per unpruned sibling)."""
+    identity path first, then one lockstep search per unpruned sibling),
+    each generator paired with the vertex of the level it was found at."""
     adj = tuple(adj)
     n = len(adj)
     gens = []
@@ -315,13 +327,13 @@ def _lockstep_aut(adj, col_l, col_r, nc, base, depth, gens):
             continue
         found = _lockstep_first(adj, cl, adj, cr, nc2)
         if found is not None:
-            gens.append(found)
+            gens.append((found, v))
 
 
 def _lockstep_in_orbit(v, u, gens, prefix):
     """Whether u lies in the orbit of v under the known generators that fix
     every point of ``prefix``."""
-    useful = [g for g in gens if all(g[b] == b for b in prefix)]
+    useful = [g for g, _ in gens if all(g[b] == b for b in prefix)]
     seen = {v}
     stack = [v]
     while stack:

@@ -1,19 +1,21 @@
+import random
 from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from token_covers import search
 from token_covers.algebra import (
     Coset,
     CyclicGroup,
     Permutation,
-    StabilizerChain,
     Subgroup,
 )
-from token_covers.graphs import complete, star
-from token_covers.symmetry import AutGroup, automorphisms
+from token_covers.graphs import SimpleGraph, complete, complete_bipartite, srg_parameters, star
+from token_covers.symmetry import KernelResultError, automorphisms
 from token_covers.tokens import johnson, token_graph
+
+from helpers import disjoint_union, graphs_or_doubles, kneser, relabel
 
 
 def test_cosets_of_3z6():
@@ -136,12 +138,8 @@ def test_permutation_orbits_order():
     assert g.cycle_string() == "(0 2 4)(1 5)"
 
 
-def _s_n_generators(n):
-    return [Permutation.from_cycles(n, [(0, 1)]), Permutation.from_cycles(n, [tuple(range(n))])]
-
-
 def test_closure_symmetric_group():
-    els = set(StabilizerChain(_s_n_generators(4)).elements())
+    els = set(automorphisms(complete(4)).chain.elements())
     assert len(els) == 24
     # closed under composition and inverse
     assert all(p.inverse() in els for p in els)
@@ -149,39 +147,39 @@ def test_closure_symmetric_group():
     assert all((p * q) in els for p in sample for q in sample)
 
 
+# the smallest graphs with a trivial automorphism group have six vertices
+ASYMMETRIC = SimpleGraph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 5)])
+
+
 def test_closure_empty_and_overflow():
-    elements, whole = AutGroup(5, []).closure()
-    assert whole and list(elements) == [Permutation.identity(5)]
-    elements, whole = AutGroup(4, _s_n_generators(4)).closure(10)
+    aut = automorphisms(ASYMMETRIC)
+    assert aut.generators == () and aut.base == ()
+    elements, whole = aut.closure()
+    assert whole and list(elements) == [Permutation.identity(6)]
+    elements, whole = automorphisms(complete(4)).closure(10)
     assert not whole
     assert len(list(elements)) == 10
     with pytest.raises(ValueError):
-        AutGroup(4, _s_n_generators(4)).closure(0)
+        automorphisms(complete(4)).closure(0)
 
 
 def test_closure_k33_automorphism_order():
-    # part permutations plus the part swap generate a group of order 2*(3!)^2
-    gens = [
-        Permutation.from_cycles(6, [(0, 1)]),
-        Permutation.from_cycles(6, [(0, 1, 2)]),
-        Permutation.from_cycles(6, [(3, 4)]),
-        Permutation.from_cycles(6, [(3, 4, 5)]),
-        Permutation.from_cycles(6, [(0, 3), (1, 4), (2, 5)]),
-    ]
-    elements, whole = AutGroup(6, gens).closure()
+    # part permutations plus the part swap: a group of order 2*(3!)^2
+    elements, whole = automorphisms(complete_bipartite(3, 3)).closure()
     assert whole and len(set(elements)) == 72
 
 
-def test_closure_domain_mismatch():
-    with pytest.raises(ValueError):
-        StabilizerChain([Permutation.identity(3), Permutation.identity(4)])
-    with pytest.raises(ValueError):
-        AutGroup(4, [Permutation.identity(3)]).closure()
+def test_closure_domain_mismatch(monkeypatch):
+    """A kernel generator on another vertex set is rejected before any
+    chain is built from it."""
+    monkeypatch.setattr(search, "automorphism_generators", lambda masks: [((1, 0, 2), 0)])
+    with pytest.raises(KernelResultError):
+        automorphisms(complete(4))
 
 
 @pytest.mark.parametrize("cap", [1, 2, 7, 60, 119, 120, 121])
 def test_capped_closure_returns_cap_group_elements(cap):
-    aut = AutGroup(5, _s_n_generators(5))
+    aut = automorphisms(complete(5))
     full = set(aut.chain.elements())
     assert len(full) == 120
     elements, whole = aut.closure(cap)
@@ -192,14 +190,9 @@ def test_capped_closure_returns_cap_group_elements(cap):
 
 
 def test_stabilizer_chain_k33():
-    gens = [
-        Permutation.from_cycles(6, [(0, 1)]),
-        Permutation.from_cycles(6, [(0, 1, 2)]),
-        Permutation.from_cycles(6, [(3, 4)]),
-        Permutation.from_cycles(6, [(3, 4, 5)]),
-        Permutation.from_cycles(6, [(0, 3), (1, 4), (2, 5)]),
-    ]
-    chain = StabilizerChain(gens)
+    aut = automorphisms(complete_bipartite(3, 3))
+    chain = aut.chain
+    assert chain.base == aut.base
     assert chain.order == prod(chain.orbit_lengths) == 72
     assert chain.base[0] == 0 and chain.orbit_lengths[0] == 6
     elements = list(chain.elements())
@@ -207,35 +200,87 @@ def test_stabilizer_chain_k33():
     assert len(set(elements)) == 72
 
 
-def _generators(degree_max):
-    """Up to four random permutations of one degree in 1..degree_max."""
-    return st.integers(1, degree_max).flatmap(lambda n: st.tuples(
-        st.just(n), st.lists(st.permutations(range(n)), max_size=4)))
-
-
-def _sympy_group(n, images):
+def _sympy_group(n, generators):
     combinatorics = pytest.importorskip("sympy.combinatorics")
-    perms = [combinatorics.Permutation(list(g), size=n) for g in images]
+    perms = [combinatorics.Permutation(list(g.images), size=n) for g in generators]
     return combinatorics.PermutationGroup(perms or [combinatorics.Permutation(list(range(n)))])
 
 
+def _networkx_automorphism_count(X):
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(range(X.vertex_count))
+    G.add_edges_from(X.edges)
+    return sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(G, G).isomorphisms_iter())
+
+
+def _circulant(n, steps):
+    return SimpleGraph(n, {tuple(sorted((v, (v + s) % n))) for v in range(n) for s in steps})
+
+
+def _paley(p):
+    squares = {x * x % p for x in range(1, p)}
+    return _circulant(p, squares)
+
+
+def _cayley_z4_squared(steps):
+    """Cayley graph of Z_4 x Z_4 with the connection set ``steps`` (closed
+    under negation)."""
+    def vertex(a, b):
+        return 4 * (a % 4) + b % 4
+    return SimpleGraph(16, {tuple(sorted((vertex(a, b), vertex(a + x, b + y))))
+                            for a in range(4) for b in range(4) for x, y in steps})
+
+
+# strongly regular graphs with their automorphism group orders
+SRG_CORPUS = (
+    ("Petersen", kneser(5, 2), 120),
+    ("Paley 13", _paley(13), 78),
+    ("Paley 17", _paley(17), 136),
+    ("Shrikhande", _cayley_z4_squared([(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)]), 192),
+    ("4x4 rook's graph", _cayley_z4_squared([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)]),
+     1152),
+    ("T(6) = F_2(K_6)", token_graph(complete(6), 2), 720),
+)
+
+
+@pytest.mark.parametrize("name, X, order", SRG_CORPUS, ids=[c[0] for c in SRG_CORPUS])
+def test_chain_order_on_strongly_regular_graphs(name, X, order):
+    """The closed-form order, sympy's order on the kernel's generators, and
+    for the relabelled double, the order of the wreath product."""
+    assert srg_parameters(X) is not None
+    aut = automorphisms(X)
+    assert aut.order() == (order, True)
+    assert _sympy_group(X.vertex_count, aut.generators).order() == order
+    images = list(range(X.vertex_count))
+    random.Random(name).shuffle(images)
+    double = disjoint_union(X, relabel(X, images))
+    aut = automorphisms(double)
+    assert aut.order() == (2 * order * order, True)
+    assert _sympy_group(double.vertex_count, aut.generators).order() == 2 * order * order
+
+
 @settings(max_examples=150, deadline=None)
-@given(_generators(9))
-def test_chain_order_matches_sympy(case):
-    n, images = case
-    chain = StabilizerChain([Permutation(tuple(g)) for g in images], degree=n)
-    assert chain.order == _sympy_group(n, images).order()
+@given(graphs_or_doubles(max_vertices=10))
+def test_chain_order_matches_sympy(X):
+    """The chain's order is sympy's order of the group the kernel's
+    generators generate, and on at most 8 vertices the number of
+    self-isomorphisms networkx counts."""
+    aut = automorphisms(X)
+    order = aut.chain.order
+    assert order == _sympy_group(X.vertex_count, aut.generators).order()
+    if X.vertex_count <= 8:
+        assert order == _networkx_automorphism_count(X)
 
 
-# degree <= 7 keeps sympy's full enumeration of S_n at 5040 elements
+# at most 7 vertices keeps sympy's enumeration of S_n at 5040 elements
 @settings(max_examples=60, deadline=None)
-@given(_generators(7))
-def test_closure_elements_match_sympy(case):
-    n, images = case
-    chain = StabilizerChain([Permutation(tuple(g)) for g in images], degree=n)
-    expected = {tuple(p.array_form) for p in _sympy_group(n, images).generate()}
-    walked = [p.images for p in chain.elements()]
-    assert len(walked) == chain.order
+@given(graphs_or_doubles(max_vertices=7).filter(lambda X: X.vertex_count <= 7))
+def test_closure_elements_match_sympy(X):
+    aut = automorphisms(X)
+    expected = {tuple(p.array_form) for p in _sympy_group(X.vertex_count, aut.generators).generate()}
+    walked = [p.images for p in aut.chain.elements()]
+    assert len(walked) == aut.chain.order
     assert set(walked) == expected
 
 

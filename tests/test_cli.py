@@ -92,9 +92,13 @@ def _never(*args, **kwargs):
      "subdivision_complete20: 210 vertices exceed the cap 200"),
     (("--inclusion", "12", "2", "3"), "inclusion_bigraph",
      "inclusion_12_2_3: 286 vertices exceed the cap 200"),
+    (("--family", "complete:2000"), "make_family",
+     "complete2000: 2000 vertices exceed the cap 200"),
 ])
 def test_build_over_cap_fails_before_building(tmp_path, monkeypatch, capsys,
                                               flags, builder, message):
+    # the family graph under a token, line or subdivision graph is not built either
+    monkeypatch.setattr(cli, "make_family", _never)
     monkeypatch.setattr(cli, builder, _never)
     assert run("build", *flags, "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -109,7 +113,8 @@ def test_build_theorem1_cover_over_cap_fails_before_lifting(tmp_path, monkeypatc
 
 
 def test_zz_over_cap_fails_before_building(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(symmetry, "token_graph", _never)
+    for name in ("make_family", "is_connected", "token_graph"):
+        monkeypatch.setattr(symmetry, name, _never)
     assert run("zz", "--family", "complete:40", "--k", "3", "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == "error: token graph too large (9880 > 200)\n"
     assert not list(tmp_path.iterdir())
@@ -173,9 +178,23 @@ def test_conjecture_budget_exit_code(tmp_path):
 def test_invalid_kernel_generator_exits_1(tmp_path, monkeypatch, capsys):
     # swapping the end vertex and its neighbour is not an automorphism of P_4
     monkeypatch.setattr(search, "automorphism_generators",
-                        lambda masks: [(1, 0) + tuple(range(2, len(masks)))])
+                        lambda masks: [((1, 0) + tuple(range(2, len(masks))), 0)])
     assert run("zz", "--family", "path:4", "--k", "1", "--out", str(tmp_path)) == 1
     assert capsys.readouterr().err == "error: search kernel returned an invalid generator\n"
+    assert not list(tmp_path.iterdir())
+
+
+# Aut(K_{1,3}) with centre 0: leaf swaps, each valid as an automorphism
+@pytest.mark.parametrize("found", [
+    [((0, 2, 1, 3), 3)],  # its base point is a point it fixes
+    [((0, 2, 1, 3), 1), ((0, 1, 3, 2), 2)],  # base (2, 1): (1 2) moves 2
+    [((0, 2, 1, 3), 4)],  # its base point is no vertex
+], ids=["fixed", "shallower-moved", "out-of-range"])
+def test_wrong_kernel_base_point_exits_1(tmp_path, monkeypatch, capsys, found):
+    monkeypatch.setattr(search, "automorphism_generators", lambda masks: found)
+    assert run("zz", "--family", "star:3", "--k", "1", "--out", str(tmp_path)) == 1
+    assert (capsys.readouterr().err
+            == "error: search kernel returned a generator off its base point\n")
     assert not list(tmp_path.iterdir())
 
 

@@ -13,6 +13,7 @@ from token_covers.graphs import (
     connected_components,
     cycle,
     export,
+    family_size,
     from_json,
     is_biregular,
     make_family,
@@ -68,6 +69,24 @@ def test_family_dispatch_and_errors():
         make_family("complete", 3, 3)
     with pytest.raises(ValueError):
         cycle(2)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("complete", (n,)) for n in range(1, 9)] + [
+    ("star", (n,)) for n in range(1, 9)] + [
+    ("path", (n,)) for n in range(1, 9)] + [
+    ("cycle", (n,)) for n in range(3, 9)] + [
+    ("complete_bipartite", (m, n)) for m in range(1, 5) for n in range(1, 5)])
+def test_family_size_matches_the_built_graph(name, params):
+    G = make_family(name, *params)
+    assert family_size(name, *params) == (G.vertex_count, G.edge_count)
+
+
+def test_family_size_errors():
+    with pytest.raises(ValueError):
+        family_size("torus", 3)
+    with pytest.raises(ValueError):
+        family_size("complete", 3, 3)
     with pytest.raises(ValueError):
         star(0)
 

@@ -14,15 +14,14 @@ from token_covers.graphs import SimpleGraph, complete, star
 from token_covers.tokens import token_graph
 
 from helpers import (
-    disjoint_union,
     full_scan_refine,
     graph_pairs,
+    graphs_or_doubles,
     kernel_corpus,
     kernel_witness_pairs,
     reference_automorphism_generators,
     reference_isomorphism_witness,
     relabel,
-    simple_graphs,
 )
 
 
@@ -93,8 +92,8 @@ def _relabelled_order_graphs():
 
 
 def test_search_matches_lockstep_reference():
-    """Generator lists (order included) and witnesses are the lockstep
-    search's, on the kernel corpus, the witness pairs and the relabelled
+    """Generator lists (order and base points included) and witnesses are
+    the lockstep search's, on the kernel corpus, the witness pairs and the relabelled
     order graphs."""
     assert token_covers.SEARCH_BACKEND == "python"
     graphs = [g.adjacency_masks for g in kernel_corpus()]
@@ -108,22 +107,11 @@ def test_search_matches_lockstep_reference():
         assert search.isomorphism_witness(a, b) == reference_isomorphism_witness(a, b)
 
 
-@st.composite
-def _drawn_graphs(draw):
-    """A drawn graph, or the disjoint union of one with a relabelling of
-    itself, whose automorphisms (each copy's and the swap of the two) are
-    found at many levels, so the orbit pruning acts deep in the search."""
-    X = draw(simple_graphs(max_vertices=10))
-    if draw(st.booleans()):
-        return X
-    return disjoint_union(X, relabel(X, draw(st.permutations(range(X.vertex_count)))))
-
-
 @settings(max_examples=200, deadline=None)
-@given(_drawn_graphs(), st.data())
+@given(graphs_or_doubles(), st.data())
 def test_search_matches_lockstep_reference_on_drawn_graphs(X, data):
-    """Generator lists (order included) and witnesses are the lockstep
-    search's on drawn graphs, each paired with a relabelling of itself."""
+    """Generator lists (order and base points included) and witnesses are
+    the lockstep search's on drawn graphs, each paired with a relabelling of itself."""
     adj = X.adjacency_masks
     assert search.automorphism_generators(adj) == reference_automorphism_generators(adj)
     other = relabel(X, data.draw(st.permutations(range(X.vertex_count)))).adjacency_masks
