@@ -6,26 +6,15 @@ graphs of even complete graphs, checks edge-transitivity classification
 instances, and searches for cyclic quotient bases of star token graphs.
 """
 
-from .algebra import (
-    Coset,
-    CyclicGroup,
-    Permutation,
-    StabilizerChain,
-    Subgroup,
-)
+from .algebra import CyclicGroup, Permutation, Subgroup
 from .graphs import (
     Multigraph,
     SimpleGraph,
-    as_simple,
     complete,
     complete_bipartite,
-    connected_components,
     cycle,
-    export,
-    family_size,
     from_json,
     is_biregular,
-    is_connected,
     make_family,
     path,
     srg_parameters,
@@ -34,13 +23,9 @@ from .graphs import (
     to_json,
     underlying_simple,
 )
-from .report import Evidence, VerificationReport
 from .symmetry import (
-    ActionSearch,
-    AutGroup,
     automorphisms,
     edge_orbits,
-    free_cyclic_actions,
     is_automorphism,
     is_edge_transitive,
     is_isomorphic,
@@ -52,15 +37,12 @@ from .tokens import (
     induced_token_permutation,
     inclusion_bigraph,
     johnson,
-    ksubsets,
     line_graph,
     subdivision,
     token_graph,
 )
 from .voltage import (
     CombinedVoltageGraph,
-    Cover,
-    CoverVertex,
     conjecture_search,
     cover_token,
     lift,

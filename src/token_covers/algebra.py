@@ -4,17 +4,17 @@ generating set the search kernel's first path already found.
 
 Only cyclic voltage groups are implemented: every construction in this package
 voltages over Z_m, and for abelian groups the left/right coset distinction
-vanishes.  The coset type keeps a small arithmetic surface (translate,
-intersect) that decides coset incidence without materializing member sets;
-it is the reference rule the covering lift's congruence is tested against.
+vanishes.  A coset is its canonical representative; the covering lift
+decides coset incidence by a congruence on representatives, never by
+member sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -27,29 +27,8 @@ class CyclicGroup:
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
 
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def elements(self) -> range:
-        return range(self.modulus)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def negate(self, a: int) -> int:
-        return (-a) % self.modulus
-
-    def subgroup(self, generator: int) -> "Subgroup":
-        return Subgroup(self, generator)
-
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, self.modulus)
-
-    def subgroups(self):
-        """All subgroups, one per divisor of the modulus."""
-        m = self.modulus
-        return [Subgroup(self, d) for d in range(1, m + 1) if m % d == 0]
 
 
 @dataclass(frozen=True)
@@ -76,10 +55,6 @@ class Subgroup:
     def size(self) -> int:
         return self.group.modulus // self.generator
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.generator == self.group.modulus
-
     def members(self) -> range:
         return range(0, self.group.modulus, self.generator)
 
@@ -100,18 +75,6 @@ class Coset:
 
     def members(self) -> range:
         return range(self.rep, self.subgroup.group.modulus, self.subgroup.generator)
-
-    def translate(self, v: int) -> "Coset":
-        """The set-wise translate K + v, representative recanonicalized."""
-        return Coset(self.subgroup, self.rep + v)
-
-    def intersects(self, other: "Coset") -> bool:
-        """Whether the two cosets (of possibly different subgroups of the
-        same group) share an element: solvable congruence test, no sets."""
-        if self.subgroup.group != other.subgroup.group:
-            raise ValueError("cosets live in different groups")
-        d = gcd(self.subgroup.generator, other.subgroup.generator)
-        return (self.rep - other.rep) % d == 0
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +105,6 @@ class Permutation:
         object.__setattr__(p, "images", images)
         return p
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        images = list(range(n))
-        for cyc in cycles:
-            for i, x in enumerate(cyc):
-                images[x] = cyc[(i + 1) % len(cyc)]
-        return cls(tuple(images))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -172,10 +123,6 @@ class Permutation:
         for i, x in enumerate(self.images):
             inv[x] = i
         return Permutation(tuple(inv))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
 
     def orbits(self):
         """All cycles including fixed points, each starting at its minimum

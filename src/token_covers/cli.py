@@ -4,7 +4,9 @@ Exit codes: 0 success/completed, 1 verification failure, 2 usage or
 precondition error, 3 search budget exhausted, 130 interrupted (Ctrl-C;
 the interrupted command writes no further report).  Identical invocations
 write byte-identical files (reports carry no timestamps and all orderings
-are canonical).
+are canonical).  A command that exits 2 writes nothing: caps are checked
+before anything is built, and a range builds every report before it
+writes the first.
 """
 
 from __future__ import annotations
@@ -154,13 +156,7 @@ def cmd_build(args) -> int:
         vertices, _ = family_size(name, *params)
         add(f"{name}{'_'.join(map(str, params))}", vertices, lambda: make_family(name, *params))
     if args.theorem1_base is not None:
-        cvg = voltage.theorem1_base(args.theorem1_base)
-        stem = f"theorem1_base_{args.theorem1_base}"
-        if args.format in ("dot", "both"):
-            write_file(out_dir, f"{stem}.dot", cvg.to_dot())
-        if args.format in ("json", "both"):
-            write_file(out_dir, f"{stem}.json", cvg.to_json())
-        print(f"{stem}: {cvg.base.vertex_count} vertices, {cvg.base.edge_count} edges")
+        base_cvg = voltage.theorem1_base(args.theorem1_base)  # written once every cap holds
     if args.theorem1_cover is not None:
         cvg = voltage.theorem1_base(args.theorem1_cover)
         add(f"theorem1_cover_{args.theorem1_cover}", cvg.cover_vertex_count(),
@@ -168,6 +164,13 @@ def cmd_build(args) -> int:
     if not jobs and args.theorem1_base is None:
         raise ValueError("nothing to build; pass --token/--johnson/--line/"
                          "--subdivision/--inclusion/--family/--theorem1-base/--theorem1-cover")
+    if args.theorem1_base is not None:
+        stem = f"theorem1_base_{args.theorem1_base}"
+        if args.format in ("dot", "both"):
+            write_file(out_dir, f"{stem}.dot", base_cvg.to_dot())
+        if args.format in ("json", "both"):
+            write_file(out_dir, f"{stem}.json", base_cvg.to_json())
+        print(f"{stem}: {base_cvg.base.vertex_count} vertices, {base_cvg.base.edge_count} edges")
     for stem, graph in jobs:
         write_graph(out_dir, stem, graph, args.format)
         print(f"{stem}: {graph.vertex_count} vertices, {graph.edge_count} edges")
@@ -182,30 +185,30 @@ def cmd_verify_theorem1(args) -> int:
     evens = [n for n in values if n % 2 == 0 and n >= 4]
     if not evens:
         raise ValueError(f"no even n >= 4 in {args.n!r}")
-    all_passed = True
-    for n in evens:
-        report = voltage.verify_theorem1(n, max_vertices=max_vertices)
+    # every report is built before the first is written, so a value the
+    # range cannot run (over the cap, say) exits with nothing written
+    reports = [voltage.verify_theorem1(n, max_vertices=max_vertices) for n in evens]
+    for n, report in zip(evens, reports):
         write_file(out_dir, f"theorem1_n{n}.json", report.to_json())
         print(f"n={n}: {report.status.upper()} "
               f"({report.find('cover_vertices')} vertices, "
               f"{report.find('cover_simple_edges')} simple edges)")
-        all_passed &= report.passed
-    return EXIT_OK if all_passed else EXIT_VERIFICATION_FAILED
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION_FAILED
 
 
 def cmd_zz(args) -> int:
     out_dir, max_vertices, _ = resolve_settings(args)
     name, params = parse_family(args.family)
     stem_family = f"{name}{'_'.join(map(str, params))}"
-    all_passed = True
-    for k in parse_range(args.k):
-        report = zz_check(name, params, k, max_vertices=max_vertices)
+    ks = parse_range(args.k)
+    # as in verify-theorem1: build the whole range, then write it
+    reports = [zz_check(name, params, k, max_vertices=max_vertices) for k in ks]
+    for k, report in zip(ks, reports):
         write_file(out_dir, f"zz_{stem_family}_k{k}.json", report.to_json())
         print(f"{stem_family} k={k}: {report.status.upper()} "
               f"(predicted={report.find('predicted_edge_transitive')}, "
               f"computed={report.find('computed_edge_transitive')})")
-        all_passed &= report.passed
-    return EXIT_OK if all_passed else EXIT_VERIFICATION_FAILED
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION_FAILED
 
 
 def cmd_conjecture(args) -> int:

@@ -1,10 +1,9 @@
-"""Dart-based multigraphs, simple graphs, standard families, serialization.
+"""Multigraphs, simple graphs, standard families, serialization.
 
 Two carrier types live here.  ``Multigraph`` permits loops and parallel
-edges and carries voltage base graphs and covering lifts; each undirected
-edge is realized as a pair of mutually reversed darts (``2*e`` and
-``2*e + 1`` for edge ``e``).  ``SimpleGraph`` is the loop-free carrier used
-for token graphs and everything downstream of them.
+edges and carries voltage base graphs and covering lifts; each edge is
+stored once, as ``(min, max)``.  ``SimpleGraph`` is the loop-free carrier
+used for token graphs and everything downstream of them.
 
 Both types are immutable after construction; every function in this module
 is pure.
@@ -22,7 +21,7 @@ class Multigraph:
 
     Edges are stored in insertion order; the position of an edge is its
     edge id.  Each non-loop edge is normalized to ``(min, max)`` so that
-    exports and dart orientations are deterministic.
+    exports and voltage orientations are deterministic.
     """
 
     __slots__ = ("_n", "_edges", "_labels")
@@ -60,26 +59,6 @@ class Multigraph:
     def labels(self):
         return self._labels
 
-    @property
-    def dart_count(self) -> int:
-        return 2 * len(self._edges)
-
-    def dart_endpoints(self, dart: int) -> tuple:
-        """(tail, head) of a dart; dart ``2e`` runs along the stored edge."""
-        u, v = self._edges[dart >> 1]
-        return (u, v) if dart & 1 == 0 else (v, u)
-
-    def reverse_dart(self, dart: int) -> int:
-        return dart ^ 1
-
-    def darts(self):
-        """All darts as (tail, head, edge_id) triples."""
-        out = []
-        for e, (u, v) in enumerate(self._edges):
-            out.append((u, v, e))
-            out.append((v, u, e))
-        return out
-
     def degree(self, v: int) -> int:
         """Vertex degree with loops counting twice."""
         return sum((u == v) + (w == v) for u, w in self._edges)
@@ -90,9 +69,6 @@ class Multigraph:
             degs[u] += 1
             degs[v] += 1
         return degs
-
-    def loop_count(self) -> int:
-        return sum(1 for u, v in self._edges if u == v)
 
     def __eq__(self, other):
         return (isinstance(other, Multigraph)
@@ -196,9 +172,6 @@ class SimpleGraph:
     def degrees(self):
         return [m.bit_count() for m in self._adj]
 
-    def relabeled(self, labels: Sequence[str]) -> "SimpleGraph":
-        return SimpleGraph(self._n, self._edges, labels=labels)
-
     def __eq__(self, other):
         return (isinstance(other, SimpleGraph)
                 and self._n == other._n and self._edges == other._edges)
@@ -293,11 +266,6 @@ def underlying_simple(G: Multigraph) -> SimpleGraph:
     # Multigraph edges are in range and stored as (min, max)
     return SimpleGraph._trusted(G.vertex_count, {e for e in G.edges if e[0] != e[1]},
                                 G.labels)
-
-
-def as_simple(G: Multigraph) -> SimpleGraph:
-    """Strict conversion; raises if G has loops or parallel edges."""
-    return SimpleGraph(G.vertex_count, G.edges, labels=G.labels)
 
 
 def components(count: int, neighbours):
@@ -508,12 +476,3 @@ def from_json(text: str) -> Multigraph:
         return Multigraph(n, edges, labels=labels)
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
-
-
-def export(G, fmt: str) -> bytes:
-    """Serialize a graph to DOT or JSON bytes."""
-    if fmt == "dot":
-        return to_dot(G).encode()
-    if fmt == "json":
-        return to_json(G).encode()
-    raise ValueError(f"unknown format {fmt!r}; expected 'dot' or 'json'")

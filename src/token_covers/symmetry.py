@@ -1,5 +1,5 @@
 """Automorphism groups, orbits, transitivity predicates, isomorphism
-testing, free-action search, and the edge-transitive token-graph
+testing, the free-action test, and the edge-transitive token-graph
 classification checker.
 
 The heavy lifting (equitable refinement + backtracking) lives in the
@@ -9,7 +9,6 @@ adjacency checks, independent of the search path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import comb
 from typing import Iterator
@@ -154,37 +153,9 @@ def is_isomorphic(X: SimpleGraph, Y: SimpleGraph, *,
     return p
 
 
-@dataclass(frozen=True)
-class ActionSearch:
-    """Order-m free actions found, plus whether the enumeration was
-    exhaustive (False only when the group is larger than the budget)."""
-
-    actions: tuple
-    complete: bool
-
-
 def acts_freely(p: Permutation, m: int) -> bool:
     """Every cycle of p has length exactly m (so <p> acts freely)."""
     return all(len(c) == m for c in p.orbits())
-
-
-def free_cyclic_actions(X: SimpleGraph, m: int, *, budget: int = DEFAULT_GROUP_CAP,
-                        aut: AutGroup = None) -> ActionSearch:
-    """Automorphisms of order exactly m all of whose cycles have length m.
-
-    Walks the full automorphism group when its order fits the budget;
-    otherwise filters the first ``budget`` elements and reports
-    incompleteness.
-    """
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    if X.vertex_count % m != 0:
-        return ActionSearch((), True)
-    if aut is None:
-        aut = automorphisms(X)
-    elements, complete = aut.closure(budget)
-    found = sorted((p for p in elements if acts_freely(p, m)), key=lambda p: p.images)
-    return ActionSearch(tuple(found), complete)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@ construction whose cover is the 2-token graph of an even complete graph,
 and cyclic quotient constructions.
 
 A combined voltage graph is a multigraph with a group element per edge and
-a subgroup per vertex.  Voltages are stored on the stored (min, max) dart
-orientation; the reversed dart implicitly carries the negated voltage, so
-the cover's edge relation is orientation-independent.  The fiber over a
-vertex x is the coset space of its subgroup, and a base edge x-y with
-voltage w lifts to one edge per coset pair (K, H) with (K + w) meeting H.
+a subgroup per vertex.  A voltage w is read along its edge's stored (min,
+max) orientation; read the other way it is -w, and the cover's edge
+relation is the same either way.  The fiber over a vertex x is the coset
+space of its subgroup, and a base edge x-y with voltage w lifts to one
+edge per coset pair (K, H) with (K + w) meeting H.
 Over Z_m the cosets of the index-d subgroup are r + dZ_m (0 <= r < d), and
 r + w + d_x Z_m meets s + d_y Z_m exactly when r + w = s mod
 gcd(d_x, d_y), so ``lift`` lists the matching s for each r instead of
@@ -67,11 +67,6 @@ class CombinedVoltageGraph:
         if any(s.group != self.group for s in self.vertex_groups):
             raise ValueError("vertex subgroups must belong to the voltage group")
 
-    def dart_voltage(self, dart: int) -> int:
-        """Voltage along a dart; reversed darts carry the negated voltage."""
-        w = self.voltages[dart >> 1]
-        return w if dart & 1 == 0 else self.group.negate(w)
-
     def cover_vertex_count(self) -> int:
         return sum(s.index for s in self.vertex_groups)
 
@@ -108,20 +103,11 @@ class CoverVertex(NamedTuple):
     coset: Coset
 
 
-class Cover:
-    """A lifted multigraph together with its cover-vertex labeling."""
+class Cover(NamedTuple):
+    """A lifted multigraph and its vertices in ``lift``'s order."""
 
-    def __init__(self, graph: Multigraph, vertices):
-        self.graph = graph
-        self.vertices = tuple(vertices)
-        self._index = {(cv.base_vertex, cv.coset.rep): i
-                       for i, cv in enumerate(self.vertices)}
-
-    def index(self, base_vertex: int, coset_rep: int) -> int:
-        return self._index[(base_vertex, coset_rep)]
-
-    def fiber(self, base_vertex: int):
-        return [i for i, cv in enumerate(self.vertices) if cv.base_vertex == base_vertex]
+    graph: Multigraph
+    vertices: tuple
 
 
 def lift(cvg: CombinedVoltageGraph) -> Cover:
@@ -164,7 +150,7 @@ def lift(cvg: CombinedVoltageGraph) -> Cover:
             g = gcd(du, dv)
             edges.extend((ou + r, ov + s) for r in range(du)
                          for s in range((r + w) % g, dv, g))
-    return Cover(Multigraph(len(verts), edges, labels=labels), verts)
+    return Cover(Multigraph(len(verts), edges, labels=labels), tuple(verts))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Shared test oracles, independent of the library's search machinery."""
+"""Shared test oracles, independent of the library's search machinery
+except where a docstring says otherwise."""
 
 import random
 from collections import deque
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
+from math import gcd
 
 from hypothesis import strategies as st
 
+from token_covers.algebra import Coset, Permutation, Subgroup
 from token_covers.graphs import (
     Multigraph,
     SimpleGraph,
@@ -15,7 +18,63 @@ from token_covers.graphs import (
     path,
     star,
 )
+from token_covers.symmetry import acts_freely, automorphisms
 from token_covers.tokens import johnson, line_graph, subdivision, token_graph
+
+
+def subgroups(G):
+    """All subgroups of the cyclic group G, one per divisor of its modulus."""
+    m = G.modulus
+    return [Subgroup(G, d) for d in range(1, m + 1) if m % d == 0]
+
+
+def translate(K: Coset, v: int) -> Coset:
+    """The set-wise translate K + v, representative recanonicalized."""
+    return Coset(K.subgroup, K.rep + v)
+
+
+def intersects(K: Coset, H: Coset) -> bool:
+    """Whether two cosets (of possibly different subgroups of the same
+    group) share an element, by the congruence rep_K = rep_H mod
+    gcd(d_K, d_H): the reference for ``lift``'s edge rule."""
+    if K.subgroup.group != H.subgroup.group:
+        raise ValueError("cosets live in different groups")
+    d = gcd(K.subgroup.generator, H.subgroup.generator)
+    return (K.rep - H.rep) % d == 0
+
+
+def identity(n: int) -> Permutation:
+    return Permutation(tuple(range(n)))
+
+
+def is_identity(p: Permutation) -> bool:
+    return all(i == x for i, x in enumerate(p.images))
+
+
+def from_cycles(n: int, cycles) -> Permutation:
+    """The permutation of 0..n-1 with the given cycles, fixing the rest."""
+    images = list(range(n))
+    for cyc in cycles:
+        for i, x in enumerate(cyc):
+            images[x] = cyc[(i + 1) % len(cyc)]
+    return Permutation(tuple(images))
+
+
+def fiber_offsets(cvg):
+    """offset[x]: the total fiber size of the base vertices before x, so
+    that ``lift`` puts cover vertex (x, r) at index offset[x] + r."""
+    return list(accumulate((H.index for H in cvg.vertex_groups), initial=0))
+
+
+def free_actions(X, m: int):
+    """Automorphisms of X all of whose cycles have length m (so of order
+    m, generating a free action), sorted by image tuple: a filter over
+    every element of ``automorphisms(X).chain``.  m < 2 is rejected, as
+    the only such permutation of order 1 is the identity."""
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    return sorted((p for p in automorphisms(X).chain.elements() if acts_freely(p, m)),
+                  key=lambda p: p.images)
 
 
 def brute_force_isomorphism(X, Y):

@@ -11,11 +11,29 @@ from token_covers.algebra import (
     Permutation,
     Subgroup,
 )
-from token_covers.graphs import SimpleGraph, complete, complete_bipartite, srg_parameters, star
+from token_covers.graphs import (
+    SimpleGraph,
+    complete,
+    complete_bipartite,
+    cycle,
+    srg_parameters,
+    star,
+)
 from token_covers.symmetry import KernelResultError, automorphisms
 from token_covers.tokens import johnson, token_graph
 
-from helpers import disjoint_union, graphs_or_doubles, kneser, relabel
+from helpers import (
+    disjoint_union,
+    from_cycles,
+    graphs_or_doubles,
+    identity,
+    intersects,
+    is_identity,
+    kneser,
+    relabel,
+    subgroups,
+    translate,
+)
 
 
 def test_cosets_of_3z6():
@@ -45,16 +63,16 @@ def test_subgroup_validation():
 
 def test_coset_translate_examples():
     H = Subgroup(CyclicGroup(6), 3)
-    assert set(Coset(H, 0).translate(1).members()) == {1, 4}
-    assert set(Coset(H, 1).translate(3).members()) == {1, 4}  # absorbed
-    assert set(Coset(H, 2).translate(5).members()) == {1, 4}
-    assert Coset(H, 0).translate(1) == Coset(H, 1)
+    assert set(translate(Coset(H, 0), 1).members()) == {1, 4}
+    assert set(translate(Coset(H, 1), 3).members()) == {1, 4}  # absorbed
+    assert set(translate(Coset(H, 2), 5).members()) == {1, 4}
+    assert translate(Coset(H, 0), 1) == Coset(H, 1)
 
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_coset_partition(m):
     G = CyclicGroup(m)
-    for H in G.subgroups():
+    for H in subgroups(G):
         ks = H.cosets()
         assert len(ks) == H.index
         union = set()
@@ -70,52 +88,52 @@ def test_coset_partition(m):
 @pytest.mark.parametrize("m", range(1, 9))
 def test_translate_compatibility(m):
     G = CyclicGroup(m)
-    for H in G.subgroups():
+    for H in subgroups(G):
         for K in H.cosets():
             for a in range(m):
                 for b in range(m):
-                    assert K.translate(a).translate(b) == K.translate((a + b) % m)
+                    assert translate(translate(K, a), b) == translate(K, (a + b) % m)
 
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_coset_intersection_symmetry(m):
     # (K + v) meets H iff (H - v) meets K, for all subgroup pairs
     G = CyclicGroup(m)
-    subs = G.subgroups()
+    subs = subgroups(G)
     for H1 in subs:
         for H2 in subs:
             for K in H1.cosets():
                 for H in H2.cosets():
                     for v in range(m):
-                        assert K.translate(v).intersects(H) == H.translate(-v).intersects(K)
+                        assert intersects(translate(K, v), H) == intersects(translate(H, -v), K)
 
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_intersects_matches_set_oracle(m):
     G = CyclicGroup(m)
-    subs = G.subgroups()
+    subs = subgroups(G)
     for H1 in subs:
         for H2 in subs:
             for K in H1.cosets():
                 for H in H2.cosets():
                     truth = bool(set(K.members()) & set(H.members()))
-                    assert K.intersects(H) == truth
+                    assert intersects(K, H) == truth
 
 
 def test_intersects_rejects_mixed_groups():
     K = Coset(Subgroup(CyclicGroup(6), 3), 0)
     H = Coset(Subgroup(CyclicGroup(4), 2), 0)
     with pytest.raises(ValueError):
-        K.intersects(H)
+        intersects(K, H)
 
 
 def test_permutation_basics():
-    p = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
+    p = from_cycles(5, [(0, 1, 2, 3, 4)])
     assert p.order() == 5
-    assert Permutation.identity(5).order() == 1
-    q = Permutation.from_cycles(5, [(0, 1), (2, 3, 4)])
+    assert identity(5).order() == 1
+    q = from_cycles(5, [(0, 1), (2, 3, 4)])
     assert q.order() == 6
-    assert (p * p.inverse()).is_identity
+    assert is_identity(p * p.inverse())
     assert p.inverse()(p(3)) == 3
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
@@ -125,13 +143,13 @@ def test_permutation_basics():
 
 def test_permutation_composition_convention():
     # (p * q)(x) = p(q(x))
-    p = Permutation.from_cycles(3, [(0, 1)])
-    q = Permutation.from_cycles(3, [(1, 2)])
+    p = from_cycles(3, [(0, 1)])
+    q = from_cycles(3, [(1, 2)])
     assert (p * q).images == tuple(p(q(x)) for x in range(3))
 
 
 def test_permutation_orbits_order():
-    g = Permutation.from_cycles(6, [(0, 2, 4), (1, 5)])
+    g = from_cycles(6, [(0, 2, 4), (1, 5)])
     assert g.orbits() == [(0, 2, 4), (1, 5), (3,)]
     assert g.cycles() == [(0, 2, 4), (1, 5)]
     assert g.fixed_points() == [3]
@@ -155,10 +173,14 @@ def test_closure_empty_and_overflow():
     aut = automorphisms(ASYMMETRIC)
     assert aut.generators == () and aut.base == ()
     elements, whole = aut.closure()
-    assert whole and list(elements) == [Permutation.identity(6)]
+    assert whole and list(elements) == [identity(6)]
     elements, whole = automorphisms(complete(4)).closure(10)
     assert not whole
     assert len(list(elements)) == 10
+    # a budget below |Aut(C_6)| = 12 stops the walk and says so
+    elements, whole = automorphisms(cycle(6)).closure(3)
+    assert not whole
+    assert len(list(elements)) == 3
     with pytest.raises(ValueError):
         automorphisms(complete(4)).closure(0)
 
@@ -196,7 +218,7 @@ def test_stabilizer_chain_k33():
     assert chain.order == prod(chain.orbit_lengths) == 72
     assert chain.base[0] == 0 and chain.orbit_lengths[0] == 6
     elements = list(chain.elements())
-    assert elements[0] == Permutation.identity(6)
+    assert elements[0] == identity(6)
     assert len(set(elements)) == 72
 
 

@@ -127,6 +127,30 @@ def test_conjecture_over_cap_fails_before_building(tmp_path, monkeypatch, capsys
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("zz", "--family", "complete:40", "--k", "1..3"), "token graph too large (780 > 200)"),
+    (("zz", "--family", "complete:5", "--k", "3..5"), "k=5 out of range 1..4"),
+    (("verify-theorem1", "--n", "18..22"), "graph too large for isomorphism search"),
+], ids=["zz-over-cap", "zz-k-out-of-range", "theorem1-over-cap"])
+def test_range_that_fails_part_way_writes_nothing(tmp_path, capsys, argv, message):
+    """Values before the failing one are built but neither written nor
+    printed."""
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_build_theorem1_base_is_not_written_when_a_later_job_is_over_cap(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("build", "--theorem1-base", "6", "--theorem1-cover", "22",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 def test_zz_complete(tmp_path):
     assert run("zz", "--family", "complete:5", "--k", "2..4", "--out", str(tmp_path)) == 0
     assert len(list(tmp_path.glob("zz_complete5_k*.json"))) == 3

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from token_covers.graphs import (
     Multigraph,
     SimpleGraph,
-    as_simple,
     complete,
     complete_bipartite,
     connected_components,
     cycle,
-    export,
     family_size,
     from_json,
     is_biregular,
@@ -100,17 +98,10 @@ def test_simple_graph_validation():
         SimpleGraph(2, [(0, 2)])
 
 
-def test_multigraph_darts():
+def test_multigraph_loop_counts_twice():
     g = Multigraph(2, [(0, 1), (1, 1)])
-    assert g.dart_count == 4
-    assert g.dart_endpoints(0) == (0, 1)
-    assert g.dart_endpoints(1) == (1, 0)
-    assert g.reverse_dart(2) == 3
-    assert g.reverse_dart(3) == 2
-    # loop darts share the edge and are mutually reversed
-    assert g.dart_endpoints(2) == g.dart_endpoints(3) == (1, 1)
-    assert g.degree(1) == 3  # loop counts twice
-    assert g.loop_count() == 1
+    assert g.degree(1) == 3
+    assert g.degrees() == [1, 3]
 
 
 @given(st.integers(1, 6), st.data())
@@ -153,7 +144,8 @@ def test_json_round_trip_multigraph(n, data):
 
 def test_json_round_trip_simple():
     g = token_graph(star(3), 2)
-    back = as_simple(from_json(to_json(g)))
+    parsed = from_json(to_json(g))
+    back = SimpleGraph(parsed.vertex_count, parsed.edges, labels=parsed.labels)
     assert back == g
     assert back.labels == g.labels
 
@@ -171,11 +163,7 @@ def test_json_cycle3():
     assert len(payload["edges"]) == 3
 
 
-def test_export_bytes_and_errors():
-    assert export(cycle(3), "dot").startswith(b"graph")
-    assert json.loads(export(cycle(3), "json"))["vertices"] == 3
-    with pytest.raises(ValueError):
-        export(cycle(3), "gml")
+def test_from_json_rejects_missing_edges_and_bad_ids():
     with pytest.raises(ValueError):
         from_json('{"vertices": 2}')
     with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from token_covers.algebra import Permutation
 from token_covers.graphs import SimpleGraph, complete, complete_bipartite, cycle, path, star
 from token_covers.symmetry import is_automorphism, is_isomorphic
 from token_covers.tokens import (
@@ -20,6 +19,7 @@ from token_covers.tokens import (
 
 from helpers import (
     complement,
+    from_cycles,
     kneser,
     random_simple_graph,
     simple_graphs,
@@ -187,12 +187,12 @@ def test_token_graph_matches_definition(X):
 
 
 def test_induced_token_permutation():
-    g = Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
+    g = from_cycles(6, [(0, 1, 2, 3, 4, 5)])
     F = token_graph(complete(6), 2)
     induced = induced_token_permutation(g, 2)
     assert induced.order() == 6
     assert is_automorphism(F, induced)
     # non-automorphisms of X induce non-automorphisms of F_k(X) in general
-    h = Permutation.from_cycles(4, [(0, 1)])
+    h = from_cycles(4, [(0, 1)])
     P = path(4)
     assert not is_automorphism(token_graph(P, 2), induced_token_permutation(h, 2))

@@ -31,7 +31,16 @@ from token_covers.voltage import (
     verify_theorem1,
 )
 
-from helpers import random_multigraph
+from helpers import (
+    fiber_offsets,
+    free_actions,
+    from_cycles,
+    identity,
+    intersects,
+    random_multigraph,
+    subgroups,
+    translate,
+)
 
 
 def single_loop_graph(m, voltage):
@@ -49,15 +58,6 @@ def test_cvg_validation():
     with pytest.raises(ValueError):
         CombinedVoltageGraph(Multigraph(1, [(0, 0)]), G, (1,),
                              (CyclicGroup(5).trivial_subgroup(),))
-
-
-def test_dart_voltage_antisymmetry():
-    cvg = theorem1_base(6)
-    m = cvg.group.modulus
-    for dart in range(cvg.base.dart_count):
-        w = cvg.dart_voltage(dart)
-        back = cvg.dart_voltage(cvg.base.reverse_dart(dart))
-        assert (w + back) % m == 0
 
 
 def test_lift_single_loop_is_cycle():
@@ -88,11 +88,29 @@ def test_lift_mixed_fiber_degrees():
     assert degrees[6:] == [2, 2, 2]
 
 
+def random_trivial_fiber_voltage_graphs():
+    """Twelve voltage graphs over Z_m (2 <= m <= 8) with up to four
+    vertices, each carrying the trivial subgroup, from a fixed seed."""
+    rng = random.Random(11)
+    for _ in range(12):
+        m = rng.randint(2, 8)
+        n = rng.randint(1, 4)
+        G = CyclicGroup(m)
+        base = random_multigraph(rng, n, rng.randint(1, 6))
+        yield CombinedVoltageGraph(
+            base, G, tuple(rng.randrange(m) for _ in range(base.edge_count)),
+            tuple(G.trivial_subgroup() for _ in range(n)))
+
+
 def test_lift_fiber_sizes():
-    for cvg in (theorem1_base(6), theorem1_base(8)):
-        cover = lift(cvg)
-        for x in range(cvg.base.vertex_count):
-            assert len(cover.fiber(x)) == cvg.vertex_groups[x].index
+    """Cover vertex (x, r) sits at index offset[x] + r, as ``lift``
+    documents, and the fiber over x has [Z_m : H_x] vertices."""
+    for cvg in (theorem1_base(6), theorem1_base(8), *random_trivial_fiber_voltage_graphs()):
+        cover, offset = lift(cvg), fiber_offsets(cvg)
+        for i, cv in enumerate(cover.vertices):
+            assert i == offset[cv.base_vertex] + cv.coset.rep
+        for x, H in enumerate(cvg.vertex_groups):
+            assert sum(cv.base_vertex == x for cv in cover.vertices) == H.index
 
 
 def test_lift_loop_with_involution_voltage():
@@ -108,7 +126,7 @@ def test_lift_loop_in_stabilizer_gives_cover_loops():
     cvg = CombinedVoltageGraph(Multigraph(1, [(0, 0)]), G, (3,), (Subgroup(G, 3),))
     cover = lift(cvg)
     assert cover.graph.vertex_count == 3
-    assert cover.graph.loop_count() == 3
+    assert sum(u == v for u, v in cover.graph.edges) == 3
 
 
 def test_lift_degree_conservation_trivial_fibers():
@@ -134,24 +152,26 @@ def test_lift_degree_conservation_trivial_fibers():
 
 
 def test_lift_edge_rule_orientation_independent():
-    # the coset rule gives the same pair set read from either endpoint
+    # the coset rule gives the same pair set read from either endpoint,
+    # with the voltage negated when the edge is read from v to u
     cvg = theorem1_base(6)
+    m = cvg.group.modulus
     for eid, (u, v) in enumerate(cvg.base.edges):
         if u == v:
             continue
         w = cvg.voltages[eid]
-        back = cvg.dart_voltage(2 * eid + 1)
+        back = (-w) % m
         forward_pairs = {
             (K.rep, H.rep)
             for K in cvg.vertex_groups[u].cosets()
             for H in cvg.vertex_groups[v].cosets()
-            if K.translate(w).intersects(H)
+            if intersects(translate(K, w), H)
         }
         backward_pairs = {
             (K.rep, H.rep)
             for H in cvg.vertex_groups[v].cosets()
             for K in cvg.vertex_groups[u].cosets()
-            if H.translate(back).intersects(K)
+            if intersects(translate(H, back), K)
         }
         assert forward_pairs == backward_pairs
 
@@ -172,7 +192,7 @@ def oracle_lift(cvg):
     for (u, v), w in zip(base.edges, cvg.voltages):
         seen = set()
         for K in cvg.vertex_groups[u].cosets():
-            shifted = set(K.translate(w).members())
+            shifted = set(translate(K, w).members())
             for H in cvg.vertex_groups[v].cosets():
                 if not shifted & set(H.members()):
                     continue
@@ -228,18 +248,18 @@ def test_theorem1_lift_matches_set_oracle(n):
 def test_theorem1_base_n4_structure():
     cvg = theorem1_base(4)
     assert cvg.base.vertex_count == 2
-    assert cvg.base.loop_count() == 1
+    assert cvg.base.edges.count((0, 0)) == 1
     pair_voltages = sorted(w for (u, v), w in zip(cvg.base.edges, cvg.voltages) if u != v)
     assert pair_voltages == [0, 1, 2, 3]
     assert set(cvg.vertex_groups[1].members()) == {0, 2}
-    assert cvg.vertex_groups[0].is_trivial
+    assert cvg.vertex_groups[0].size == 1
 
 
 def test_theorem1_base_n6_counts():
     cvg = theorem1_base(6)
     assert cvg.base.vertex_count == 3
     assert cvg.base.edge_count == 14
-    assert cvg.base.loop_count() == 2
+    assert sum(u == v for u, v in cvg.base.edges) == 2
     assert cvg.vertex_groups[2].index == 3  # fiber of the half-index vertex
 
 
@@ -269,10 +289,11 @@ def test_vertex_count_identity(n):
 
 
 def test_cover_token_examples():
-    cover = lift(theorem1_base(6))
-    assert cover_token(6, cover.vertices[cover.index(0, 0)]) == (1, 2)
-    assert cover_token(6, cover.vertices[cover.index(2, 0)]) == (1, 4)
-    assert cover_token(6, cover.vertices[cover.index(1, 5)]) == (2, 6)
+    cvg = theorem1_base(6)
+    cover, offset = lift(cvg), fiber_offsets(cvg)
+    assert cover_token(6, cover.vertices[offset[0] + 0]) == (1, 2)
+    assert cover_token(6, cover.vertices[offset[2] + 0]) == (1, 4)
+    assert cover_token(6, cover.vertices[offset[1] + 5]) == (2, 6)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
@@ -332,7 +353,7 @@ def test_verify_theorem1_rejects_odd():
 
 
 def test_quotient_free_rotation():
-    q = quotient_free(cycle(6), Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)]))
+    q = quotient_free(cycle(6), from_cycles(6, [(0, 1, 2, 3, 4, 5)]))
     assert q.base.vertex_count == 1
     assert q.base.edges == ((0, 0),)
     assert q.voltages == (1,)
@@ -340,61 +361,54 @@ def test_quotient_free_rotation():
 
 
 def test_quotient_free_rotation_squared():
-    g = Permutation.from_cycles(6, [(0, 2, 4), (1, 3, 5)])
+    g = from_cycles(6, [(0, 2, 4), (1, 3, 5)])
     q = quotient_free(cycle(6), g)
     assert q.group.modulus == 3
     assert q.base.vertex_count == 2
     assert q.lift_verified
-    assert all(s.is_trivial for s in q.vertex_groups)
+    assert all(s.size == 1 for s in q.vertex_groups)
 
 
 def test_quotient_free_rejections():
     with pytest.raises(ValueError):  # center is a fixed point
-        quotient_free(star(3), Permutation.from_cycles(4, [(1, 2)]))
+        quotient_free(star(3), from_cycles(4, [(1, 2)]))
     with pytest.raises(ValueError):  # not an automorphism
-        quotient_free(path(3), Permutation.from_cycles(3, [(0, 1)]))
+        quotient_free(path(3), from_cycles(3, [(0, 1)]))
 
 
 @pytest.mark.parametrize("n,m", [(4, 2), (4, 4), (6, 2), (6, 3), (6, 6), (8, 2), (8, 4), (8, 8)])
 def test_quotient_free_cycle_round_trip(n, m):
-    from token_covers.symmetry import free_cyclic_actions
-
-    for g in free_cyclic_actions(cycle(n), m).actions:
+    found = free_actions(cycle(n), m)
+    assert found
+    for g in found:
         q = quotient_free(cycle(n), g)
         assert q.lift_verified
         assert is_isomorphic(underlying_simple(lift(q).graph), cycle(n)) is not None
 
 
 def test_quotient_free_random_voltage_round_trip():
-    rng = random.Random(11)
-    for trial in range(12):
-        m = rng.randint(2, 8)
-        n = rng.randint(1, 4)
-        G = CyclicGroup(m)
-        base = random_multigraph(rng, n, rng.randint(1, 6))
-        cvg = CombinedVoltageGraph(
-            base, G, tuple(rng.randrange(m) for _ in range(base.edge_count)),
-            tuple(G.trivial_subgroup() for _ in range(n)))
+    for cvg in random_trivial_fiber_voltage_graphs():
+        m, offset = cvg.group.modulus, fiber_offsets(cvg)
         cover = lift(cvg)
         X = underlying_simple(cover.graph)
+        # (x, r) -> (x, r + 1): the generator of Z_m acting on the cover
         shift = Permutation(tuple(
-            cover.index(cv.base_vertex, (cv.coset.rep + 1) % m)
-            for cv in cover.vertices))
+            offset[cv.base_vertex] + (cv.coset.rep + 1) % m for cv in cover.vertices))
         q = quotient_free(X, shift)
         assert q.lift_verified
 
 
 def test_quotient_cyclic_identity():
     X = cycle(6)
-    cvg, report = quotient_cyclic(X, Permutation.identity(6))
+    cvg, report = quotient_cyclic(X, identity(6))
     assert report.passed
     assert cvg.base.vertex_count == 6
     assert all(w == 0 for w in cvg.voltages)
-    assert all(s.is_trivial for s in cvg.vertex_groups)
+    assert all(s.size == 1 for s in cvg.vertex_groups)
 
 
 def test_quotient_cyclic_reflection():
-    refl = Permutation.from_cycles(6, [(1, 5), (2, 4)])
+    refl = from_cycles(6, [(1, 5), (2, 4)])
     cvg, report = quotient_cyclic(cycle(6), refl)
     assert report.passed
     assert sorted(s.index for s in cvg.vertex_groups) == [1, 1, 2, 2]
@@ -404,7 +418,7 @@ def test_quotient_cyclic_reflection():
 def test_quotient_cyclic_reconstructs_half_base(n):
     F = token_graph(complete(n), 2)
     g = induced_token_permutation(
-        Permutation.from_cycles(n, [tuple(range(n))]), 2)
+        from_cycles(n, [tuple(range(n))]), 2)
     cvg, report = quotient_cyclic(F, g)
     assert report.passed
     assert cvg.base.vertex_count == n // 2
@@ -414,12 +428,12 @@ def test_quotient_cyclic_reconstructs_half_base(n):
 
 def test_quotient_cyclic_rejects_non_automorphism():
     with pytest.raises(ValueError):
-        quotient_cyclic(path(3), Permutation.from_cycles(3, [(0, 1)]))
+        quotient_cyclic(path(3), from_cycles(3, [(0, 1)]))
 
 
 def test_quotient_cyclic_checks_isomorphism_under_the_given_cap():
     X = cycle(6)
-    g = Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
+    g = from_cycles(6, [(0, 1, 2, 3, 4, 5)])
     assert quotient_cyclic(X, g, max_vertices=6)[1].passed
     with pytest.raises(ValueError, match="too large for isomorphism search"):
         quotient_cyclic(X, g, max_vertices=5)
@@ -465,8 +479,8 @@ def test_underlying_simple_matches_validated_constructor():
         G = CyclicGroup(rng.randint(1, 6))
         base = random_multigraph(rng, rng.randint(1, 4), rng.randint(1, 8))
         volts = tuple(rng.randrange(G.modulus) for _ in range(base.edge_count))
-        subgroups = tuple(rng.choice(G.subgroups()) for _ in range(base.vertex_count))
-        covers.append(lift(CombinedVoltageGraph(base, G, volts, subgroups)).graph)
+        vertex_groups = tuple(rng.choice(subgroups(G)) for _ in range(base.vertex_count))
+        covers.append(lift(CombinedVoltageGraph(base, G, volts, vertex_groups)).graph)
     assert any(u == v for C in covers for u, v in C.edges)
     assert any(len(set(C.edges)) < C.edge_count for C in covers)
     for C in covers:
@@ -510,6 +524,16 @@ def test_conjecture_budget_exhaustion():
     assert not report.passed
     assert report.find("aut_order") == 12
     assert report.find("aut_order_exact") is True
+
+
+@pytest.mark.parametrize("family, n, k, m", [("star_half", 5, 3, 10), ("star_two", 5, 2, 5)])
+def test_free_actions_oracle_agrees_with_conjecture_search(family, n, k, m):
+    """The test filter over every element of Aut(F_k(K_{1,n})) finds as
+    many free order-m actions as the conjecture search reports."""
+    report = conjecture_search(family, n)
+    assert report.status == "completed" and report.find("group_modulus") == m
+    found = free_actions(token_graph(star(n), k), m)
+    assert found and len(found) == report.find("free_actions")
 
 
 def _quotient_row(X, p):
