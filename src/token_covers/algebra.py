@@ -181,6 +181,13 @@ class StabilizerChain:
     is then exactly one product u_0 * u_1 * ... * u_{k-1} with u_i from
     transversal i, and the order is the product of the orbit lengths
     (Sims 1970; Seress, *Permutation Group Algorithms*, 2003, ch. 4).
+
+    No generator fixes every base point, so the pointwise stabilizer of
+    the base is trivial: only the identity fixes every base point.  Two
+    elements with the same base images are then equal (g^-1 h fixes the
+    base), so ``base_images`` names an element, and g^t is the identity
+    exactly when it fixes every base point, so ``element_order`` is the
+    lcm of the lengths of the base points' cycles alone.
     """
 
     def __init__(self, generators: Sequence[Permutation], base: Sequence[int], degree: int):
@@ -213,6 +220,24 @@ class StabilizerChain:
     @property
     def order(self) -> int:
         return prod(self.orbit_lengths)
+
+    def base_images(self, g: Permutation) -> tuple:
+        """g's images of the base points, which determine g in the group."""
+        images = g.images
+        return tuple(images[b] for b in self.base)
+
+    def element_order(self, g: Permutation) -> int:
+        """The order of the group element g: the lcm of the lengths of the
+        g-cycles through the base points (1 for an empty base)."""
+        images = g.images
+        order = 1
+        for b in self.base:
+            length, x = 1, images[b]
+            while x != b:
+                length += 1
+                x = images[x]
+            order = lcm(order, length)
+        return order
 
     def elements(self) -> Iterator[Permutation]:
         """Every group element once, identity first, in a fixed order: the

@@ -4,9 +4,9 @@ Exit codes: 0 success/completed, 1 verification failure, 2 usage or
 precondition error, 3 search budget exhausted, 130 interrupted (Ctrl-C;
 the interrupted command writes no further report).  Identical invocations
 write byte-identical files (reports carry no timestamps and all orderings
-are canonical).  A command that exits 2 writes nothing: caps are checked
-before anything is built, and a range builds every report before it
-writes the first.
+are canonical).  A command that exits 2 writes nothing: every value's
+cap and range is checked before anything is built, and a range builds
+every report before it writes the first.
 """
 
 from __future__ import annotations
@@ -20,7 +20,13 @@ from pathlib import Path
 from . import voltage
 from .graphs import family_size, make_family, to_dot, to_json
 from .report import STATUS_BUDGET_EXHAUSTED
-from .symmetry import DEFAULT_GROUP_CAP, DEFAULT_VERTEX_CAP, KernelResultError, zz_check
+from .symmetry import (
+    DEFAULT_GROUP_CAP,
+    DEFAULT_VERTEX_CAP,
+    KernelResultError,
+    check_zz,
+    zz_check,
+)
 from .tokens import inclusion_bigraph, johnson, line_graph, subdivision, token_graph
 
 EXIT_OK = 0
@@ -121,12 +127,14 @@ def cmd_build(args) -> int:
     jobs = []
 
     def add(stem, vertices, build):
-        """Build a graph of ``vertices`` vertices once its count is within
-        the cap, so an oversized graph (or its base family graph) is never
-        built."""
+        """Queue a graph of ``vertices`` vertices once its count is within
+        the cap; nothing is built until every job's cap holds, so an
+        oversized graph (or its base family graph) is never built, nor
+        anything before it.  ``build`` binds its arguments as defaults, as
+        later flags rebind the names."""
         if vertices > max_vertices:
             raise ValueError(f"{stem}: {vertices} vertices exceed the cap {max_vertices}")
-        jobs.append((stem, build()))
+        jobs.append((stem, build))
 
     if args.token:
         name, params = parse_family(args.token)
@@ -134,27 +142,28 @@ def cmd_build(args) -> int:
             raise ValueError("--token requires --k")
         vertices, _ = family_size(name, *params)
         add(f"token_{name}{'_'.join(map(str, params))}_k{args.k}", _binomial(vertices, args.k),
-            lambda: token_graph(make_family(name, *params), args.k))
+            lambda name=name, params=params: token_graph(make_family(name, *params), args.k))
     if args.johnson:
         n, k = args.johnson
-        add(f"johnson_{n}_{k}", _binomial(n, k), lambda: johnson(n, k))
+        add(f"johnson_{n}_{k}", _binomial(n, k), lambda n=n, k=k: johnson(n, k))
     if args.line:
         name, params = parse_family(args.line)
         _, edges = family_size(name, *params)
         add(f"line_{name}{'_'.join(map(str, params))}", edges,
-            lambda: line_graph(make_family(name, *params)))
+            lambda name=name, params=params: line_graph(make_family(name, *params)))
     if args.subdivision:
         name, params = parse_family(args.subdivision)
         add(f"subdivision_{name}{'_'.join(map(str, params))}", sum(family_size(name, *params)),
-            lambda: subdivision(make_family(name, *params)))
+            lambda name=name, params=params: subdivision(make_family(name, *params)))
     if args.inclusion:
         n, a, b = args.inclusion
         add(f"inclusion_{n}_{a}_{b}", comb(n, a) + comb(n, b) if 0 <= a < b <= n else 0,
-            lambda: inclusion_bigraph(n, a, b))
+            lambda n=n, a=a, b=b: inclusion_bigraph(n, a, b))
     if args.family:
         name, params = parse_family(args.family)
         vertices, _ = family_size(name, *params)
-        add(f"{name}{'_'.join(map(str, params))}", vertices, lambda: make_family(name, *params))
+        add(f"{name}{'_'.join(map(str, params))}", vertices,
+            lambda name=name, params=params: make_family(name, *params))
     if args.theorem1_base is not None:
         base_cvg = voltage.theorem1_base(args.theorem1_base)  # written once every cap holds
     if args.theorem1_cover is not None:
@@ -171,7 +180,8 @@ def cmd_build(args) -> int:
         if args.format in ("json", "both"):
             write_file(out_dir, f"{stem}.json", base_cvg.to_json())
         print(f"{stem}: {base_cvg.base.vertex_count} vertices, {base_cvg.base.edge_count} edges")
-    for stem, graph in jobs:
+    graphs = [(stem, build()) for stem, build in jobs]
+    for stem, graph in graphs:
         write_graph(out_dir, stem, graph, args.format)
         print(f"{stem}: {graph.vertex_count} vertices, {graph.edge_count} edges")
     return EXIT_OK
@@ -185,8 +195,10 @@ def cmd_verify_theorem1(args) -> int:
     evens = [n for n in values if n % 2 == 0 and n >= 4]
     if not evens:
         raise ValueError(f"no even n >= 4 in {args.n!r}")
-    # every report is built before the first is written, so a value the
-    # range cannot run (over the cap, say) exits with nothing written
+    # every cap is checked before the first build, and every report built
+    # before the first is written: a failing range exits with nothing written
+    for n in evens:
+        voltage.check_theorem1_cap(n, max_vertices=max_vertices)
     reports = [voltage.verify_theorem1(n, max_vertices=max_vertices) for n in evens]
     for n, report in zip(evens, reports):
         write_file(out_dir, f"theorem1_n{n}.json", report.to_json())
@@ -201,7 +213,9 @@ def cmd_zz(args) -> int:
     name, params = parse_family(args.family)
     stem_family = f"{name}{'_'.join(map(str, params))}"
     ks = parse_range(args.k)
-    # as in verify-theorem1: build the whole range, then write it
+    # as in verify-theorem1: check the whole range, build it, then write it
+    for k in ks:
+        check_zz(name, params, k, max_vertices=max_vertices)
     reports = [zz_check(name, params, k, max_vertices=max_vertices) for k in ks]
     for k, report in zip(ks, reports):
         write_file(out_dir, f"zz_{stem_family}_k{k}.json", report.to_json())

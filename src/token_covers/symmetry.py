@@ -200,6 +200,19 @@ def _in_classification(name, params, k):
     return False
 
 
+def check_zz(family: str, params, k: int, *,
+             max_vertices: int = DEFAULT_VERTEX_CAP) -> None:
+    """Raise the ValueError ``zz_check`` would raise for an unknown family,
+    a k outside 1..|V|-1 or a token graph over ``max_vertices`` vertices,
+    building no graph."""
+    n_x, _ = family_size(family, *params)
+    if not 1 <= k <= n_x - 1:
+        raise ValueError(f"k={k} out of range 1..{n_x - 1}")
+    vertices = comb(n_x, k)
+    if vertices > max_vertices:
+        raise ValueError(f"token graph too large ({vertices} > {max_vertices})")
+
+
 def zz_check(family: str, params, k: int, *,
              max_vertices: int = DEFAULT_VERTEX_CAP) -> VerificationReport:
     """Compare computed edge-transitivity of a token graph against the
@@ -208,12 +221,8 @@ def zz_check(family: str, params, k: int, *,
     k = 1 and k = |V| - 1 reduce to the base graph itself and are predicted
     by its own edge-transitivity (outside the classification's k-range).
     """
+    check_zz(family, params, k, max_vertices=max_vertices)
     n_x, _ = family_size(family, *params)
-    if not 1 <= k <= n_x - 1:
-        raise ValueError(f"k={k} out of range 1..{n_x - 1}")
-    vertices = comb(n_x, k)  # checked before the family and token graphs are built
-    if vertices > max_vertices:
-        raise ValueError(f"token graph too large ({vertices} > {max_vertices})")
     X = make_family(family, *params)
     if not is_connected(X):
         raise ValueError("classification check requires a connected graph")

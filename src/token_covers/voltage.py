@@ -21,7 +21,6 @@ import json
 from dataclasses import dataclass, replace
 from itertools import accumulate, combinations
 from math import comb, gcd
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .algebra import Coset, CyclicGroup, Permutation, Subgroup
@@ -35,6 +34,7 @@ from .report import (
 from .symmetry import (
     DEFAULT_GROUP_CAP,
     DEFAULT_VERTEX_CAP,
+    AutGroup,
     acts_freely,
     automorphisms,
     edge_orbits,
@@ -203,6 +203,13 @@ def cover_token(n: int, v: CoverVertex):
     return (a, b) if a < b else (b, a)
 
 
+def check_theorem1_cap(n: int, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> None:
+    """Raise the ValueError ``verify_theorem1(n)`` raises when its
+    C(n, 2)-vertex cover is over ``max_vertices``, building nothing."""
+    if comb(n, 2) > max_vertices:
+        raise ValueError("graph too large for isomorphism search")
+
+
 def verify_theorem1(n: int, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> VerificationReport:
     """Machine check that the lifted base graph is F_2(K_n) for even n:
     vertex count, bijectivity of the explicit map, edge-preservation in
@@ -211,9 +218,8 @@ def verify_theorem1(n: int, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> Verifi
     is rejected before anything is lifted or built, as the independent
     search could not run on it."""
     cvg = theorem1_base(n)
+    check_theorem1_cap(n, max_vertices=max_vertices)
     target = comb(n, 2)
-    if target > max_vertices:
-        raise ValueError("graph too large for isomorphism search")
     cover = lift(cvg)
     count_ok = cover.graph.vertex_count == target
 
@@ -375,31 +381,37 @@ def quotient_cyclic(X: SimpleGraph, g: Permutation, *,
 CONJECTURE_FAMILIES = ("star_half", "star_two")
 
 
-def cyclic_subgroup_classes(elements, generators, m: int):
-    """Partition order-m ``elements`` into classes under g ~ s g^j s^-1,
-    with s in the group ``generators`` generate and gcd(j, m) = 1: the
-    conjugacy classes of the cyclic subgroups the elements generate.
+def cyclic_subgroup_classes(elements, group: AutGroup, m: int):
+    """Partition order-m ``elements`` of ``group`` into classes under
+    g ~ s g^j s^-1, with s in the group and gcd(j, m) = 1: the conjugacy
+    classes of the cyclic subgroups the elements generate.
 
     Classes come in the order of their first listed member, which is
     listed first in its class, and each is walked from that member by
-    conjugating with the generators and taking coprime powers.  The walk
-    only passes through ``elements``: when they are every order-m element
-    of the group each class is exact, otherwise a class may split.
+    conjugating with the group's generators and taking coprime powers.  The
+    walk only passes through ``elements``: when they are every order-m
+    element of the group each class is exact, otherwise a class may split.
+    An element is known by its base images (``StabilizerChain.base_images``),
+    so each conjugate and power is computed on the base points alone.
     """
-    position = {p.images: i for i, p in enumerate(elements)}
-    # image tuples compose as itemgetter(*q)(p) = p * q
-    conjugators = [(s.images, itemgetter(*s.inverse().images)) for s in generators]
+    chain = group.chain
+    position = {chain.base_images(p): i for i, p in enumerate(elements)}
+    # (s g s^-1)(b) = s(g(s^-1(b))) for each base point b
+    conjugators = [(s.images, [s.inverse()(b) for b in chain.base]) for s in group.generators]
     coprime = [j for j in range(2, m) if gcd(j, m) == 1]
 
     def related(i):
-        h = elements[i].images
-        found = [itemgetter(*times_inverse(h))(s) for s, times_inverse in conjugators]
-        power, exponent = h, 1
-        for j in coprime:
-            while exponent < j:
-                power = itemgetter(*power)(h)
-                exponent += 1
-            found.append(power)
+        g = elements[i].images
+        found = [tuple(s[g[x]] for x in preimages) for s, preimages in conjugators]
+        # g^j(b) lies j steps along the g-cycle through b
+        cycles = []
+        for b in chain.base:
+            cycle, x = [b], g[b]
+            while x != b:
+                cycle.append(x)
+                x = g[x]
+            cycles.append(cycle)
+        found.extend(tuple(c[j % len(c)] for c in cycles) for j in coprime)
         return [k for k in map(position.get, found) if k is not None]
 
     return [[elements[i] for i in members]
@@ -414,7 +426,8 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     ``star_half`` targets F_{(n+1)/2}(K_{1,n}) over Z_{2n} (n odd);
     ``star_two`` targets F_2(K_{1,n}) over Z_n (n dividing C(n+1, 2)).
     The order-m automorphisms among the first ``budget`` elements of the
-    group's walk (``AutGroup.closure``; only they are kept), free actions
+    group's walk (``AutGroup.closure``; only they are kept, each order read
+    off the base by ``StabilizerChain.element_order``), free actions
     first, are split into conjugacy classes of the cyclic subgroups they
     generate (see ``cyclic_subgroup_classes``), and each class's first member is
     quotiented and verified.  Verifying one member verifies its class:
@@ -454,21 +467,27 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     elements, complete_search = aut.closure(budget)
     aut_order, aut_order_exact = aut.order()
 
-    of_order = sorted((p for p in elements if p.order() == m), key=lambda p: p.images)
+    element_order = aut.chain.element_order
+    of_order = sorted((p for p in elements if element_order(p) == m), key=lambda p: p.images)
     free, nonfree = [], []
     for p in of_order:
         (free if acts_freely(p, m) else nonfree).append(p)
 
-    classes = cyclic_subgroup_classes(free + nonfree, aut.generators, m)
+    classes = cyclic_subgroup_classes(free + nonfree, aut, m)
     candidates = []
+    listed = 0
     for members in classes:
         p = members[0]
+        # conjugates and powers keep the cycle type, so a class is all free
+        # or all not, and the free classes come first
+        is_free = listed < len(free)
+        listed += len(members)
         cvg, rep = quotient_cyclic(X, p, max_vertices=max_vertices)
         if rep.passed:
             candidates.append({
                 "automorphism": p.cycle_string(),
                 "class_elements": len(members),
-                "free": acts_freely(p, m),
+                "free": is_free,
                 "base_vertices": cvg.base.vertex_count,
                 "base_edges": cvg.base.edge_count,
                 "stabilizer_sizes": sorted(s.size for s in cvg.vertex_groups),

@@ -16,6 +16,7 @@ from token_covers.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    path,
     srg_parameters,
     star,
 )
@@ -280,6 +281,52 @@ def test_chain_order_on_strongly_regular_graphs(name, X, order):
     aut = automorphisms(double)
     assert aut.order() == (2 * order * order, True)
     assert _sympy_group(double.vertex_count, aut.generators).order() == 2 * order * order
+
+
+# every group named in this file with at most 10^4 elements, among them the
+# trivial group (empty base) and Aut(P_3) (a one-point base)
+SMALL_GROUPS = (
+    ("asymmetric", ASYMMETRIC),
+    ("P_3", path(3)),
+    ("C_6", cycle(6)),
+    ("K_4", complete(4)),
+    ("K_5", complete(5)),
+    ("K_33", complete_bipartite(3, 3)),
+    *((name, X) for name, X, _ in SRG_CORPUS),
+)
+
+
+def test_small_groups_include_empty_and_one_point_bases():
+    assert {len(automorphisms(X).base) for _, X in SMALL_GROUPS} >= {0, 1}
+
+
+@pytest.mark.parametrize("name, X", SMALL_GROUPS, ids=[g[0] for g in SMALL_GROUPS])
+def test_base_images_and_element_order_on_the_whole_walk(name, X):
+    """Base images tell every element of the walk apart, and the order read
+    off the base points equals the order traced over every point."""
+    chain = automorphisms(X).chain
+    elements = list(chain.elements())
+    keys = [chain.base_images(p) for p in elements]
+    assert all(type(k) is tuple and len(k) == len(chain.base) for k in keys)
+    assert len(set(keys)) == len(elements) == chain.order
+    assert [chain.element_order(p) for p in elements] == [p.order() for p in elements]
+
+
+def test_element_order_matches_sympy_on_aut_f5_star9():
+    """200 elements of Aut F_5(K_{1,9}) (order 2 * 9!), each a seeded random
+    word in the generators: the order read off the base is sympy's."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    aut = automorphisms(token_graph(star(9), 5), max_vertices=300)
+    assert aut.chain.order == 2 * factorial(9)
+    rng = random.Random(9)
+    generators = [g.images for g in aut.generators]
+    g = tuple(range(aut.degree))
+    for _ in range(200):
+        for _ in range(rng.randrange(1, 8)):
+            s = rng.choice(generators)
+            g = tuple(s[x] for x in g)
+        expected = combinatorics.Permutation(list(g)).order()
+        assert aut.chain.element_order(Permutation(g)) == expected
 
 
 @settings(max_examples=150, deadline=None)

@@ -94,6 +94,9 @@ def _never(*args, **kwargs):
      "inclusion_12_2_3: 286 vertices exceed the cap 200"),
     (("--family", "complete:2000"), "make_family",
      "complete2000: 2000 vertices exceed the cap 200"),
+    # a job within the cap is not built before a later job's cap fails
+    (("--token", "star:5", "--k", "3", "--johnson", "16", "8"), "johnson",
+     "johnson_16_8: 12870 vertices exceed the cap 200"),
 ])
 def test_build_over_cap_fails_before_building(tmp_path, monkeypatch, capsys,
                                               flags, builder, message):
@@ -132,9 +135,12 @@ def test_conjecture_over_cap_fails_before_building(tmp_path, monkeypatch, capsys
     (("zz", "--family", "complete:5", "--k", "3..5"), "k=5 out of range 1..4"),
     (("verify-theorem1", "--n", "18..22"), "graph too large for isomorphism search"),
 ], ids=["zz-over-cap", "zz-k-out-of-range", "theorem1-over-cap"])
-def test_range_that_fails_part_way_writes_nothing(tmp_path, capsys, argv, message):
-    """Values before the failing one are built but neither written nor
+def test_range_that_fails_part_way_writes_nothing(tmp_path, monkeypatch, capsys, argv, message):
+    """Every value's cap and range is checked before the first is built, so
+    the values before the failing one are neither built, written nor
     printed."""
+    monkeypatch.setattr(voltage, "verify_theorem1", _never)
+    monkeypatch.setattr(cli, "zz_check", _never)
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == 2
     captured = capsys.readouterr()

@@ -555,7 +555,7 @@ def test_conjecture_classes_match_exhaustive_verification(family, n, m):
     group = [p.images for p in elements]
     of_order = sorted((p for p in elements if p.order() == m),
                       key=lambda p: (not acts_freely(p, m), p.images))
-    classes = cyclic_subgroup_classes(of_order, aut.generators, m)
+    classes = cyclic_subgroup_classes(of_order, aut, m)
     assert sorted(p.images for c in classes for p in c) == sorted(p.images for p in of_order)
 
     rows = set()
@@ -593,12 +593,12 @@ def test_cyclic_subgroup_classes_split_only_when_elements_are_missing():
     aut = automorphisms(X)
     of_order = sorted((p for p in aut.closure()[0] if p.order() == 10),
                       key=lambda p: p.images)
-    (whole,) = cyclic_subgroup_classes(of_order, aut.generators, 10)
+    (whole,) = cyclic_subgroup_classes(of_order, aut, 10)
     assert whole[0] == of_order[0] and len(whole) == 24
     # a third of the elements: the walk cannot pass through the missing
     # ones, so the class splits, each part led by its first listed member
     kept = of_order[::3]
-    parts = cyclic_subgroup_classes(kept, aut.generators, 10)
+    parts = cyclic_subgroup_classes(kept, aut, 10)
     assert len(parts) > 1
     assert sorted(p.images for c in parts for p in c) == [p.images for p in kept]
     assert [kept.index(c[0]) for c in parts] == sorted(kept.index(c[0]) for c in parts)
