@@ -12,7 +12,6 @@ is pure.
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -301,80 +300,31 @@ def is_connected(G: SimpleGraph) -> bool:
     return len(connected_components(G)) <= 1
 
 
-def _two_color_component(G: SimpleGraph, comp):
-    """2-color a component from its minimum vertex; None on an odd cycle."""
-    side = {comp[0]: 0}
-    queue = deque([comp[0]])
-    while queue:
-        v = queue.popleft()
-        for w in G.neighbors(v):
-            if w not in side:
-                side[w] = side[v] ^ 1
-                queue.append(w)
-            elif side[w] == side[v]:
-                return None
-    part0 = [v for v in comp if side[v] == 0]
-    part1 = [v for v in comp if side[v] == 1]
-    return part0, part1
-
-
 def is_biregular(G: SimpleGraph):
     """Degrees of the two sides of a degree-uniform bipartition, if any.
 
-    Returns ``(a, b)`` where ``a`` is the common degree of the side
-    containing vertex 0, or ``None`` when no consistent 2-coloring with
-    uniform side degrees exists.  Disconnected graphs are handled by
-    searching over the per-component orientation choices.
+    Returns ``(a, b)`` where ``a`` is the degree of vertex 0 and ``b`` that
+    of the other side, ``(0, 0)`` for an edgeless graph, or ``None`` when
+    no 2-coloring gives each side one degree (or G has no vertices).  The
+    walk is over the bipartite double cover: point 2v + s is v on side s
+    and each edge switches side, so a component is bipartite exactly when
+    its walk meets each vertex once.  Every component's pair of side
+    degrees (an isolated vertex's is (0, 0)) must agree up to a swap.
     """
-    if G.vertex_count == 0:
+    degree = G.degrees()
+    pairs = set()
+    for comp in components(2 * G.vertex_count,
+                           lambda p: [2 * w + 1 - p % 2 for w in G.neighbors(p // 2)]):
+        if len({p // 2 for p in comp}) < len(comp):
+            return None  # an odd cycle
+        sides = [{degree[p // 2] for p in comp if p % 2 == s} or {0} for s in (0, 1)]
+        if len(sides[0]) > 1 or len(sides[1]) > 1:
+            return None
+        pairs.add(tuple(sorted((*sides[0], *sides[1]))))
+    if len(pairs) != 1:
         return None
-    comps = connected_components(G)
-    infos = []  # (deg_side_of_min_vertex, deg_other_side or None, has vertex 0)
-    for comp in comps:
-        colored = _two_color_component(G, comp)
-        if colored is None:
-            return None
-        part0, part1 = colored
-        d0 = {G.degree(v) for v in part0}
-        d1 = {G.degree(v) for v in part1}
-        if len(d0) > 1 or len(d1) > 1:
-            return None
-        a = d0.pop()
-        b = d1.pop() if d1 else None
-        infos.append((a, b, 0 in comp))
-
-    # candidate global degree pairs come from the first component with edges
-    candidates = []
-    for a, b, _ in infos:
-        if b is not None:
-            candidates = [(a, b), (b, a)]
-            break
-    if not candidates:
-        return (0, 0)  # edgeless graph
-
-    def fits(info, target):
-        a, b, _ = info
-        ta, tb = target
-        if b is None:  # isolated vertex: its side must have degree 0
-            if a == ta:  # prefer the unflipped side when both work
-                return "keep"
-            if a == tb:
-                return "flip"
-            return None
-        if (a, b) == (ta, tb):
-            return "keep"
-        if (b, a) == (ta, tb):
-            return "flip"
-        return None
-
-    for target in candidates:
-        orientations = [fits(info, target) for info in infos]
-        if all(o is not None for o in orientations):
-            for info, o in zip(infos, orientations):
-                if info[2]:  # component containing vertex 0
-                    ta, tb = target
-                    return (ta, tb) if o == "keep" else (tb, ta)
-    return None
+    (a, b), = pairs
+    return degree[0], a + b - degree[0]
 
 
 def srg_parameters(G: SimpleGraph):

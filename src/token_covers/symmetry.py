@@ -4,7 +4,9 @@ classification checker.
 
 The heavy lifting (equitable refinement + backtracking) lives in the
 search kernel; everything returned by it is re-verified here with plain
-adjacency checks, independent of the search path.
+adjacency checks, independent of the search path.  The searches take no
+vertex cap: a command compares its graph's size with its cap once, from
+its parameters, before it builds anything (``check_zz`` for ``zz_check``).
 """
 
 from __future__ import annotations
@@ -71,16 +73,15 @@ class AutGroup:
         return f"AutGroup(degree={self.degree}, generators={len(self.generators)})"
 
 
-def automorphisms(X: SimpleGraph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> AutGroup:
-    """Aut(X) from the search kernel, deterministic for a given graph.
+def automorphisms(X: SimpleGraph) -> AutGroup:
+    """Aut(X) from the search kernel, deterministic for a given graph, of
+    any size (a caller that caps its input checks the cap itself).
 
     Each generator is re-checked against X, and against its base point:
     it must move that point and fix every shallower one, which is what
     makes the generators fixing a prefix of the base the ones the chain
     takes for that prefix's stabilizer.
     """
-    if X.vertex_count > max_vertices:
-        raise ValueError(f"graph too large ({X.vertex_count} > {max_vertices} vertices)")
     found = search.automorphism_generators(X.adjacency_masks)
     # found deepest level first: the base is their points, shallowest first
     base = tuple(dict.fromkeys(b for _, b in reversed(found)))
@@ -123,24 +124,22 @@ def edge_orbits(X: SimpleGraph, generators=None):
     return [[edges[i] for i in orbit] for orbit in components(len(edges), images)]
 
 
-def is_vertex_transitive(X: SimpleGraph, generators=None) -> bool:
-    return len(vertex_orbits(X, generators)) <= 1
+def is_vertex_transitive(X: SimpleGraph) -> bool:
+    return len(vertex_orbits(X)) <= 1
 
 
-def is_edge_transitive(X: SimpleGraph, generators=None) -> bool:
+def is_edge_transitive(X: SimpleGraph) -> bool:
     """Single Aut-orbit on edges (vacuously true for edgeless graphs)."""
-    return len(edge_orbits(X, generators)) <= 1
+    return len(edge_orbits(X)) <= 1
 
 
-def is_isomorphic(X: SimpleGraph, Y: SimpleGraph, *,
-                  max_vertices: int = DEFAULT_VERTEX_CAP):
-    """A vertex bijection X -> Y preserving adjacency both ways, or None.
+def is_isomorphic(X: SimpleGraph, Y: SimpleGraph):
+    """A vertex bijection X -> Y preserving adjacency both ways, or None,
+    for graphs of any size (no vertex cap).
 
     The witness is deterministic (first found in canonical search order)
     and re-verified edge-by-edge before being returned.
     """
-    if max(X.vertex_count, Y.vertex_count) > max_vertices:
-        raise ValueError("graph too large for isomorphism search")
     if X.vertex_count != Y.vertex_count or X.edge_count != Y.edge_count:
         return None
     raw = search.isomorphism_witness(X.adjacency_masks, Y.adjacency_masks)

@@ -215,8 +215,8 @@ def verify_theorem1(n: int, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> Verifi
     vertex count, bijectivity of the explicit map, edge-preservation in
     both directions on underlying simple graphs, and an independent
     isomorphism search.  A cover with more than ``max_vertices`` vertices
-    is rejected before anything is lifted or built, as the independent
-    search could not run on it."""
+    is rejected before anything is lifted or built (``check_theorem1_cap``);
+    the isomorphism search itself takes no cap."""
     cvg = theorem1_base(n)
     check_theorem1_cap(n, max_vertices=max_vertices)
     target = comb(n, 2)
@@ -239,7 +239,7 @@ def verify_theorem1(n: int, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> Verifi
     else:
         iso_ok = False
 
-    witness = is_isomorphic(simple, tokens, max_vertices=max_vertices)
+    witness = is_isomorphic(simple, tokens)
 
     multiplicity = {}
     for u, v in cover.graph.edges:
@@ -340,16 +340,16 @@ def quotient_free(X: SimpleGraph, g: Permutation) -> CombinedVoltageGraph:
     return quotient_cyclic(X, g)[0]
 
 
-def quotient_cyclic(X: SimpleGraph, g: Permutation, *,
-                    max_vertices: int = DEFAULT_VERTEX_CAP):
+def quotient_cyclic(X: SimpleGraph, g: Permutation):
     """Quotient by an arbitrary cyclic action; subgroups record the orbit
     stabilizers.  Returns the candidate base graph and a report stating
     whether its lift reconstructs X (failure is reported, not raised),
-    decided by an isomorphism search capped at ``max_vertices``."""
+    decided by an isomorphism search; the lift has X's vertex count, so
+    a caller that caps X has capped the search too."""
     cvg = _cyclic_quotient(X, g)
     cover = lift(cvg)
     simple = underlying_simple(cover.graph)
-    witness = is_isomorphic(simple, X, max_vertices=max_vertices)
+    witness = is_isomorphic(simple, X)
     passed = witness is not None
     evidence = [
         Evidence("automorphism", g.cycle_string()),
@@ -463,7 +463,7 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     if vertices > max_vertices:
         raise ValueError(f"token graph too large ({vertices} > {max_vertices})")
     X = token_graph(star(n), k)
-    aut = automorphisms(X, max_vertices=max_vertices)
+    aut = automorphisms(X)
     elements, complete_search = aut.closure(budget)
     aut_order, aut_order_exact = aut.order()
 
@@ -482,7 +482,7 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
         # or all not, and the free classes come first
         is_free = listed < len(free)
         listed += len(members)
-        cvg, rep = quotient_cyclic(X, p, max_vertices=max_vertices)
+        cvg, rep = quotient_cyclic(X, p)
         if rep.passed:
             candidates.append({
                 "automorphism": p.cycle_string(),

@@ -3,7 +3,7 @@ except where a docstring says otherwise."""
 
 import random
 from collections import deque
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations, permutations, product
 from math import gcd
 
 from hypothesis import strategies as st
@@ -102,6 +102,23 @@ def brute_force_automorphisms(X):
     return found
 
 
+def brute_force_biregular(X):
+    """Biregularity oracle (use only for <= 8 vertices): every 2-colouring
+    with vertex 0 on side 0 is tried, and the first whose edges all cross
+    sides and whose sides each have one degree gives (side 0's degree,
+    side 1's degree or 0 if side 1 is empty); None if none does."""
+    n = X.vertex_count
+    degree = X.degrees()
+    for colours in product((0, 1), repeat=n - 1):
+        side = (0, *colours)
+        if any(side[u] == side[v] for u, v in X.edges):
+            continue
+        degrees = [{degree[v] for v in range(n) if side[v] == s} for s in (0, 1)]
+        if len(degrees[0]) == 1 and len(degrees[1]) <= 1:
+            return degrees[0].pop(), max(degrees[1], default=0)
+    return None
+
+
 def complement(X: SimpleGraph) -> SimpleGraph:
     n = X.vertex_count
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not X.has_edge(u, v)]
@@ -191,6 +208,25 @@ def graphs_or_doubles(draw, max_vertices=10):
     if draw(st.booleans()):
         return X
     return disjoint_union(X, relabel(X, draw(st.permutations(range(X.vertex_count)))))
+
+
+@st.composite
+def graph_unions(draw, max_vertices=8):
+    """A relabelled disjoint union of drawn graphs, bipartite pieces
+    (complete bipartite graphs, even cycles) and isolated vertices, on
+    1..``max_vertices`` vertices."""
+    pieces = st.one_of(
+        simple_graphs(max_vertices=4),
+        st.builds(complete_bipartite, st.integers(1, 3), st.integers(1, 3)),
+        st.builds(cycle, st.sampled_from([4, 6])),
+        st.just(SimpleGraph(1)),
+    )
+    X = draw(pieces)
+    for _ in range(draw(st.integers(0, 3))):
+        piece = draw(pieces)
+        if X.vertex_count + piece.vertex_count <= max_vertices:
+            X = disjoint_union(X, piece)
+    return relabel(X, draw(st.permutations(range(X.vertex_count))))
 
 
 def kernel_corpus():

@@ -162,6 +162,17 @@ def test_zz_complete(tmp_path):
     assert len(list(tmp_path.glob("zz_complete5_k*.json"))) == 3
 
 
+def test_zz_past_200_vertices_under_a_raised_cap(tmp_path):
+    """The cap is checked once, from the parameters: the 210-vertex
+    F_2(K_21) runs under --max-vertices 210."""
+    assert run("zz", "--family", "complete:21", "--k", "2", "--max-vertices", "210",
+               "--out", str(tmp_path)) == 0
+    payload = json.loads((tmp_path / "zz_complete21_k2.json").read_text())
+    found = {e["label"]: e["value"] for e in payload["evidence"]}
+    assert found["token_vertices"] == 210
+    assert found["computed_edge_transitive"] is True and payload["passed"] is True
+
+
 def test_zz_star(tmp_path):
     assert run("zz", "--family", "star:4", "--k", "2..4", "--out", str(tmp_path)) == 0
 

@@ -24,7 +24,7 @@ from token_covers.graphs import (
 )
 from token_covers.tokens import token_graph
 
-from helpers import disjoint_union, relabel, simple_graphs
+from helpers import brute_force_biregular, disjoint_union, graph_unions, relabel, simple_graphs
 
 
 def test_complete_4():
@@ -277,6 +277,12 @@ def test_biregular_disconnected():
 
 def test_biregular_not_bipartite_component():
     assert is_biregular(disjoint_union(cycle(3), path(2))) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_unions())
+def test_biregular_matches_brute_force(X):
+    assert is_biregular(X) == brute_force_biregular(X)
 
 
 def test_srg_token_complete():

@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -65,9 +66,9 @@ def test_automorphisms_deterministic():
     assert a == b
 
 
-def test_aut_oversize_rejected():
-    with pytest.raises(ValueError):
-        automorphisms(complete(10), max_vertices=5)
+def test_aut_past_200_vertices_takes_no_cap():
+    """|Aut F_2(K_21)| = 21! on its 210 vertices: the search has no cap."""
+    assert automorphisms(token_graph(complete(21), 2)).chain.order == factorial(21)
 
 
 def test_edge_transitive_families():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from token_covers import algebra, voltage
+from token_covers import algebra
 from token_covers.algebra import CyclicGroup, Permutation, Subgroup
 from token_covers.graphs import (
     Multigraph,
@@ -429,27 +429,6 @@ def test_quotient_cyclic_reconstructs_half_base(n):
 def test_quotient_cyclic_rejects_non_automorphism():
     with pytest.raises(ValueError):
         quotient_cyclic(path(3), from_cycles(3, [(0, 1)]))
-
-
-def test_quotient_cyclic_checks_isomorphism_under_the_given_cap():
-    X = cycle(6)
-    g = from_cycles(6, [(0, 1, 2, 3, 4, 5)])
-    assert quotient_cyclic(X, g, max_vertices=6)[1].passed
-    with pytest.raises(ValueError, match="too large for isomorphism search"):
-        quotient_cyclic(X, g, max_vertices=5)
-
-
-def test_conjecture_search_passes_its_vertex_cap_to_the_quotient_checks(monkeypatch):
-    caps = []
-
-    def recording(X, Y, **kwargs):
-        caps.append(kwargs.get("max_vertices"))
-        return is_isomorphic(X, Y, **kwargs)
-
-    monkeypatch.setattr(voltage, "is_isomorphic", recording)
-    report = conjecture_search("star_half", 5, max_vertices=25)
-    assert report.find("verified_candidates")
-    assert caps and set(caps) == {25}
 
 
 def test_conjecture_search_builds_one_chain_per_group(monkeypatch):
