@@ -24,8 +24,7 @@ from .symmetry import (
     DEFAULT_GROUP_CAP,
     DEFAULT_VERTEX_CAP,
     KernelResultError,
-    check_zz,
-    zz_check,
+    zz_checks,
 )
 from .tokens import inclusion_bigraph, johnson, line_graph, subdivision, token_graph
 
@@ -213,10 +212,8 @@ def cmd_zz(args) -> int:
     name, params = parse_family(args.family)
     stem_family = f"{name}{'_'.join(map(str, params))}"
     ks = parse_range(args.k)
-    # as in verify-theorem1: check the whole range, build it, then write it
-    for k in ks:
-        check_zz(name, params, k, max_vertices=max_vertices)
-    reports = [zz_check(name, params, k, max_vertices=max_vertices) for k in ks]
+    # zz_checks checks the whole range before it builds any of it
+    reports = zz_checks(name, params, ks, max_vertices=max_vertices)
     for k, report in zip(ks, reports):
         write_file(out_dir, f"zz_{stem_family}_k{k}.json", report.to_json())
         print(f"{stem_family} k={k}: {report.status.upper()} "

@@ -6,7 +6,7 @@ The heavy lifting (equitable refinement + backtracking) lives in the
 search kernel; everything returned by it is re-verified here with plain
 adjacency checks, independent of the search path.  The searches take no
 vertex cap: a command compares its graph's size with its cap once, from
-its parameters, before it builds anything (``check_zz`` for ``zz_check``).
+its parameters, before it builds anything (``zz_checks`` checks every k).
 """
 
 from __future__ import annotations
@@ -199,17 +199,96 @@ def _in_classification(name, params, k):
     return False
 
 
-def check_zz(family: str, params, k: int, *,
-             max_vertices: int = DEFAULT_VERTEX_CAP) -> None:
-    """Raise the ValueError ``zz_check`` would raise for an unknown family,
-    a k outside 1..|V|-1 or a token graph over ``max_vertices`` vertices,
-    building no graph."""
+def _reversed(generators, degree: int):
+    """The generators of Aut(F_{n-k}) carried to F_k by complementation,
+    which sends vertex i of one to vertex ``degree - 1 - i`` of the other:
+    each g becomes j -> degree - 1 - g(degree - 1 - j)."""
+    last = degree - 1
+    return [Permutation._trusted(tuple(last - g.images[last - j] for j in range(degree)))
+            for g in generators]
+
+
+def zz_checks(family: str, params, ks, *,
+              max_vertices: int = DEFAULT_VERTEX_CAP) -> list[VerificationReport]:
+    """One ``zz_check`` report per k of ``ks``, in order, from one base
+    graph X and at most one automorphism search per pair {k, |V| - k}.
+
+    Every k's range (1..|V|-1) and token-graph size (C(|V|, k) within
+    ``max_vertices``) is checked before X is built, so a failing range
+    raises its ValueError having built nothing.
+
+    Complementation, S to V minus S, is an isomorphism F_k(X) -> F_{|V|-k}(X),
+    and under the lexicographic order of ``token_graph``'s vertices it
+    reverses the order: for k-subsets A, B, A < B exactly when the least
+    element of A ^ B lies in A, and complementing both keeps A ^ B but
+    moves that element to the other side.  So vertex i of F_k is the
+    complement of vertex C(|V|, k) - 1 - i of F_{|V|-k}, and once either
+    graph's generators are known the other's are the reversed ones, each
+    re-checked on its own graph (a failure raises KernelResultError).
+    F_1(X) is X itself (vertex i is {i}, with the same edges), so X's
+    generators serve the prediction for k = 1 and k = |V| - 1 and the
+    edge orbits of F_1 and F_{|V|-1} alike.  Conjugate generators generate
+    the whole group, and ``edge_orbits`` orders its orbits canonically, so
+    the reports are those of a search on every F_k.
+    """
     n_x, _ = family_size(family, *params)
-    if not 1 <= k <= n_x - 1:
-        raise ValueError(f"k={k} out of range 1..{n_x - 1}")
-    vertices = comb(n_x, k)
-    if vertices > max_vertices:
-        raise ValueError(f"token graph too large ({vertices} > {max_vertices})")
+    for k in ks:
+        if not 1 <= k <= n_x - 1:
+            raise ValueError(f"k={k} out of range 1..{n_x - 1}")
+        vertices = comb(n_x, k)
+        if vertices > max_vertices:
+            raise ValueError(f"token graph too large ({vertices} > {max_vertices})")
+    X = make_family(family, *params)
+    if not is_connected(X):
+        raise ValueError("classification check requires a connected graph")
+    name, norm = _canonical_family(family, tuple(params))
+    family_tag = ":".join([family, *map(str, params)])
+    found = {}  # k -> generators of Aut(F_k)
+
+    def generators(k, F):
+        if k not in found:
+            if n_x - k in found:
+                gens = _reversed(found[n_x - k], F.vertex_count)
+                if not all(is_automorphism(F, g) for g in gens):
+                    raise KernelResultError("a generator carried over by complementation "
+                                            "is not an automorphism")
+            else:
+                gens = automorphisms(F).generators
+            found[k] = gens
+        return found[k]
+
+    reports = []
+    for k in ks:
+        if k == 1 or k == n_x - 1:
+            predicted = len(edge_orbits(X, generators(1, X))) <= 1
+            rule = "k reduces the token graph to the base graph"
+        else:
+            direct = _in_classification(name, norm, k)
+            mirrored = _in_classification(name, norm, n_x - k)
+            predicted = direct or mirrored
+            rule = f"classification case for {name}{norm}" if predicted else "no classification case matches"
+        F = token_graph(X, k)
+        orbits = edge_orbits(F, generators(k, F))
+        computed = len(orbits) <= 1
+        passed = computed == predicted
+        evidence = [
+            Evidence("family", family_tag),
+            Evidence("k", k),
+            Evidence("token_vertices", F.vertex_count),
+            Evidence("token_edges", F.edge_count),
+            Evidence("predicted_edge_transitive", predicted),
+            Evidence("computed_edge_transitive", computed),
+            Evidence("edge_orbit_count", len(orbits)),
+            Evidence("rule", rule, kind="note"),
+        ]
+        if not passed:
+            if len(orbits) > 1:
+                witness = [list(orbits[0][0]), list(orbits[1][0])]
+            else:
+                witness = "token graph has a single edge orbit"
+            evidence.append(Evidence("disagreement", witness, kind="counterexample"))
+        reports.append(VerificationReport.from_outcome(f"zz-{family_tag}-k{k}", passed, evidence))
+    return reports
 
 
 def zz_check(family: str, params, k: int, *,
@@ -220,39 +299,4 @@ def zz_check(family: str, params, k: int, *,
     k = 1 and k = |V| - 1 reduce to the base graph itself and are predicted
     by its own edge-transitivity (outside the classification's k-range).
     """
-    check_zz(family, params, k, max_vertices=max_vertices)
-    n_x, _ = family_size(family, *params)
-    X = make_family(family, *params)
-    if not is_connected(X):
-        raise ValueError("classification check requires a connected graph")
-    name, norm = _canonical_family(family, tuple(params))
-    if k == 1 or k == n_x - 1:
-        predicted = is_edge_transitive(X)
-        rule = "k reduces the token graph to the base graph"
-    else:
-        direct = _in_classification(name, norm, k)
-        mirrored = _in_classification(name, norm, n_x - k)
-        predicted = direct or mirrored
-        rule = f"classification case for {name}{norm}" if predicted else "no classification case matches"
-    F = token_graph(X, k)
-    orbits = edge_orbits(F)
-    computed = len(orbits) <= 1
-    passed = computed == predicted
-    family_tag = ":".join([family, *map(str, params)])
-    evidence = [
-        Evidence("family", family_tag),
-        Evidence("k", k),
-        Evidence("token_vertices", F.vertex_count),
-        Evidence("token_edges", F.edge_count),
-        Evidence("predicted_edge_transitive", predicted),
-        Evidence("computed_edge_transitive", computed),
-        Evidence("edge_orbit_count", len(orbits)),
-        Evidence("rule", rule, kind="note"),
-    ]
-    if not passed:
-        if len(orbits) > 1:
-            witness = [list(orbits[0][0]), list(orbits[1][0])]
-        else:
-            witness = "token graph has a single edge orbit"
-        evidence.append(Evidence("disagreement", witness, kind="counterexample"))
-    return VerificationReport.from_outcome(f"zz-{family_tag}-k{k}", passed, evidence)
+    return zz_checks(family, params, [k], max_vertices=max_vertices)[0]

@@ -6,8 +6,10 @@ from collections import deque
 from itertools import accumulate, combinations, permutations, product
 from math import gcd
 
+import pytest
 from hypothesis import strategies as st
 
+from token_covers import symmetry
 from token_covers.algebra import Coset, Permutation, Subgroup
 from token_covers.graphs import (
     Multigraph,
@@ -15,10 +17,14 @@ from token_covers.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    family_size,
+    is_connected,
+    make_family,
     path,
     star,
 )
-from token_covers.symmetry import acts_freely, automorphisms
+from token_covers.report import Evidence, VerificationReport
+from token_covers.symmetry import acts_freely, automorphisms, edge_orbits
 from token_covers.tokens import johnson, line_graph, subdivision, token_graph
 
 
@@ -227,6 +233,72 @@ def graph_unions(draw, max_vertices=8):
         if X.vertex_count + piece.vertex_count <= max_vertices:
             X = disjoint_union(X, piece)
     return relabel(X, draw(st.permutations(range(X.vertex_count))))
+
+
+def zz_reference(family, params, k):
+    """The ``zz`` report for one k with no shared work: the base graph is
+    built and searched for k = 1 and k = |V| - 1, and every F_k gets its
+    own ``automorphisms`` search.  The classification rule is read through
+    the ``symmetry`` module, so a test that patches it patches both."""
+    n_x, _ = family_size(family, *params)
+    if not 1 <= k <= n_x - 1:
+        raise ValueError(f"k={k} out of range 1..{n_x - 1}")
+    X = make_family(family, *params)
+    if not is_connected(X):
+        raise ValueError("classification check requires a connected graph")
+    name, norm = symmetry._canonical_family(family, tuple(params))
+    if k == 1 or k == n_x - 1:
+        predicted = len(edge_orbits(X, automorphisms(X).generators)) <= 1
+        rule = "k reduces the token graph to the base graph"
+    else:
+        predicted = (symmetry._in_classification(name, norm, k)
+                     or symmetry._in_classification(name, norm, n_x - k))
+        rule = f"classification case for {name}{norm}" if predicted else "no classification case matches"
+    F = token_graph(X, k)
+    orbits = edge_orbits(F, automorphisms(F).generators)
+    computed = len(orbits) <= 1
+    family_tag = ":".join([family, *map(str, params)])
+    evidence = [
+        Evidence("family", family_tag),
+        Evidence("k", k),
+        Evidence("token_vertices", F.vertex_count),
+        Evidence("token_edges", F.edge_count),
+        Evidence("predicted_edge_transitive", predicted),
+        Evidence("computed_edge_transitive", computed),
+        Evidence("edge_orbit_count", len(orbits)),
+        Evidence("rule", rule, kind="note"),
+    ]
+    if computed != predicted:
+        if len(orbits) > 1:
+            witness = [list(orbits[0][0]), list(orbits[1][0])]
+        else:
+            witness = "token graph has a single edge orbit"
+        evidence.append(Evidence("disagreement", witness, kind="counterexample"))
+    return VerificationReport.from_outcome(f"zz-{family_tag}-k{k}", computed == predicted,
+                                           evidence)
+
+
+def automorphisms_by_matching(X):
+    """Every automorphism of X as an image tuple, from networkx's VF2
+    matcher (independent of the search kernel; use on small graphs)."""
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(range(X.vertex_count))
+    G.add_edges_from(X.edges)
+    return [tuple(m[v] for v in range(X.vertex_count))
+            for m in nx.algorithms.isomorphism.GraphMatcher(G, G).isomorphisms_iter()]
+
+
+def edge_orbit_count(X, automorphisms):
+    """Orbits of the edges of X under a list of image tuples that holds
+    the whole group (so one application of each is closed)."""
+    seen = set()
+    count = 0
+    for u, v in X.edges:
+        if (u, v) not in seen:
+            count += 1
+            seen.update((min(g[u], g[v]), max(g[u], g[v])) for g in automorphisms)
+    return count
 
 
 def kernel_corpus():

@@ -1,19 +1,27 @@
 import random
+from itertools import combinations
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from token_covers import search, symmetry
+from token_covers.algebra import Permutation
+from token_covers.cli import main
 from token_covers.graphs import (
     SimpleGraph,
     complete,
     complete_bipartite,
     cycle,
+    family_size,
+    is_connected,
+    make_family,
     path,
     star,
 )
 from token_covers.symmetry import (
+    KernelResultError,
     automorphisms,
     edge_orbits,
     is_automorphism,
@@ -22,13 +30,16 @@ from token_covers.symmetry import (
     is_vertex_transitive,
     vertex_orbits,
     zz_check,
+    zz_checks,
 )
 from token_covers.tokens import token_graph
 
 from helpers import (
+    automorphisms_by_matching,
     brute_force_automorphisms,
     brute_force_isomorphism,
     disjoint_union,
+    edge_orbit_count,
     free_actions,
     graph_pairs,
     is_identity,
@@ -36,6 +47,7 @@ from helpers import (
     random_simple_graph,
     relabel,
     simple_graphs,
+    zz_reference,
 )
 
 
@@ -262,3 +274,112 @@ def test_zz_small_cycle_coincidences():
 def test_zz_bad_k():
     with pytest.raises(ValueError):
         zz_check("complete", (4,), 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(simple_graphs(min_vertices=2, max_vertices=8).filter(is_connected))
+def test_complementation_reverses_token_vertex_order(X):
+    """F_1 is X, vertex i of F_k is the complement of the last-but-i vertex
+    of F_{n-k}, and F_k's generators reversed generate Aut(F_{n-k}): they
+    are automorphisms with the orbits of F_{n-k}'s own search."""
+    n = X.vertex_count
+    assert token_graph(X, 1).edges == X.edges
+    for k in range(1, n):
+        subsets = list(combinations(range(n), k))
+        mirrored = list(combinations(range(n), n - k))
+        assert [tuple(sorted(set(range(n)) - set(s))) for s in subsets] == mirrored[::-1]
+        F = token_graph(X, k)
+        G = token_graph(X, n - k)
+        carried = symmetry._reversed(automorphisms(F).generators, G.vertex_count)
+        assert all(is_automorphism(G, h) for h in carried)
+        assert edge_orbits(G, carried) == edge_orbits(G)
+
+
+# the ``symmetry`` benchmark ranges and three more with their mirrors
+ZZ_RANGES = [
+    ("complete", (6,), range(1, 6)),
+    ("star", (6,), range(1, 6)),
+    ("complete_bipartite", (2, 6), range(1, 8)),
+    ("complete_bipartite", (3, 3), range(1, 6)),
+    ("complete", (8,), range(2, 5)),
+    ("star", (8,), range(2, 8)),
+    ("path", (6,), range(1, 6)),
+    ("cycle", (6,), range(1, 6)),
+    ("complete_bipartite", (3, 5), range(1, 8)),
+    ("path", (7,), range(1, 7)),
+    ("cycle", (8,), range(1, 8)),
+]
+
+
+@pytest.mark.parametrize("family, params, ks", ZZ_RANGES)
+def test_zz_checks_match_one_search_per_k(family, params, ks, monkeypatch):
+    """A range's reports are those of a search on every F_k, from one
+    search per pair {k, |V| - k} (the base graph is F_1)."""
+    calls = []
+    kernel = search.automorphism_generators
+
+    def counted(adj):
+        calls.append(len(adj))
+        return kernel(adj)
+
+    monkeypatch.setattr(search, "automorphism_generators", counted)
+    reports = zz_checks(family, params, ks)
+    n_x, _ = family_size(family, *params)
+    assert len(calls) == len({min(k, n_x - k) for k in ks})
+    assert [r.to_json() for r in reports] == [zz_reference(family, params, k).to_json()
+                                             for k in ks]
+
+
+@pytest.mark.parametrize("family, params, ks", [
+    ("path", (7,), range(1, 7)),
+    ("complete_bipartite", (2, 6), range(1, 8)),
+])
+def test_zz_checks_disagreement_witnesses_match(family, params, ks, monkeypatch):
+    """With the classification negated, the failing reports name the least
+    edges of the first two edge orbits, on reversed generators too."""
+    rule = symmetry._in_classification
+    monkeypatch.setattr(symmetry, "_in_classification", lambda *args: not rule(*args))
+    reports = zz_checks(family, params, ks)
+    n_x, _ = family_size(family, *params)
+    # k > |V| - k: F_k's generators are F_{|V|-k}'s reversed
+    assert any(e.label == "disagreement" and isinstance(e.value, list)
+               for k, r in zip(ks, reports) if n_x - k < k for e in r.evidence)
+    assert [r.to_json() for r in reports] == [zz_reference(family, params, k).to_json()
+                                             for k in ks]
+
+
+def test_zz_checks_rejects_a_broken_reversal(tmp_path, monkeypatch, capsys):
+    """A reversed generator that is not an automorphism ends the check with
+    KernelResultError, and the command with exit 1 and nothing written.
+    Swapping the first and last vertex of F_k(K_{1,8}) (one holds the
+    centre, the other not: degrees 9 - k and k) breaks every generator."""
+    reverse = symmetry._reversed
+
+    def broken(generators, degree):
+        return [Permutation((h.images[-1], *h.images[1:-1], h.images[0]))
+                for h in reverse(generators, degree)]
+
+    monkeypatch.setattr(symmetry, "_reversed", broken)
+    with pytest.raises(KernelResultError):
+        zz_checks("star", (8,), range(2, 8))
+    out = tmp_path / "out"
+    assert main(["zz", "--family", "star:8", "--k", "2..7", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, params", [
+    ("complete", (5,)), ("star", (4,)), ("star", (5,)), ("path", (6,)), ("cycle", (6,)),
+    ("complete_bipartite", (2, 3)), ("complete_bipartite", (3, 3)),
+])
+def test_zz_edge_orbit_counts_match_networkx(family, params):
+    """Every F_k here has at most 20 vertices, so networkx's matcher lists
+    its whole automorphism group, independent of the search kernel."""
+    n_x, _ = family_size(family, *params)
+    X = make_family(family, *params)
+    for report in zz_checks(family, params, range(1, n_x)):
+        F = token_graph(X, report.find("k"))
+        assert F.vertex_count <= 20
+        assert report.find("edge_orbit_count") == edge_orbit_count(F, automorphisms_by_matching(F))
