@@ -17,8 +17,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from token_covers import search  # noqa: E402
-from token_covers.graphs import complete, complete_bipartite, star  # noqa: E402
+from token_covers.graphs import complete, complete_bipartite, star, underlying_simple  # noqa: E402
 from token_covers.tokens import johnson, line_graph, subdivision, token_graph  # noqa: E402
+from token_covers.voltage import lift, theorem1_base  # noqa: E402
 
 # perfbench's kernel gate reads this attribute and skips when it is None;
 # it stays until a benchmark change drops the gate.
@@ -61,6 +62,12 @@ def workloads():
     f3k7 = token_graph(complete(7), 3)
     yield ("iso F_3(K_7) ~ J(7,3), 35v", "iso",
            (f3k7.adjacency_masks, johnson(7, 3).adjacency_masks))
+    # the largest pair of perfbench's theorem1 workload, and its target's group
+    f2k20 = token_graph(complete(20), 2)
+    cover = underlying_simple(lift(theorem1_base(20)).graph)
+    yield ("iso theorem-1 cover ~ F_2(K_20), 190v", "iso",
+           (cover.adjacency_masks, f2k20.adjacency_masks))
+    yield ("aut F_2(K_20), 190v", "aut", (f2k20.adjacency_masks,))
 
 
 def best_time(func, args, repeat):

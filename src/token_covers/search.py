@@ -12,9 +12,12 @@ Refinement is the classic splitter-queue procedure: for a splitter class
 have inside ``s``.  New color ids are allocated by ascending count within
 ascending class id (the smallest count keeps the old id).  It is
 cell-indexed (McKay & Piperno, "Practical graph isomorphism, II", 2014):
-each call builds one member bitmask per class, and a splitter pop visits
-only the splitter's members and their neighbors, so one pop costs
-O(|s| + |N(s)|) big-integer operations on masks of n bits.
+each call builds one member bitmask per class.  The counts are bit
+sliced: a pop adds the adjacency masks of the splitter's |s| members
+into a binary counter held as one mask per binary digit.  When the
+coloring has no more classes than the pop reaches vertices, its groups
+come from those digit masks and the class masks, with no vertex visited;
+otherwise each reached vertex is visited once, its count a popcount.
 
 Every branch of the search pairs the same left side with a different right
 side.  The left side is the *first path*: the initial refinement, then at
@@ -26,6 +29,10 @@ it replays that trace on its own graph, and the first pop whose groups
 differ in keys or sizes proves that no color-preserving isomorphism
 extends the branch.  A matching replay allocates the same ids as the left,
 so the two colorings stay structurally aligned down to a discrete leaf.
+A recorded pop that split nothing (most of them, on token graphs) is
+replayed on the digit masks alone: each recorded class must lie inside
+its count's digit pattern and the classes must cover the reached set,
+so no vertex is visited.
 """
 
 from __future__ import annotations
@@ -46,6 +53,11 @@ def _refine(adj, col, ncolors, trace, seeds=None):
     which then agree pop by pop, so a replay needs no queue and pops
     exactly as often as the recording.  ``col`` must have the class sizes
     of the coloring the trace was recorded from.
+
+    A replayed pop that moved nothing on the left is checked by
+    ``_uniform`` on the splitter's ``_counts`` alone; any other pop groups
+    its hits by ``_splitter_hits``, which takes the digit masks or visits
+    the reached vertices, whichever the coloring makes cheaper.
     """
     n = len(adj)
     stride = n + 1
@@ -56,7 +68,11 @@ def _refine(adj, col, ncolors, trace, seeds=None):
         cells[c] |= 1 << v
     if seeds is None:
         for s, want, moves in trace:
-            hits = _splitter_hits(adj, cells[s], col, stride)
+            if not moves:
+                if not _uniform(_counts(adj, cells[s]), cells, want, stride):
+                    return -1
+                continue
+            hits = _splitter_hits(adj, cells[s], cells, ncolors, col, stride)
             if len(hits) != len(want):
                 return -1
             for key, size in want.items():
@@ -74,7 +90,7 @@ def _refine(adj, col, ncolors, trace, seeds=None):
     while queue:
         s = queue.popleft()
         in_queue[s] = 0
-        hits = _splitter_hits(adj, cells[s], col, stride)
+        hits = _splitter_hits(adj, cells[s], cells, ncolors, col, stride)
         sizes = {key: mask.bit_count() for key, mask in hits.items()}
         # keys sort by class, then count: the allocation order of new ids
         keys = sorted(sizes)
@@ -104,10 +120,38 @@ def _refine(adj, col, ncolors, trace, seeds=None):
     return ncolors
 
 
-def _splitter_hits(adj, splitter, col, stride):
+def _counts(adj, splitter):
+    """Every vertex's number of neighbours in the ``splitter`` mask, bit
+    sliced: digit masks d_0, d_1, ... with vertex v's count the sum of
+    2^i over the d_i holding v.  Each member's adjacency mask is added in
+    with a ripple carry; the digits' union is the set of reached
+    vertices."""
+    digits = []
+    while splitter:
+        low = splitter & -splitter
+        splitter ^= low
+        carry = adj[low.bit_length() - 1]
+        for i, d in enumerate(digits):
+            digits[i] = d ^ carry
+            carry &= d
+            if not carry:
+                break
+        else:
+            if carry:
+                digits.append(carry)
+    return digits
+
+
+def _splitter_hits(adj, splitter, cells, ncolors, col, stride):
     """Group the neighbours of the ``splitter`` mask by class and by their
     number of neighbours inside it: ``{class * stride + count: members}``,
-    member sets as bitmasks.  Visits only the splitter and its neighbours."""
+    member sets as bitmasks; ``cells`` holds the member mask of each of
+    the ``ncolors`` classes.
+
+    With no more classes than reached vertices, the reached set is split
+    by count along the splitter's ``_counts`` digits, and each count group
+    by class through the ``cells`` masks; otherwise each reached vertex is
+    visited and its count taken as a popcount."""
     reach = 0
     rest = splitter
     while rest:
@@ -115,6 +159,31 @@ def _splitter_hits(adj, splitter, col, stride):
         reach |= adj[low.bit_length() - 1]
         rest ^= low
     hits = {}
+    if ncolors <= reach.bit_count():
+        digits = _counts(adj, splitter)
+        groups = [(0, reach)]
+        for i, d in enumerate(digits):
+            split = []
+            for count, members in groups:
+                high = members & d
+                if high:
+                    split.append((count | 1 << i, high))
+                if high != members:
+                    split.append((count, members ^ high))
+            groups = split
+        for c in range(ncolors):
+            rest = cells[c] & reach
+            if not rest:
+                continue
+            key = c * stride
+            for count, members in groups:
+                part = rest & members
+                if part:
+                    hits[key + count] = part
+                    rest ^= part
+                    if not rest:
+                        break
+        return hits
     while reach:
         low = reach & -reach
         v = low.bit_length() - 1
@@ -122,6 +191,34 @@ def _splitter_hits(adj, splitter, col, stride):
         key = col[v] * stride + (adj[v] & splitter).bit_count()
         hits[key] = hits.get(key, 0) | low
     return hits
+
+
+def _uniform(digits, cells, want, stride):
+    """Whether a pop that split nothing on the left splits nothing here
+    either, with the same hits: each recorded class lies wholly inside
+    its count's digit pattern (in ``digits``, the pop's ``_counts``), and
+    the reached set is the union of those classes.  With class sizes equal
+    on both sides, this holds exactly when ``_splitter_hits`` would give
+    the recorded keys and group sizes."""
+    reach = 0
+    for d in digits:
+        reach |= d
+    top = len(digits)
+    patterns = {}
+    union = 0
+    for key in want:
+        c, count = divmod(key, stride)
+        pattern = patterns.get(count)
+        if pattern is None:
+            pattern = 0 if count >> top else reach
+            for i, d in enumerate(digits):
+                pattern &= d if count >> i & 1 else ~d
+            patterns[count] = pattern
+        members = cells[c]
+        if members & pattern != members:
+            return False
+        union |= members
+    return union == reach
 
 
 def _split(cells, col, ncolors, hits, moves, stride):

@@ -40,6 +40,7 @@ from .symmetry import (
     edge_orbits,
     is_automorphism,
     is_isomorphic,
+    maps_edges_into,
 )
 from .tokens import ksubsets, token_graph
 
@@ -226,7 +227,7 @@ def verify_theorem1(n: int, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> Verifi
     images = [cover_token(n, cv) for cv in cover.vertices]
     pairs = ksubsets(n, 2)
     pair_set = set(pairs)
-    bijective = (len(set(images)) == target
+    bijective = (len(images) == len(set(images)) == target
                  and all((a - 1, b - 1) in pair_set for a, b in images))
 
     simple = underlying_simple(cover.graph)
@@ -234,8 +235,8 @@ def verify_theorem1(n: int, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> Verifi
     position = {p: i for i, p in enumerate(pairs)}
     to_token = [position[(a - 1, b - 1)] for a, b in images] if bijective else None
     if bijective:
-        mapped = {tuple(sorted((to_token[u], to_token[v]))) for u, v in simple.edges}
-        iso_ok = mapped == set(tokens.edges) and simple.edge_count == tokens.edge_count
+        iso_ok = (simple.edge_count == tokens.edge_count
+                  and maps_edges_into(simple, tokens.adjacency_masks, to_token))
     else:
         iso_ok = False
 

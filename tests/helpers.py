@@ -183,13 +183,23 @@ def simple_graphs(draw, min_vertices=1, max_vertices=12):
 
 
 @st.composite
+def dense_or_sparse_graphs(draw, min_vertices=1, max_vertices=12):
+    """A drawn graph or its complement: drawn graphs lean sparse, so their
+    complements give dense graphs, whose neighbour counts inside a class
+    run to several binary digits."""
+    X = draw(simple_graphs(min_vertices, max_vertices))
+    return complement(X) if draw(st.booleans()) else X
+
+
+@st.composite
 def graph_pairs(draw, max_vertices=12):
-    """A graph and either an independent graph on as many vertices, or a
-    relabelling of it with up to four degree-preserving edge switches."""
-    X = draw(simple_graphs(max_vertices=max_vertices))
+    """A graph, dense or sparse, and either an independent graph on as many
+    vertices, or a relabelling of it with up to four degree-preserving
+    edge switches."""
+    X = draw(dense_or_sparse_graphs(max_vertices=max_vertices))
     n = X.vertex_count
     if draw(st.booleans()):
-        return X, draw(simple_graphs(n, n))
+        return X, draw(dense_or_sparse_graphs(n, n))
     edges = set(relabel(X, draw(st.permutations(range(n)))).edges)
     for _ in range(draw(st.integers(0, 4))):
         # ab, cd -> ad, cb keeps every degree

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 import token_covers
 from token_covers import search
-from token_covers.graphs import SimpleGraph, complete, star
+from token_covers.graphs import SimpleGraph, complete, cycle, star, underlying_simple
 from token_covers.tokens import token_graph
+from token_covers.voltage import lift, theorem1_base
 
 from helpers import (
+    dense_or_sparse_graphs,
+    disjoint_union,
     full_scan_refine,
     graph_pairs,
     graphs_or_doubles,
@@ -75,10 +78,84 @@ def test_refine_rejects_after_matching_first_pop():
     trace = []
     search._refine(X.adjacency_masks, [0] * 5, 1, trace, (0,))
     assert len(trace) > 1
-    first = search._splitter_hits(Y.adjacency_masks, 0b11111, [0] * 5, 6)
+    first = search._splitter_hits(Y.adjacency_masks, 0b11111, [0b11111, 0, 0, 0, 0], 1,
+                                  [0] * 5, 6)
     assert {k: m.bit_count() for k, m in first.items()} == trace[0][1]
     assert search._refine(Y.adjacency_masks, [0] * 5, 1, trace) == -1
     _refine_both(X.adjacency_masks, [0] * 5, Y.adjacency_masks, [0] * 5, 1, (0,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_or_sparse_graphs(max_vertices=16), st.data())
+def test_counts_and_splitter_hits_match_brute_force(X, data):
+    """``_counts`` holds every vertex's number of neighbours in the splitter,
+    and ``_splitter_hits`` groups the reached vertices by class and count as
+    a brute-force scan does, under a drawn coloring, the one-class coloring
+    and the discrete one.  An isolated vertex is added, which no splitter
+    reaches, so the discrete coloring has more classes than reached
+    vertices (the per-vertex path) and the one-class coloring, once the
+    splitter reaches anything, no more (the digit-mask path)."""
+    X = disjoint_union(X, SimpleGraph(1))
+    adj = X.adjacency_masks
+    n = X.vertex_count
+    splitter = data.draw(st.integers(1, (1 << n) - 1))
+    digits = search._counts(adj, splitter)
+    assert not digits or digits[-1]
+    want_counts = [(a & splitter).bit_count() for a in adj]
+    assert [sum((d >> v & 1) << i for i, d in enumerate(digits))
+            for v in range(n)] == want_counts
+    reached = sum(c > 0 for c in want_counts)
+    drawn = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    ids = {c: i for i, c in enumerate(dict.fromkeys(drawn))}
+    paths = set()
+    for col in ([ids[c] for c in drawn], [0] * n, list(range(n))):
+        ncolors = max(col) + 1
+        cells = [0] * n
+        for v, c in enumerate(col):
+            cells[c] |= 1 << v
+        want = {}
+        for v in range(n):
+            if want_counts[v]:
+                key = col[v] * (n + 1) + want_counts[v]
+                want[key] = want.get(key, 0) | 1 << v
+        assert search._splitter_hits(adj, splitter, cells, ncolors, col, n + 1) == want
+        paths.add("digits" if ncolors <= reached else "vertices")
+    assert paths == ({"digits", "vertices"} if reached else {"vertices"})
+
+
+def test_no_split_replay_rejects_a_non_regular_graph():
+    """C_6's first pop splits nothing (every degree is 2), so its replay
+    takes the digit-mask check alone.  A triangle with a pendant path has
+    as many vertices and edges but degrees 1, 2 and 3: the replay rejects
+    at that pop, and accepts a relabelled C_6."""
+    X = cycle(6)
+    Y = SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)])
+    assert Y.edge_count == X.edge_count
+    trace = []
+    assert search._refine(X.adjacency_masks, [0] * 6, 1, trace, (0,)) == 1
+    assert trace == [(0, {2: 6}, [])]
+    everyone = [0b111111, 0, 0, 0, 0, 0]
+    assert not search._uniform(search._counts(Y.adjacency_masks, 0b111111), everyone,
+                               trace[0][1], 7)
+    assert search._refine(Y.adjacency_masks, [0] * 6, 1, trace) == -1
+    Z = relabel(X, [3, 0, 5, 1, 4, 2])
+    assert search._uniform(search._counts(Z.adjacency_masks, 0b111111), everyone,
+                           trace[0][1], 7)
+    assert search._refine(Z.adjacency_masks, [0] * 6, 1, trace) == 1
+    _refine_both(X.adjacency_masks, [0] * 6, Y.adjacency_masks, [0] * 6, 1, (0,))
+    _refine_both(X.adjacency_masks, [0] * 6, Z.adjacency_masks, [0] * 6, 1, (0,))
+
+
+def test_no_split_replay_rejects_counts_past_the_top_digit():
+    """K_6's first pop records count 5 = 0b101 for every vertex.  In a
+    perfect matching every count is 1, a single digit that agrees with 5
+    in its low bit: the replay must still reject."""
+    trace = []
+    assert search._refine(complete(6).adjacency_masks, [0] * 6, 1, trace, (0,)) == 1
+    assert trace == [(0, {5: 6}, [])]
+    matching = SimpleGraph(6, [(0, 1), (2, 3), (4, 5)]).adjacency_masks
+    assert search._counts(matching, 0b111111) == [0b111111]
+    assert search._refine(matching, [0] * 6, 1, trace) == -1
 
 
 def _relabelled_order_graphs():
@@ -93,14 +170,19 @@ def _relabelled_order_graphs():
 
 def test_search_matches_lockstep_reference():
     """Generator lists (order and base points included) and witnesses are
-    the lockstep search's, on the kernel corpus, the witness pairs and the relabelled
-    order graphs."""
+    the lockstep search's, on the kernel corpus, the witness pairs, the
+    relabelled order graphs and the theorem-1 pairs: the simple graph of
+    the cover against F_2(K_n), and Aut F_2(K_n), for even n in 6..20."""
     assert token_covers.SEARCH_BACKEND == "python"
     graphs = [g.adjacency_masks for g in kernel_corpus()]
     pairs = kernel_witness_pairs()
     for g, h in _relabelled_order_graphs():
         graphs.append(h.adjacency_masks)
         pairs.append((g.adjacency_masks, h.adjacency_masks))
+    for n in range(6, 21, 2):
+        tokens = token_graph(complete(n), 2).adjacency_masks
+        graphs.append(tokens)
+        pairs.append((underlying_simple(lift(theorem1_base(n)).graph).adjacency_masks, tokens))
     for adj in graphs:
         assert search.automorphism_generators(adj) == reference_automorphism_generators(adj)
     for a, b in pairs:

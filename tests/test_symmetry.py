@@ -123,6 +123,17 @@ def _complement_edges(g):
     return [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
 
 
+def test_isomorphic_rejects_an_invalid_witness(monkeypatch):
+    """A kernel witness that is a bijection but maps an edge onto a
+    non-edge fails the re-check: C_6 onto a relabelled C_6 under the
+    identity."""
+    X = cycle(6)
+    Y = relabel(X, [0, 2, 4, 1, 3, 5])
+    monkeypatch.setattr(search, "isomorphism_witness", lambda a, b: tuple(range(6)))
+    with pytest.raises(KernelResultError):
+        is_isomorphic(X, Y)
+
+
 def test_isomorphic_negative_degree_mismatch():
     assert is_isomorphic(cycle(6), complete_bipartite(3, 3)) is None
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from token_covers import algebra
+from token_covers import algebra, voltage
 from token_covers.algebra import CyclicGroup, Permutation, Subgroup
 from token_covers.graphs import (
     Multigraph,
@@ -323,6 +323,23 @@ def test_verify_theorem1_passes(n):
     assert report.find("explicit_map_bijective")
     assert report.find("explicit_map_isomorphism")
     assert report.find("independent_search_agrees")
+
+
+def test_verify_theorem1_flags_a_map_that_breaks_an_edge(monkeypatch):
+    """Swapping the tokens {1, 2} and {3, 4} (not twins in F_2(K_6)) keeps
+    the explicit map bijective but maps some edge onto a non-edge."""
+    real = voltage.cover_token
+
+    def swapped(n, cv):
+        token = real(n, cv)
+        return {(1, 2): (3, 4), (3, 4): (1, 2)}.get(token, token)
+
+    monkeypatch.setattr(voltage, "cover_token", swapped)
+    report = verify_theorem1(6)
+    assert report.find("explicit_map_bijective") is True
+    assert report.find("explicit_map_isomorphism") is False
+    assert report.find("independent_search_agrees") is True
+    assert not report.passed
 
 
 @pytest.mark.parametrize("n", [22, 26, 30])
