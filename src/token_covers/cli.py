@@ -5,8 +5,8 @@ precondition error, 3 search budget exhausted, 130 interrupted (Ctrl-C;
 the interrupted command writes no further report).  Identical invocations
 write byte-identical files (reports carry no timestamps and all orderings
 are canonical).  A command that exits 2 writes nothing: every value's
-cap and range is checked before anything is built, and a range builds
-every report before it writes the first.
+cap and range is checked before anything is built, and a range (or a
+``build``) builds every report (or graph) before it writes the first.
 """
 
 from __future__ import annotations
@@ -50,15 +50,16 @@ def parse_family(text: str):
     return name, params
 
 
-def parse_range(text: str):
-    """'4' -> [4]; '4..10' -> [4..10] inclusive."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def parse_range(text: str) -> range:
+    """'4' -> range(4, 5); '4..10' -> range(4, 11), 4..10 inclusive.  A
+    ``range``, not a list, so a huge end costs nothing until its values
+    are checked."""
+    lo, dots, hi = text.partition("..")
+    lo = int(lo)
+    hi = int(hi) if dots else lo
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 def read_config(path):
@@ -164,7 +165,7 @@ def cmd_build(args) -> int:
         add(f"{name}{'_'.join(map(str, params))}", vertices,
             lambda name=name, params=params: make_family(name, *params))
     if args.theorem1_base is not None:
-        base_cvg = voltage.theorem1_base(args.theorem1_base)  # written once every cap holds
+        base_cvg = voltage.theorem1_base(args.theorem1_base)  # written once every job is built
     if args.theorem1_cover is not None:
         cvg = voltage.theorem1_base(args.theorem1_cover)
         add(f"theorem1_cover_{args.theorem1_cover}", cvg.cover_vertex_count(),
@@ -172,6 +173,8 @@ def cmd_build(args) -> int:
     if not jobs and args.theorem1_base is None:
         raise ValueError("nothing to build; pass --token/--johnson/--line/"
                          "--subdivision/--inclusion/--family/--theorem1-base/--theorem1-cover")
+    # a builder may still reject its parameters: build every job before writing
+    graphs = [(stem, build()) for stem, build in jobs]
     if args.theorem1_base is not None:
         stem = f"theorem1_base_{args.theorem1_base}"
         if args.format in ("dot", "both"):
@@ -179,7 +182,6 @@ def cmd_build(args) -> int:
         if args.format in ("json", "both"):
             write_file(out_dir, f"{stem}.json", base_cvg.to_json())
         print(f"{stem}: {base_cvg.base.vertex_count} vertices, {base_cvg.base.edge_count} edges")
-    graphs = [(stem, build()) for stem, build in jobs]
     for stem, graph in graphs:
         write_graph(out_dir, stem, graph, args.format)
         print(f"{stem}: {graph.vertex_count} vertices, {graph.edge_count} edges")
@@ -189,15 +191,17 @@ def cmd_build(args) -> int:
 def cmd_verify_theorem1(args) -> int:
     out_dir, max_vertices, _ = resolve_settings(args)
     values = parse_range(args.n)
-    if len(values) == 1 and values[0] % 2 != 0:
+    # a single value, tested without len(), which a range past sys.maxsize lacks
+    if values[0] == values[-1] and values[0] % 2 != 0:
         raise ValueError(f"n must be even, got {values[0]}")
-    evens = [n for n in values if n % 2 == 0 and n >= 4]
+    low = max(values[0], 4)
+    evens = range(low + low % 2, values[-1] + 1, 2)
     if not evens:
         raise ValueError(f"no even n >= 4 in {args.n!r}")
-    # every cap is checked before the first build, and every report built
-    # before the first is written: a failing range exits with nothing written
-    for n in evens:
-        voltage.check_theorem1_cap(n, max_vertices=max_vertices)
+    # every cap is checked before the first build (C(n, 2) grows with n, so
+    # the largest n's cap is every n's), and every report built before the
+    # first is written: a failing range exits with nothing written
+    voltage.check_theorem1_cap(evens[-1], max_vertices=max_vertices)
     reports = [voltage.verify_theorem1(n, max_vertices=max_vertices) for n in evens]
     for n, report in zip(evens, reports):
         write_file(out_dir, f"theorem1_n{n}.json", report.to_json())

@@ -28,7 +28,9 @@ group and the keys that received new ids.  A right side is never refined on its 
 it replays that trace on its own graph, and the first pop whose groups
 differ in keys or sizes proves that no color-preserving isomorphism
 extends the branch.  A matching replay allocates the same ids as the left,
-so the two colorings stay structurally aligned down to a discrete leaf.
+so the two colorings stay structurally aligned down to a discrete leaf,
+and the bijection read off that leaf is an isomorphism: the kernel checks
+no edge itself (the proof is in ``_descend``).
 A recorded pop that split nothing (most of them, on token graphs) is
 replayed on the digit masks alone: each recorded class must lie inside
 its count's digit pattern and the classes must cover the reached set,
@@ -281,21 +283,6 @@ def _extract(col_l, col_r, n):
     return tuple(where[col_l[v]] for v in range(n))
 
 
-def _preserves(adj_l, adj_r, sigma, n):
-    """Exact adjacency check of a candidate bijection (both directions,
-    since image masks are compared for equality)."""
-    for v in range(n):
-        mapped = 0
-        rest = adj_l[v]
-        while rest:
-            low = rest & -rest
-            mapped |= 1 << sigma[low.bit_length() - 1]
-            rest ^= low
-        if mapped != adj_r[sigma[v]]:
-            return False
-    return True
-
-
 def _members(col, c, n):
     return [v for v in range(n) if col[v] == c]
 
@@ -319,12 +306,31 @@ def isomorphism_witness(adj1, adj2):
 def _descend(adj_l, path, depth, adj_r, col_r):
     """First bijection below a right side ``col_r`` aligned with the first
     path's level ``depth``: each member of the target cell on the right is
-    individualized against the first path's vertex, in order."""
+    individualized against the first path's vertex, in order.
+
+    The bijection extracted at a discrete leaf is an isomorphism, so no
+    edge is checked here:
+
+    - ``_refine`` enqueues every part of a split, the old id as well as
+      the new ones, and individualization seeds both parts.  So every
+      final singleton {y} of the first path is popped after its last
+      change.
+    - At that pop, each vertex's count is its adjacency to y, and that
+      count becomes part of its color: afterwards every class is wholly
+      adjacent to y or wholly not, and a class split later inherits it.
+    - A right side that replayed every pop with the same keys and group
+      sizes (on a pop that split nothing: the same classes, covering the
+      reached set) gets the same class tree and the same ids.  Its
+      splitter {y'} reaches wholly the classes that {y} reaches, and no
+      others.
+    - So at the leaf, adjacency to every y is the same function of color
+      on both sides, and mapping each vertex to the right vertex of its
+      color (y to y') preserves adjacency both ways.
+    """
     n = len(adj_l)
     col_l, nc, c, _, _ = path[depth]
     if c < 0:
-        sigma = _extract(col_l, col_r, n)
-        return sigma if _preserves(adj_l, adj_r, sigma, n) else None
+        return _extract(col_l, col_r, n)
     trace = _path_level(adj_l, path, depth + 1).trace
     for u in _members(col_r, c, n):
         cr = col_r.copy()

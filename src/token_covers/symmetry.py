@@ -3,10 +3,12 @@ testing, the free-action test, and the edge-transitive token-graph
 classification checker.
 
 The heavy lifting (equitable refinement + backtracking) lives in the
-search kernel; everything returned by it is re-verified here with plain
-adjacency checks, independent of the search path.  The searches take no
-vertex cap: a command compares its graph's size with its cap once, from
-its parameters, before it builds anything (``zz_checks`` checks every k).
+search kernel, which checks no edge itself; everything returned by it is
+re-verified here by ``maps_edges_into``, the program's one
+adjacency-preservation check, independent of the search path.  The
+searches take no vertex cap: a command compares its graph's size with its
+cap once, from its parameters, before it builds anything (``zz_checks``
+checks every k).
 """
 
 from __future__ import annotations

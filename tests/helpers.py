@@ -143,6 +143,26 @@ def kneser(n: int, k: int) -> SimpleGraph:
     return SimpleGraph(len(subs), edges)
 
 
+def cayley_z4_squared(steps) -> SimpleGraph:
+    """Cayley graph of Z_4 x Z_4 with the connection set ``steps`` (closed
+    under negation)."""
+    def vertex(a, b):
+        return 4 * (a % 4) + b % 4
+    return SimpleGraph(16, {tuple(sorted((vertex(a, b), vertex(a + x, b + y))))
+                            for a in range(4) for b in range(4) for x, y in steps})
+
+
+def shrikhande() -> SimpleGraph:
+    """The Shrikhande graph, an SRG(16, 6, 2, 2)."""
+    return cayley_z4_squared([(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)])
+
+
+def rook_4x4() -> SimpleGraph:
+    """The 4x4 rook's graph, an SRG(16, 6, 2, 2) not isomorphic to the
+    Shrikhande graph."""
+    return cayley_z4_squared([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)])
+
+
 def disjoint_union(A: SimpleGraph, B: SimpleGraph) -> SimpleGraph:
     off = A.vertex_count
     edges = list(A.edges) + [(u + off, v + off) for u, v in B.edges]
@@ -327,18 +347,44 @@ def kernel_corpus():
 
 
 def kernel_witness_pairs():
-    """Adjacency-mask pairs for the isomorphism-witness tests: each corpus
-    graph with a seeded relabelling of itself, then neighbouring corpus
-    graphs paired up (mostly non-isomorphic, some of unequal size)."""
+    """Adjacency-mask pairs for the isomorphism-witness tests: an edgeless
+    graph against a cycle, whose splitters reach nothing on the left, so
+    only the no-split replay's cover check rejects them; each corpus graph
+    with a seeded relabelling of itself; then neighbouring corpus graphs
+    paired up (mostly non-isomorphic, some of unequal size)."""
     rng = random.Random(5)
     graphs = kernel_corpus()
-    pairs = []
+    pairs = [(SimpleGraph(5).adjacency_masks, cycle(5).adjacency_masks)]
     for g in graphs:
         images = list(range(g.vertex_count))
         rng.shuffle(images)
         pairs.append((g.adjacency_masks, relabel(g, images).adjacency_masks))
     for a, b in zip(graphs[::2], graphs[1::2]):
         pairs.append((a.adjacency_masks, b.adjacency_masks))
+    return pairs
+
+
+def regular_pairs():
+    """Pairs of regular graphs with equal order and degree, on which
+    refinement splits nothing until a vertex is individualized, so the
+    trace replay carries each branch: Shrikhande against the 4x4 rook's
+    graph both ways, then 20 seeded random d-regular pairs, d = 3..5 and
+    n = 8..20, every other one a relabelling (from networkx's
+    ``random_regular_graph``)."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(16)
+
+    def regular(d, n):
+        return SimpleGraph(n, nx.random_regular_graph(d, n, seed=rng.randrange(2**32)).edges)
+
+    pairs = [(shrikhande(), rook_4x4()), (rook_4x4(), shrikhande())]
+    while len(pairs) < 22:
+        d, n = rng.randint(3, 5), rng.randint(8, 20)
+        if d * n % 2:
+            continue
+        X = regular(d, n)
+        Y = relabel(X, rng.sample(range(n), n)) if len(pairs) % 2 else regular(d, n)
+        pairs.append((X, Y))
     return pairs
 
 

@@ -32,6 +32,8 @@ from helpers import (
     is_identity,
     kneser,
     relabel,
+    rook_4x4,
+    shrikhande,
     subgroups,
     translate,
 )
@@ -246,23 +248,13 @@ def _paley(p):
     return _circulant(p, squares)
 
 
-def _cayley_z4_squared(steps):
-    """Cayley graph of Z_4 x Z_4 with the connection set ``steps`` (closed
-    under negation)."""
-    def vertex(a, b):
-        return 4 * (a % 4) + b % 4
-    return SimpleGraph(16, {tuple(sorted((vertex(a, b), vertex(a + x, b + y))))
-                            for a in range(4) for b in range(4) for x, y in steps})
-
-
 # strongly regular graphs with their automorphism group orders
 SRG_CORPUS = (
     ("Petersen", kneser(5, 2), 120),
     ("Paley 13", _paley(13), 78),
     ("Paley 17", _paley(17), 136),
-    ("Shrikhande", _cayley_z4_squared([(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)]), 192),
-    ("4x4 rook's graph", _cayley_z4_squared([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)]),
-     1152),
+    ("Shrikhande", shrikhande(), 192),
+    ("4x4 rook's graph", rook_4x4(), 1152),
     ("T(6) = F_2(K_6)", token_graph(complete(6), 2), 720),
 )
 

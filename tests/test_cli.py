@@ -1,9 +1,16 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from token_covers import cli, search, symmetry, voltage
 from token_covers.cli import main
+from token_covers.graphs import FAMILY_BUILDERS
 
 
 def run(*args):
@@ -134,7 +141,11 @@ def test_conjecture_over_cap_fails_before_building(tmp_path, monkeypatch, capsys
     (("zz", "--family", "complete:40", "--k", "1..3"), "token graph too large (780 > 200)"),
     (("zz", "--family", "complete:5", "--k", "3..5"), "k=5 out of range 1..4"),
     (("verify-theorem1", "--n", "18..22"), "graph too large for isomorphism search"),
-], ids=["zz-over-cap", "zz-k-out-of-range", "theorem1-over-cap"])
+    # ends far past what a list of the range's values could hold
+    (("zz", "--family", "star:3", "--k", f"1..{10**16}"), "k=4 out of range 1..3"),
+    (("verify-theorem1", "--n", f"4..{10**16}"), "graph too large for isomorphism search"),
+], ids=["zz-over-cap", "zz-k-out-of-range", "theorem1-over-cap", "zz-huge-range",
+        "theorem1-huge-range"])
 def test_range_that_fails_part_way_writes_nothing(tmp_path, monkeypatch, capsys, argv, message):
     """Every value's cap and range is checked before the first is built, so
     the values before the failing one are neither built, written nor
@@ -151,10 +162,16 @@ def test_range_that_fails_part_way_writes_nothing(tmp_path, monkeypatch, capsys,
     assert not out.exists() or not list(out.iterdir())
 
 
-def test_build_theorem1_base_is_not_written_when_a_later_job_is_over_cap(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [
+    ("--theorem1-cover", "22"),
+    # within the cap, but rejected by its builder
+    ("--family", "cycle:2"),
+    ("--token", "star:3", "--k", "0"),
+], ids=["over-cap", "bad-family", "bad-k"])
+def test_build_theorem1_base_is_not_written_when_a_later_job_is_over_cap(tmp_path, capsys,
+                                                                          flags):
     out = tmp_path / "out"
-    assert run("build", "--theorem1-base", "6", "--theorem1-cover", "22",
-               "--out", str(out)) == 2
+    assert run("build", "--theorem1-base", "6", *flags, "--out", str(out)) == 2
     assert capsys.readouterr().out == ""
     assert not out.exists()
 
@@ -314,3 +331,53 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("TOKEN_COVER_OUT", str(tmp_path / "envout"))
     assert run("build", "--family", "cycle:3") == 0
     assert (tmp_path / "envout" / "cycle3.json").exists()
+
+
+families = st.sampled_from(sorted(FAMILY_BUILDERS)).flatmap(
+    lambda name: st.lists(st.integers(-2, 6), min_size=FAMILY_BUILDERS[name][1],
+                          max_size=FAMILY_BUILDERS[name][1])
+    .map(lambda sizes: ":".join([name, *map(str, sizes)])))
+numbers = st.integers(-2, 12)
+# a huge end must cost nothing: its range's values can never all be listed
+ends = st.one_of(numbers, st.just(10**16))
+values = st.one_of(numbers.map(str),
+                   st.tuples(ends, ends).map(lambda r: f"{r[0]}..{r[1]}"))
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for ``zz``, ``verify-theorem1`` or ``build``: families of size
+    -2..6, values and ranges (reversed ones and huge ends among them), and
+    both caps in -1..30, so that every graph built stays small."""
+    command = draw(st.sampled_from(["zz", "verify-theorem1", "build"]))
+    if command == "zz":
+        argv = ["zz", "--family", draw(families), "--k", draw(values)]
+    elif command == "verify-theorem1":
+        argv = ["verify-theorem1", "--n", draw(values)]
+    else:
+        argv = ["build"]
+        if draw(st.booleans()):
+            argv += ["--token", draw(families), "--k", str(draw(numbers))]
+        if draw(st.booleans()):
+            argv += ["--family", draw(families)]
+        for flag in ("--theorem1-base", "--theorem1-cover"):
+            if draw(st.booleans()):
+                argv += [flag, str(draw(numbers))]
+    caps = st.integers(-1, 30).map(str)
+    return [*argv, "--max-vertices", draw(caps), "--budget", draw(caps)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv())
+def test_fuzzed_arguments_keep_the_exit_code_contract(argv):
+    """Every run ends with a documented exit code and no traceback, and a
+    run that exits 2 has written nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        printed = io.StringIO()
+        with redirect_stdout(printed), redirect_stderr(printed):
+            code = main([*argv, "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in printed.getvalue()
+        if code == 2:
+            assert not out.exists() or not any(out.iterdir())

@@ -24,6 +24,7 @@ from helpers import (
     kernel_witness_pairs,
     reference_automorphism_generators,
     reference_isomorphism_witness,
+    regular_pairs,
     relabel,
 )
 
@@ -187,6 +188,23 @@ def test_search_matches_lockstep_reference():
         assert search.automorphism_generators(adj) == reference_automorphism_generators(adj)
     for a, b in pairs:
         assert search.isomorphism_witness(a, b) == reference_isomorphism_witness(a, b)
+
+
+def test_search_matches_lockstep_reference_on_regular_pairs():
+    """Generator lists and witnesses are the lockstep search's on regular
+    pairs, where the replay of a branch's trace rejects it or certifies
+    its leaf with no help from degrees.  The Shrikhande and rook's graphs
+    share their parameters but are not isomorphic; a relabelled pair is."""
+    for i, (X, Y) in enumerate(regular_pairs()):
+        a, b = X.adjacency_masks, Y.adjacency_masks
+        for adj in (a, b):
+            assert search.automorphism_generators(adj) == reference_automorphism_generators(adj)
+        witness = search.isomorphism_witness(a, b)
+        assert witness == reference_isomorphism_witness(a, b)
+        if i < 2:
+            assert witness is None
+        elif i % 2:
+            assert witness is not None
 
 
 @settings(max_examples=200, deadline=None)
