@@ -1,6 +1,5 @@
-"""Finite cyclic groups, subgroups, right cosets, vertex permutations, and
-stabilizer chains of permutation groups, read off a base and strong
-generating set the search kernel's first path already found.
+"""Finite cyclic groups, subgroups, right cosets and vertex permutations.
+Automorphism groups, with their stabilizer chains, are ``symmetry.AutGroup``.
 
 Only cyclic voltage groups are implemented: every construction in this package
 voltages over Z_m, and for abelian groups the left/right coset distinction
@@ -12,9 +11,7 @@ member sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm, prod
-from operator import itemgetter
-from typing import Iterator, Sequence
+from math import lcm
 
 
 @dataclass(frozen=True)
@@ -158,105 +155,3 @@ class Permutation:
 
     def fixed_points(self):
         return [i for i, x in enumerate(self.images) if i == x]
-
-
-def _compose(p: tuple, q: tuple) -> tuple:
-    """Image tuple of p * q, that is x -> p(q(x)).  Needs degree >= 2, as
-    every permutation in a stabilizer chain has: for one index itemgetter
-    returns a bare item, not a tuple."""
-    return itemgetter(*q)(p)
-
-
-class StabilizerChain:
-    """Transversals of a permutation group along a base it is given with a
-    strong generating set: the search kernel's first path and the
-    generators it harvests along it (see
-    ``search.automorphism_generators``), so no Schreier-Sims is run.
-
-    ``generators`` must be strong relative to ``base``: for each i, those
-    fixing ``base[:i]`` pointwise generate the pointwise stabilizer of
-    ``base[:i]``.  Level i holds base point ``base[i]`` and a transversal
-    taking each point y of the orbit of ``base[i]`` under those generators
-    to a coset representative u with u(base[i]) = y.  Each group element
-    is then exactly one product u_0 * u_1 * ... * u_{k-1} with u_i from
-    transversal i, and the order is the product of the orbit lengths
-    (Sims 1970; Seress, *Permutation Group Algorithms*, 2003, ch. 4).
-
-    No generator fixes every base point, so the pointwise stabilizer of
-    the base is trivial: only the identity fixes every base point.  Two
-    elements with the same base images are then equal (g^-1 h fixes the
-    base), so ``base_images`` names an element, and g^t is the identity
-    exactly when it fixes every base point, so ``element_order`` is the
-    lcm of the lengths of the base points' cycles alone.
-    """
-
-    def __init__(self, generators: Sequence[Permutation], base: Sequence[int], degree: int):
-        self.degree = degree
-        self.base = tuple(base)
-        self._identity = tuple(range(degree))
-        gens = [g.images for g in generators]
-        self._transversal = [
-            self._build_orbit(b, [g for g in gens if all(g[x] == x for x in self.base[:i])])
-            for i, b in enumerate(self.base)]
-
-    def _build_orbit(self, b: int, strong: list) -> dict:
-        """Orbit point -> representative, in breadth-first discovery order."""
-        trans = {b: self._identity}
-        queue = [b]
-        for y in queue:
-            u = trans[y]
-            for s in strong:
-                z = s[y]
-                if z not in trans:
-                    trans[z] = _compose(s, u)
-                    queue.append(z)
-        return trans
-
-    @property
-    def orbit_lengths(self) -> tuple:
-        """Basic orbit lengths |orbit of base[i] under the level-i group|."""
-        return tuple(len(t) for t in self._transversal)
-
-    @property
-    def order(self) -> int:
-        return prod(self.orbit_lengths)
-
-    def base_images(self, g: Permutation) -> tuple:
-        """g's images of the base points, which determine g in the group."""
-        images = g.images
-        return tuple(images[b] for b in self.base)
-
-    def element_order(self, g: Permutation) -> int:
-        """The order of the group element g: the lcm of the lengths of the
-        g-cycles through the base points (1 for an empty base)."""
-        images = g.images
-        order = 1
-        for b in self.base:
-            length, x = 1, images[b]
-            while x != b:
-                length += 1
-                x = images[x]
-            order = lcm(order, length)
-        return order
-
-    def elements(self) -> Iterator[Permutation]:
-        """Every group element once, identity first, in a fixed order: the
-        products u_0 * ... * u_{k-1} with the level-0 factor varying
-        slowest and each transversal in orbit discovery order."""
-        levels = [list(t.values()) for t in self._transversal]
-        if not levels:
-            yield Permutation(self._identity)
-            return
-        last = len(levels) - 1
-        trusted = Permutation._trusted
-
-        def walk(i, prefix):
-            if i == last:
-                for u in levels[i]:
-                    yield trusted(_compose(prefix, u))
-            else:
-                for u in levels[i]:
-                    yield from walk(i + 1, _compose(prefix, u))
-
-        yield from walk(0, self._identity)
-

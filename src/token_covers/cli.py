@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from math import comb
 from pathlib import Path
 
 from . import voltage
@@ -26,7 +25,7 @@ from .symmetry import (
     KernelResultError,
     zz_checks,
 )
-from .tokens import inclusion_bigraph, johnson, line_graph, subdivision, token_graph
+from .tokens import binomial, inclusion_bigraph, johnson, line_graph, subdivision, token_graph
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -108,44 +107,37 @@ def write_file(directory: Path, name: str, content: str) -> Path:
     return target
 
 
-def write_graph(directory, stem, graph, formats):
-    written = []
-    if formats in ("dot", "both"):
-        written.append(write_file(directory, f"{stem}.dot", to_dot(graph)))
-    if formats in ("json", "both"):
-        written.append(write_file(directory, f"{stem}.json", to_json(graph)))
-    return written
-
-
-def _binomial(n: int, k: int) -> int:
-    """C(n, k), or 0 where the builder rejects (n, k) with its own error."""
-    return comb(n, k) if 0 <= k <= n else 0
-
-
 def cmd_build(args) -> int:
     out_dir, max_vertices, _ = resolve_settings(args)
     jobs = []
 
     def add(stem, vertices, build):
-        """Queue a graph of ``vertices`` vertices once its count is within
-        the cap; nothing is built until every job's cap holds, so an
+        """Queue a graph of ``vertices`` vertices (a count, or the text
+        ``tokens.binomial`` writes for one past the cap) once its count is
+        within the cap; nothing is built until every job's cap holds, so an
         oversized graph (or its base family graph) is never built, nor
-        anything before it.  ``build`` binds its arguments as defaults, as
-        later flags rebind the names."""
-        if vertices > max_vertices:
+        anything before it.  A builder still rejects parameters a count
+        cannot, such as an odd Theorem 1 n, with its own error.  ``build``
+        binds its arguments as defaults, as later flags rebind the names."""
+        if isinstance(vertices, str) or vertices > max_vertices:
             raise ValueError(f"{stem}: {vertices} vertices exceed the cap {max_vertices}")
         jobs.append((stem, build))
 
+    if args.theorem1_base is not None:
+        # queued first, so it is printed first
+        n = args.theorem1_base
+        add(f"theorem1_base_{n}", n // 2, lambda n=n: voltage.theorem1_base(n))
     if args.token:
         name, params = parse_family(args.token)
         if args.k is None:
             raise ValueError("--token requires --k")
         vertices, _ = family_size(name, *params)
-        add(f"token_{name}{'_'.join(map(str, params))}_k{args.k}", _binomial(vertices, args.k),
+        add(f"token_{name}{'_'.join(map(str, params))}_k{args.k}",
+            binomial(vertices, args.k, max_vertices),
             lambda name=name, params=params: token_graph(make_family(name, *params), args.k))
     if args.johnson:
         n, k = args.johnson
-        add(f"johnson_{n}_{k}", _binomial(n, k), lambda n=n, k=k: johnson(n, k))
+        add(f"johnson_{n}_{k}", binomial(n, k, max_vertices), lambda n=n, k=k: johnson(n, k))
     if args.line:
         name, params = parse_family(args.line)
         _, edges = family_size(name, *params)
@@ -157,34 +149,35 @@ def cmd_build(args) -> int:
             lambda name=name, params=params: subdivision(make_family(name, *params)))
     if args.inclusion:
         n, a, b = args.inclusion
-        add(f"inclusion_{n}_{a}_{b}", comb(n, a) + comb(n, b) if 0 <= a < b <= n else 0,
-            lambda n=n, a=a, b=b: inclusion_bigraph(n, a, b))
+        counts = (binomial(n, a, max_vertices), binomial(n, b, max_vertices))
+        if any(isinstance(c, str) for c in counts):
+            vertices = " + ".join(map(str, counts))
+        else:
+            vertices = sum(counts) if 0 <= a < b <= n else 0
+        add(f"inclusion_{n}_{a}_{b}", vertices, lambda n=n, a=a, b=b: inclusion_bigraph(n, a, b))
     if args.family:
         name, params = parse_family(args.family)
         vertices, _ = family_size(name, *params)
         add(f"{name}{'_'.join(map(str, params))}", vertices,
             lambda name=name, params=params: make_family(name, *params))
-    if args.theorem1_base is not None:
-        base_cvg = voltage.theorem1_base(args.theorem1_base)  # written once every job is built
     if args.theorem1_cover is not None:
-        cvg = voltage.theorem1_base(args.theorem1_cover)
-        add(f"theorem1_cover_{args.theorem1_cover}", cvg.cover_vertex_count(),
-            lambda: voltage.lift(cvg).graph)
-    if not jobs and args.theorem1_base is None:
+        # the cover of theorem1_base(n) is F_2(K_n), with C(n, 2) vertices
+        n = args.theorem1_cover
+        add(f"theorem1_cover_{n}", binomial(n, 2, max_vertices),
+            lambda n=n: voltage.lift(voltage.theorem1_base(n)).graph)
+    if not jobs:
         raise ValueError("nothing to build; pass --token/--johnson/--line/"
                          "--subdivision/--inclusion/--family/--theorem1-base/--theorem1-cover")
     # a builder may still reject its parameters: build every job before writing
-    graphs = [(stem, build()) for stem, build in jobs]
-    if args.theorem1_base is not None:
-        stem = f"theorem1_base_{args.theorem1_base}"
+    built = [(stem, build()) for stem, build in jobs]
+    for stem, graph in built:
+        voltages = isinstance(graph, voltage.CombinedVoltageGraph)  # the Theorem 1 base
         if args.format in ("dot", "both"):
-            write_file(out_dir, f"{stem}.dot", base_cvg.to_dot())
+            write_file(out_dir, f"{stem}.dot", graph.to_dot() if voltages else to_dot(graph))
         if args.format in ("json", "both"):
-            write_file(out_dir, f"{stem}.json", base_cvg.to_json())
-        print(f"{stem}: {base_cvg.base.vertex_count} vertices, {base_cvg.base.edge_count} edges")
-    for stem, graph in graphs:
-        write_graph(out_dir, stem, graph, args.format)
-        print(f"{stem}: {graph.vertex_count} vertices, {graph.edge_count} edges")
+            write_file(out_dir, f"{stem}.json", graph.to_json() if voltages else to_json(graph))
+        shape = graph.base if voltages else graph
+        print(f"{stem}: {shape.vertex_count} vertices, {shape.edge_count} edges")
     return EXIT_OK
 
 
@@ -245,7 +238,6 @@ def add_common(parser):
     parser.add_argument("--out", help="output directory (default $TOKEN_COVER_OUT or ./out)")
     parser.add_argument("--config", help="key=value config file; flags win")
     parser.add_argument("--max-vertices", type=int, dest="max_vertices")
-    parser.add_argument("--budget", type=int)
 
 
 def build_parser():
@@ -282,6 +274,7 @@ def build_parser():
     p = sub.add_parser("conjecture", help="search for cyclic quotient bases")
     p.add_argument("which", type=int, choices=(1, 2))
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--budget", type=int, help="group elements walked at most")
     add_common(p)
     p.set_defaults(func=cmd_conjecture)
 

@@ -14,14 +14,15 @@ checks every k).
 from __future__ import annotations
 
 from itertools import islice
-from math import comb
+from math import lcm, prod
+from operator import itemgetter
 from typing import Iterator
 
 from . import search
-from .algebra import Permutation, StabilizerChain
+from .algebra import Permutation
 from .graphs import SimpleGraph, components, family_size, is_connected, make_family
 from .report import Evidence, VerificationReport
-from .tokens import token_graph
+from .tokens import binomial, token_graph
 
 DEFAULT_VERTEX_CAP = 200
 DEFAULT_GROUP_CAP = 10**6
@@ -48,37 +49,127 @@ class KernelResultError(RuntimeError):
     fails the independent re-check."""
 
 
+def _compose(p: tuple, q: tuple) -> tuple:
+    """Image tuple of p * q, that is x -> p(q(x)).  Needs degree >= 2, as
+    every group with a nonempty base has: for one index itemgetter returns
+    a bare item, not a tuple."""
+    return itemgetter(*q)(p)
+
+
 class AutGroup:
     """Aut(X) as ``automorphisms`` returns it: the search kernel's strong
-    generators, the base of its first path, and their stabilizer chain,
-    built on first use (orbits need only the generators)."""
+    generators, the base of its first path, and the transversals along that
+    base, built on first use (orbits need only the generators), so no
+    Schreier-Sims is run.
+
+    ``generators`` are strong relative to ``base``: for each i, those fixing
+    ``base[:i]`` pointwise generate the pointwise stabilizer of ``base[:i]``
+    (see ``search.automorphism_generators``).  Level i holds base point
+    ``base[i]`` and a transversal taking each point y of the orbit of
+    ``base[i]`` under those generators to a coset representative u with
+    u(base[i]) = y.  Each group element is then exactly one product
+    u_0 * u_1 * ... * u_{k-1} with u_i from transversal i, and the order is
+    the product of the orbit lengths (Sims 1970; Seress, *Permutation Group
+    Algorithms*, 2003, ch. 4).
+
+    No generator fixes every base point, so the pointwise stabilizer of the
+    base is trivial: only the identity fixes every base point.  Two elements
+    with the same base images are then equal (g^-1 h fixes the base), so
+    ``base_images`` names an element, and g^t is the identity exactly when
+    it fixes every base point, so ``element_order`` is the lcm of the
+    lengths of the base points' cycles alone.
+    """
 
     def __init__(self, degree: int, generators, base):
         self.degree = degree
         self.generators = tuple(generators)
         self.base = tuple(base)
-        self._chain = None
+        self._levels = None
 
     @property
-    def chain(self) -> StabilizerChain:
-        if self._chain is None:
-            self._chain = StabilizerChain(self.generators, self.base, self.degree)
-        return self._chain
+    def _transversals(self) -> list:
+        if self._levels is None:
+            self._levels = self._build_transversals()
+        return self._levels
+
+    def _build_transversals(self) -> list:
+        """Per base point, orbit point -> representative, in breadth-first
+        discovery order."""
+        identity = tuple(range(self.degree))
+        gens = [g.images for g in self.generators]
+        levels = []
+        for i, b in enumerate(self.base):
+            strong = [g for g in gens if all(g[x] == x for x in self.base[:i])]
+            trans = {b: identity}
+            queue = [b]
+            for y in queue:
+                u = trans[y]
+                for s in strong:
+                    z = s[y]
+                    if z not in trans:
+                        trans[z] = _compose(s, u)
+                        queue.append(z)
+            levels.append(trans)
+        return levels
+
+    @property
+    def orbit_lengths(self) -> tuple:
+        """Basic orbit lengths |orbit of base[i] under the level-i group|."""
+        return tuple(len(t) for t in self._transversals)
+
+    def order(self):
+        """(order, True): the order is exact, the product of the basic orbit
+        lengths; the flag is kept for callers that unpack it."""
+        return prod(self.orbit_lengths), True
+
+    def base_images(self, g: Permutation) -> tuple:
+        """g's images of the base points, which determine g in the group."""
+        images = g.images
+        return tuple(images[b] for b in self.base)
+
+    def element_order(self, g: Permutation) -> int:
+        """The order of the group element g: the lcm of the lengths of the
+        g-cycles through the base points (1 for an empty base)."""
+        images = g.images
+        order = 1
+        for b in self.base:
+            length, x = 1, images[b]
+            while x != b:
+                length += 1
+                x = images[x]
+            order = lcm(order, length)
+        return order
+
+    def elements(self) -> Iterator[Permutation]:
+        """Every group element once, identity first, in a fixed order: the
+        products u_0 * ... * u_{k-1} with the level-0 factor varying
+        slowest and each transversal in orbit discovery order."""
+        levels = [list(t.values()) for t in self._transversals]
+        if not levels:
+            yield Permutation(tuple(range(self.degree)))
+            return
+        last = len(levels) - 1
+        trusted = Permutation._trusted
+
+        def walk(i, prefix):
+            if i == last:
+                for u in levels[i]:
+                    yield trusted(_compose(prefix, u))
+            else:
+                for u in levels[i]:
+                    yield from walk(i + 1, _compose(prefix, u))
+
+        yield from walk(0, tuple(range(self.degree)))
 
     def closure(self, cap: int = DEFAULT_GROUP_CAP) -> tuple[Iterator[Permutation], bool]:
-        """A stream of the first ``cap`` elements of the chain's walk (see
-        ``StabilizerChain.elements``) and whether they are the whole group.
+        """A stream of the first ``cap`` elements of ``elements`` and whether
+        they are the whole group.
 
         The stream holds no elements; a caller keeps only those it selects.
         """
         if cap < 1:
             raise ValueError("cap must be positive")
-        return islice(self.chain.elements(), cap), self.chain.order <= cap
-
-    def order(self):
-        """(order, True): the order is exact, the product of the chain's
-        basic orbit lengths; the flag is kept for callers that unpack it."""
-        return self.chain.order, True
+        return islice(self.elements(), cap), prod(self.orbit_lengths) <= cap
 
     def __repr__(self):
         return f"AutGroup(degree={self.degree}, generators={len(self.generators)})"
@@ -90,8 +181,8 @@ def automorphisms(X: SimpleGraph) -> AutGroup:
 
     Each generator is re-checked against X, and against its base point:
     it must move that point and fix every shallower one, which is what
-    makes the generators fixing a prefix of the base the ones the chain
-    takes for that prefix's stabilizer.
+    makes the generators fixing a prefix of the base the ones
+    ``AutGroup``'s transversals take for that prefix's stabilizer.
     """
     found = search.automorphism_generators(X.adjacency_masks)
     # found deepest level first: the base is their points, shallowest first
@@ -224,8 +315,8 @@ def zz_checks(family: str, params, ks, *,
     graph X and at most one automorphism search per pair {k, |V| - k}.
 
     Every k's range (1..|V|-1) and token-graph size (C(|V|, k) within
-    ``max_vertices``) is checked before X is built, so a failing range
-    raises its ValueError having built nothing.
+    ``max_vertices``, counted by ``tokens.binomial``) is checked before X is
+    built, so a failing range raises its ValueError having built nothing.
 
     Complementation, S to V minus S, is an isomorphism F_k(X) -> F_{|V|-k}(X),
     and under the lexicographic order of ``token_graph``'s vertices it
@@ -245,8 +336,8 @@ def zz_checks(family: str, params, ks, *,
     for k in ks:
         if not 1 <= k <= n_x - 1:
             raise ValueError(f"k={k} out of range 1..{n_x - 1}")
-        vertices = comb(n_x, k)
-        if vertices > max_vertices:
+        vertices = binomial(n_x, k, max_vertices)
+        if isinstance(vertices, str) or vertices > max_vertices:
             raise ValueError(f"token graph too large ({vertices} > {max_vertices})")
     X = make_family(family, *params)
     if not is_connected(X):

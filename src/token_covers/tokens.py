@@ -15,11 +15,29 @@ from .graphs import SimpleGraph
 
 MAX_BASE_VERTICES = 64
 MAX_TOKEN_VERTICES = 100_000
+# a count with more digits than Python's default limit for converting an int
+# to text is written as "C(n, k)" in cap messages
+PRINTED_DIGITS = 4300
 
 
 def ksubsets(n: int, k: int):
     """All k-subsets of 0..n-1 as sorted tuples, lexicographic."""
     return list(combinations(range(n), k))
+
+
+def binomial(n: int, k: int, cap: int):
+    """C(n, k) for a check against ``cap`` (0 for k outside 0..n): the count
+    itself, or the text ``C(n, k)`` once it is past both ``cap`` and
+    ``PRINTED_DIGITS`` digits, and so over the cap.  The partial products
+    C(n, i) grow with i up to i = min(k, n - k), so the first one past that
+    limit ends the count, and no much larger integer is built."""
+    limit = max(cap, 10**PRINTED_DIGITS - 1)
+    count = 1 if 0 <= k <= n else 0
+    for i in range(1, min(k, n - k) + 1):
+        count = count * (n - i + 1) // i
+        if count > limit:
+            return f"C({n}, {k})"
+    return count
 
 
 def subset_label(s) -> str:

@@ -42,7 +42,7 @@ from .symmetry import (
     is_isomorphic,
     maps_edges_into,
 )
-from .tokens import ksubsets, token_graph
+from .tokens import binomial, ksubsets, token_graph
 
 
 @dataclass(frozen=True)
@@ -392,13 +392,12 @@ def cyclic_subgroup_classes(elements, group: AutGroup, m: int):
     conjugating with the group's generators and taking coprime powers.  The
     walk only passes through ``elements``: when they are every order-m
     element of the group each class is exact, otherwise a class may split.
-    An element is known by its base images (``StabilizerChain.base_images``),
-    so each conjugate and power is computed on the base points alone.
+    An element is known by its base images (``AutGroup.base_images``), so
+    each conjugate and power is computed on the base points alone.
     """
-    chain = group.chain
-    position = {chain.base_images(p): i for i, p in enumerate(elements)}
+    position = {group.base_images(p): i for i, p in enumerate(elements)}
     # (s g s^-1)(b) = s(g(s^-1(b))) for each base point b
-    conjugators = [(s.images, [s.inverse()(b) for b in chain.base]) for s in group.generators]
+    conjugators = [(s.images, [s.inverse()(b) for b in group.base]) for s in group.generators]
     coprime = [j for j in range(2, m) if gcd(j, m) == 1]
 
     def related(i):
@@ -406,7 +405,7 @@ def cyclic_subgroup_classes(elements, group: AutGroup, m: int):
         found = [tuple(s[g[x]] for x in preimages) for s, preimages in conjugators]
         # g^j(b) lies j steps along the g-cycle through b
         cycles = []
-        for b in chain.base:
+        for b in group.base:
             cycle, x = [b], g[b]
             while x != b:
                 cycle.append(x)
@@ -428,10 +427,10 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     ``star_two`` targets F_2(K_{1,n}) over Z_n (n dividing C(n+1, 2)).
     The order-m automorphisms among the first ``budget`` elements of the
     group's walk (``AutGroup.closure``; only they are kept, each order read
-    off the base by ``StabilizerChain.element_order``), free actions
-    first, are split into conjugacy classes of the cyclic subgroups they
-    generate (see ``cyclic_subgroup_classes``), and each class's first member is
-    quotiented and verified.  Verifying one member verifies its class:
+    off the base by ``AutGroup.element_order``) are split into conjugacy
+    classes of the cyclic subgroups they generate (see
+    ``cyclic_subgroup_classes``), free classes first, and each class's first
+    member is quotiented and verified.  Verifying one member verifies its class:
     <g^j> = <g> for gcd(j, m) = 1, so g^j has the same orbits, and its
     voltages are those of g under the automorphism t -> j^-1 t of Z_m; an
     automorphism s of X carries the orbits of <g> onto those of
@@ -449,40 +448,38 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
             raise ValueError("star_half requires odd n >= 3")
         k = (n + 1) // 2
         m = group_order if group_order is not None else 2 * n
-        quot, rem = divmod(comb(2 * k, k), 2 * n)
-        size_readings = {"binom(2k,k)/(2n)": quot if rem == 0 else None}
     elif family == "star_two":
         if n < 2 or comb(n + 1, 2) % n != 0:
             raise ValueError("star_two requires n >= 2 dividing C(n+1, 2)")
         k = 2
         m = group_order if group_order is not None else n
-        size_readings = {"n-2": n - 2, "(n-1)/2": (n - 1) // 2}
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {CONJECTURE_FAMILIES}")
-
-    vertices = comb(n + 1, k)  # checked before the token graph is built
-    if vertices > max_vertices:
+    # checked before the token graph, or any count it could not hold, is built
+    vertices = binomial(n + 1, k, max_vertices)
+    if isinstance(vertices, str) or vertices > max_vertices:
         raise ValueError(f"token graph too large ({vertices} > {max_vertices})")
+    if family == "star_half":
+        quot, rem = divmod(comb(2 * k, k), 2 * n)
+        size_readings = {"binom(2k,k)/(2n)": quot if rem == 0 else None}
+    else:
+        size_readings = {"n-2": n - 2, "(n-1)/2": (n - 1) // 2}
+
     X = token_graph(star(n), k)
     aut = automorphisms(X)
     elements, complete_search = aut.closure(budget)
     aut_order, aut_order_exact = aut.order()
 
-    element_order = aut.chain.element_order
+    element_order = aut.element_order
     of_order = sorted((p for p in elements if element_order(p) == m), key=lambda p: p.images)
-    free, nonfree = [], []
-    for p in of_order:
-        (free if acts_freely(p, m) else nonfree).append(p)
-
-    classes = cyclic_subgroup_classes(free + nonfree, aut, m)
+    # conjugates and coprime powers keep the cycle type, so one member tells
+    # whether its whole class acts freely; the free classes come first
+    classes = sorted(((acts_freely(members[0], m), members)
+                      for members in cyclic_subgroup_classes(of_order, aut, m)),
+                     key=lambda c: not c[0])
     candidates = []
-    listed = 0
-    for members in classes:
+    for is_free, members in classes:
         p = members[0]
-        # conjugates and powers keep the cycle type, so a class is all free
-        # or all not, and the free classes come first
-        is_free = listed < len(free)
-        listed += len(members)
         cvg, rep = quotient_cyclic(X, p)
         if rep.passed:
             candidates.append({
@@ -508,7 +505,7 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
         Evidence("aut_order", aut_order),
         Evidence("aut_order_exact", aut_order_exact),
         Evidence("order_m_elements", len(of_order)),
-        Evidence("free_actions", len(free)),
+        Evidence("free_actions", sum(len(members) for is_free, members in classes if is_free)),
         Evidence("order_m_classes", len(classes)),
         Evidence("conjectured_base_sizes",
                  {lbl: val for lbl, val in size_readings.items()}),

@@ -75,11 +75,11 @@ def fiber_offsets(cvg):
 def free_actions(X, m: int):
     """Automorphisms of X all of whose cycles have length m (so of order
     m, generating a free action), sorted by image tuple: a filter over
-    every element of ``automorphisms(X).chain``.  m < 2 is rejected, as
+    every element of ``automorphisms(X)``.  m < 2 is rejected, as
     the only such permutation of order 1 is the identity."""
     if m < 2:
         raise ValueError("m must be at least 2")
-    return sorted((p for p in automorphisms(X).chain.elements() if acts_freely(p, m)),
+    return sorted((p for p in automorphisms(X).elements() if acts_freely(p, m)),
                   key=lambda p: p.images)
 
 

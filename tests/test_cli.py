@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from token_covers import cli, search, symmetry, voltage
 from token_covers.cli import main
-from token_covers.graphs import FAMILY_BUILDERS
+from token_covers.graphs import FAMILY_BUILDERS, family_size
 
 
 def run(*args):
@@ -104,12 +104,17 @@ def _never(*args, **kwargs):
     # a job within the cap is not built before a later job's cap fails
     (("--token", "star:5", "--k", "3", "--johnson", "16", "8"), "johnson",
      "johnson_16_8: 12870 vertices exceed the cap 200"),
+    # the Theorem 1 base has N/2 vertices, and its cover C(N, 2)
+    (("--theorem1-base", "1000", "--max-vertices", "10"), "voltage.theorem1_base",
+     "theorem1_base_1000: 500 vertices exceed the cap 10"),
+    (("--theorem1-cover", "800", "--max-vertices", "10"), "voltage.theorem1_base",
+     "theorem1_cover_800: 319600 vertices exceed the cap 10"),
 ])
 def test_build_over_cap_fails_before_building(tmp_path, monkeypatch, capsys,
                                               flags, builder, message):
     # the family graph under a token, line or subdivision graph is not built either
     monkeypatch.setattr(cli, "make_family", _never)
-    monkeypatch.setattr(cli, builder, _never)
+    monkeypatch.setattr(f"token_covers.cli.{builder}", _never)
     assert run("build", *flags, "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.iterdir())
@@ -134,6 +139,32 @@ def test_conjecture_over_cap_fails_before_building(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(voltage, "token_graph", _never)
     assert run("conjecture", "1", "--n", "9", "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == "error: token graph too large (252 > 200)\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("zz", "--family", "complete:200000", "--k", "100000"),
+     "token graph too large (C(200000, 100000) > 200)"),
+    (("conjecture", "1", "--n", "200001"), "token graph too large (C(200002, 100001) > 200)"),
+    (("build", "--token", "complete:200000", "--k", "100000"),
+     "token_complete200000_k100000: C(200000, 100000) vertices exceed the cap 200"),
+], ids=["zz", "conjecture", "build"])
+def test_count_too_large_to_print_is_named_against_the_cap(tmp_path, capsys, argv, message):
+    """A cap check stops counting C(n, k) once the count is past the cap and
+    too large to print, and names it instead."""
+    assert run(*argv, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-theorem1", "--n", "4"),
+    ("zz", "--family", "complete:5", "--k", "2"),
+    ("build", "--family", "cycle:3"),
+])
+def test_budget_is_a_usage_error_outside_conjecture(tmp_path, capsys, argv):
+    assert run(*argv, "--budget", "5", "--out", str(tmp_path)) == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -333,8 +364,11 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "cycle3.json").exists()
 
 
+# small sizes build, huge ones (up to 10^6) must fail on their caps at once
+huge = st.integers(7, 10**6)
+sizes = st.one_of(st.integers(-2, 6), huge)
 families = st.sampled_from(sorted(FAMILY_BUILDERS)).flatmap(
-    lambda name: st.lists(st.integers(-2, 6), min_size=FAMILY_BUILDERS[name][1],
+    lambda name: st.lists(sizes, min_size=FAMILY_BUILDERS[name][1],
                           max_size=FAMILY_BUILDERS[name][1])
     .map(lambda sizes: ":".join([name, *map(str, sizes)])))
 numbers = st.integers(-2, 12)
@@ -345,26 +379,43 @@ values = st.one_of(numbers.map(str),
 
 
 @st.composite
+def family_and_k(draw, ks):
+    """A family and a k, drawn from ``ks`` or near |V|/2, where C(|V|, k)
+    is largest."""
+    family = draw(families)
+    name, *params = family.split(":")
+    half = family_size(name, *map(int, params))[0] // 2
+    return family, draw(st.one_of(ks, st.integers(half - 2, half + 2).map(str)))
+
+
+@st.composite
 def cli_argv(draw):
-    """argv for ``zz``, ``verify-theorem1`` or ``build``: families of size
-    -2..6, values and ranges (reversed ones and huge ends among them), and
-    both caps in -1..30, so that every graph built stays small."""
-    command = draw(st.sampled_from(["zz", "verify-theorem1", "build"]))
+    """argv for ``zz``, ``verify-theorem1``, ``build`` or ``conjecture``:
+    families of size -2..10^6 with k near |V|/2 among the draws, values and
+    ranges (reversed ones and huge ends among them), and caps in -1..30, so
+    that every graph built stays small."""
+    command = draw(st.sampled_from(["zz", "verify-theorem1", "build", "conjecture"]))
+    caps = st.integers(-1, 30).map(str)
     if command == "zz":
-        argv = ["zz", "--family", draw(families), "--k", draw(values)]
+        family, k = draw(family_and_k(values))
+        argv = ["zz", "--family", family, "--k", k]
     elif command == "verify-theorem1":
         argv = ["verify-theorem1", "--n", draw(values)]
+    elif command == "conjecture":
+        n = draw(st.one_of(numbers, huge))
+        argv = ["conjecture", draw(st.sampled_from("12")), "--n", str(n),
+                "--budget", draw(caps)]
     else:
         argv = ["build"]
         if draw(st.booleans()):
-            argv += ["--token", draw(families), "--k", str(draw(numbers))]
+            family, k = draw(family_and_k(numbers.map(str)))
+            argv += ["--token", family, "--k", k]
         if draw(st.booleans()):
             argv += ["--family", draw(families)]
         for flag in ("--theorem1-base", "--theorem1-cover"):
             if draw(st.booleans()):
-                argv += [flag, str(draw(numbers))]
-    caps = st.integers(-1, 30).map(str)
-    return [*argv, "--max-vertices", draw(caps), "--budget", draw(caps)]
+                argv += [flag, str(draw(st.one_of(numbers, huge)))]
+    return [*argv, "--max-vertices", draw(caps)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from token_covers.graphs import SimpleGraph, complete, complete_bipartite, cycle, path, star
 from token_covers.symmetry import is_automorphism, is_isomorphic
 from token_covers.tokens import (
+    PRINTED_DIGITS,
+    binomial,
     induced_token_permutation,
     inclusion_bigraph,
     johnson,
@@ -196,3 +198,17 @@ def test_induced_token_permutation():
     h = from_cycles(4, [(0, 1)])
     P = path(4)
     assert not is_automorphism(token_graph(P, 2), induced_token_permutation(h, 2))
+
+
+def test_binomial_is_exact_until_past_the_cap_and_printable_size():
+    """Every count up to the cap or PRINTED_DIGITS digits is C(n, k) itself
+    (0 for k outside 0..n); a larger one is named, never computed."""
+    for n in range(-2, 40):
+        for k in range(-2, 42):
+            assert binomial(n, k, 10) == (comb(n, k) if 0 <= k <= n else 0)
+    assert binomial(2 * 10**6, 10**6, 200) == "C(2000000, 1000000)"
+    assert binomial(10**6, 3, 200) == comb(10**6, 3)
+    big = comb(20000, 10000)
+    assert big >= 10**PRINTED_DIGITS  # too large for str()
+    assert binomial(20000, 10000, 200) == "C(20000, 10000)"
+    assert binomial(20000, 10000, big) == big

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from token_covers import algebra, voltage
+from token_covers import symmetry, voltage
 from token_covers.algebra import CyclicGroup, Permutation, Subgroup
 from token_covers.graphs import (
     Multigraph,
@@ -449,14 +449,16 @@ def test_quotient_cyclic_rejects_non_automorphism():
 
 
 def test_conjecture_search_builds_one_chain_per_group(monkeypatch):
+    """The transversals are built once, on first use, however many of the
+    group's methods the search calls."""
     built = []
-    init = algebra.StabilizerChain.__init__
+    build = symmetry.AutGroup._build_transversals
 
-    def counting(self, *args, **kwargs):
+    def counting(self):
         built.append(self)
-        init(self, *args, **kwargs)
+        return build(self)
 
-    monkeypatch.setattr(algebra.StabilizerChain, "__init__", counting)
+    monkeypatch.setattr(symmetry.AutGroup, "_build_transversals", counting)
     report = conjecture_search("star_half", 5)
     assert report.status == "completed"
     assert len(built) == 1
