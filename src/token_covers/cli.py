@@ -7,6 +7,8 @@ write byte-identical files (reports carry no timestamps and all orderings
 are canonical).  A command that exits 2 writes nothing: every value's
 cap and range is checked before anything is built, and a range (or a
 ``build``) builds every report (or graph) before it writes the first.
+``--max-vertices`` is the one vertex cap, checked by
+``tokens.check_vertex_cap``: ``<name>: <count> vertices exceed the cap <cap>``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .symmetry import (
     KernelResultError,
     zz_checks,
 )
-from .tokens import binomial, inclusion_bigraph, johnson, line_graph, subdivision, token_graph
+from .tokens import (binomial, check_vertex_cap, inclusion_bigraph, johnson, line_graph,
+                     subdivision, token_graph)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -112,15 +115,13 @@ def cmd_build(args) -> int:
     jobs = []
 
     def add(stem, vertices, build):
-        """Queue a graph of ``vertices`` vertices (a count, or the text
-        ``tokens.binomial`` writes for one past the cap) once its count is
-        within the cap; nothing is built until every job's cap holds, so an
+        """Queue a graph of ``vertices`` vertices once its count is within
+        the cap; nothing is built until every job's cap holds, so an
         oversized graph (or its base family graph) is never built, nor
         anything before it.  A builder still rejects parameters a count
         cannot, such as an odd Theorem 1 n, with its own error.  ``build``
         binds its arguments as defaults, as later flags rebind the names."""
-        if isinstance(vertices, str) or vertices > max_vertices:
-            raise ValueError(f"{stem}: {vertices} vertices exceed the cap {max_vertices}")
+        check_vertex_cap(stem, vertices, max_vertices)
         jobs.append((stem, build))
 
     if args.theorem1_base is not None:
@@ -149,11 +150,8 @@ def cmd_build(args) -> int:
             lambda name=name, params=params: subdivision(make_family(name, *params)))
     if args.inclusion:
         n, a, b = args.inclusion
-        counts = (binomial(n, a, max_vertices), binomial(n, b, max_vertices))
-        if any(isinstance(c, str) for c in counts):
-            vertices = " + ".join(map(str, counts))
-        else:
-            vertices = sum(counts) if 0 <= a < b <= n else 0
+        vertices = (binomial(n, a, max_vertices) + binomial(n, b, max_vertices)
+                    if 0 <= a < b <= n else 0)
         add(f"inclusion_{n}_{a}_{b}", vertices, lambda n=n, a=a, b=b: inclusion_bigraph(n, a, b))
     if args.family:
         name, params = parse_family(args.family)
@@ -194,7 +192,8 @@ def cmd_verify_theorem1(args) -> int:
     # every cap is checked before the first build (C(n, 2) grows with n, so
     # the largest n's cap is every n's), and every report built before the
     # first is written: a failing range exits with nothing written
-    voltage.check_theorem1_cap(evens[-1], max_vertices=max_vertices)
+    check_vertex_cap(f"theorem1-n{evens[-1]}", binomial(evens[-1], 2, max_vertices),
+                     max_vertices)
     reports = [voltage.verify_theorem1(n, max_vertices=max_vertices) for n in evens]
     for n, report in zip(evens, reports):
         write_file(out_dir, f"theorem1_n{n}.json", report.to_json())

@@ -188,56 +188,56 @@ class SimpleGraph:
 
 def complete(n: int) -> SimpleGraph:
     """Complete graph K_n."""
-    if n < 1:
-        raise ValueError("complete(n) requires n >= 1")
+    _family("complete", (n,))
     return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def star(n: int) -> SimpleGraph:
     """Star K_{1,n}; vertex 0 is the center."""
-    if n < 1:
-        raise ValueError("star(n) requires n >= 1")
+    _family("star", (n,))
     return SimpleGraph(n + 1, [(0, i) for i in range(1, n + 1)])
 
 
 def complete_bipartite(m: int, n: int) -> SimpleGraph:
     """K_{m,n} with parts 0..m-1 and m..m+n-1."""
-    if m < 1 or n < 1:
-        raise ValueError("complete_bipartite(m, n) requires m, n >= 1")
+    _family("complete_bipartite", (m, n))
     return SimpleGraph(m + n, [(u, m + v) for u in range(m) for v in range(n)])
 
 
 def path(n: int) -> SimpleGraph:
     """Path on n vertices (n - 1 edges)."""
-    if n < 1:
-        raise ValueError("path(n) requires n >= 1")
+    _family("path", (n,))
     return SimpleGraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> SimpleGraph:
     """Cycle on n vertices; n >= 3 (shorter cycles are not simple graphs)."""
-    if n < 3:
-        raise ValueError("cycle(n) requires n >= 3")
+    _family("cycle", (n,))
     return SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-# name -> (builder, arity, (vertex count, edge count) from the parameters)
+# name -> (builder, parameter names, their least value,
+#          (vertex count, edge count) from the parameters)
 FAMILY_BUILDERS = {
-    "complete": (complete, 1, lambda n: (n, n * (n - 1) // 2)),
-    "star": (star, 1, lambda n: (n + 1, n)),
-    "complete_bipartite": (complete_bipartite, 2, lambda m, n: (m + n, m * n)),
-    "path": (path, 1, lambda n: (n, n - 1)),
-    "cycle": (cycle, 1, lambda n: (n, n)),
+    "complete": (complete, ("n",), 1, lambda n: (n, n * (n - 1) // 2)),
+    "star": (star, ("n",), 1, lambda n: (n + 1, n)),
+    "complete_bipartite": (complete_bipartite, ("m", "n"), 1, lambda m, n: (m + n, m * n)),
+    "path": (path, ("n",), 1, lambda n: (n, n - 1)),
+    "cycle": (cycle, ("n",), 3, lambda n: (n, n)),
 }
 
 
 def _family(name: str, params):
-    """The builder and size rule of a named family, arity checked."""
+    """The builder and size rule of a named family, its arity and least
+    parameter value checked (the builders check theirs here too)."""
     if name not in FAMILY_BUILDERS:
         raise ValueError(f"unknown family {name!r}; expected one of {sorted(FAMILY_BUILDERS)}")
-    builder, arity, size = FAMILY_BUILDERS[name]
-    if len(params) != arity:
-        raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
+    builder, names, least, size = FAMILY_BUILDERS[name]
+    if len(params) != len(names):
+        raise ValueError(f"family {name!r} takes {len(names)} parameter(s), got {len(params)}")
+    if min(params) < least:
+        names = ", ".join(names)
+        raise ValueError(f"{name}({names}) requires {names} >= {least}")
     return builder, size
 
 
@@ -250,8 +250,7 @@ def make_family(name: str, *params: int) -> SimpleGraph:
 def family_size(name: str, *params: int) -> tuple:
     """(vertex count, edge count) of ``make_family(name, *params)`` from the
     parameters alone, so a cap can be checked before the graph is built.
-    For parameters the builder rejects the counts mean nothing; the
-    builder raises once it is called."""
+    Parameters the builder rejects raise its error here, building nothing."""
     _, size = _family(name, params)
     return size(*params)
 

@@ -7,8 +7,8 @@ search kernel, which checks no edge itself; everything returned by it is
 re-verified here by ``maps_edges_into``, the program's one
 adjacency-preservation check, independent of the search path.  The
 searches take no vertex cap: a command compares its graph's size with its
-cap once, from its parameters, before it builds anything (``zz_checks``
-checks every k).
+one cap once, from its parameters, through ``tokens.check_vertex_cap``,
+before it builds anything (``zz_checks`` checks every k).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import search
 from .algebra import Permutation
 from .graphs import SimpleGraph, components, family_size, is_connected, make_family
 from .report import Evidence, VerificationReport
-from .tokens import binomial, token_graph
+from .tokens import binomial, check_vertex_cap, token_graph
 
 DEFAULT_VERTEX_CAP = 200
 DEFAULT_GROUP_CAP = 10**6
@@ -314,9 +314,9 @@ def zz_checks(family: str, params, ks, *,
     """One ``zz_check`` report per k of ``ks``, in order, from one base
     graph X and at most one automorphism search per pair {k, |V| - k}.
 
-    Every k's range (1..|V|-1) and token-graph size (C(|V|, k) within
-    ``max_vertices``, counted by ``tokens.binomial``) is checked before X is
-    built, so a failing range raises its ValueError having built nothing.
+    The family's parameters, every k's range (1..|V|-1) and every token-graph
+    size (C(|V|, k), through ``tokens.check_vertex_cap``) are checked before
+    X is built, so a failing range raises its ValueError having built nothing.
 
     Complementation, S to V minus S, is an isomorphism F_k(X) -> F_{|V|-k}(X),
     and under the lexicographic order of ``token_graph``'s vertices it
@@ -333,17 +333,15 @@ def zz_checks(family: str, params, ks, *,
     the reports are those of a search on every F_k.
     """
     n_x, _ = family_size(family, *params)
+    family_tag = ":".join([family, *map(str, params)])
     for k in ks:
         if not 1 <= k <= n_x - 1:
             raise ValueError(f"k={k} out of range 1..{n_x - 1}")
-        vertices = binomial(n_x, k, max_vertices)
-        if isinstance(vertices, str) or vertices > max_vertices:
-            raise ValueError(f"token graph too large ({vertices} > {max_vertices})")
+        check_vertex_cap(f"zz-{family_tag}-k{k}", binomial(n_x, k, max_vertices), max_vertices)
     X = make_family(family, *params)
     if not is_connected(X):
         raise ValueError("classification check requires a connected graph")
     name, norm = _canonical_family(family, tuple(params))
-    family_tag = ":".join([family, *map(str, params)])
     found = {}  # k -> generators of Aut(F_k)
 
     def generators(k, F):

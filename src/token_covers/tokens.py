@@ -2,21 +2,20 @@
 
 k-subsets are plain sorted tuples throughout; vertex order of every
 construction is the lexicographic order of ``itertools.combinations``, so
-vertex ids are reproducible without carrying subset objects around.
+vertex ids are reproducible without carrying subset objects around.  No
+construction takes a vertex cap: ``check_vertex_cap`` is the one cap check,
+which a command makes before it builds anything.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
 from .algebra import Permutation
 from .graphs import SimpleGraph
 
-MAX_BASE_VERTICES = 64
-MAX_TOKEN_VERTICES = 100_000
-# a count with more digits than Python's default limit for converting an int
-# to text is written as "C(n, k)" in cap messages
+# a count from 10^PRINTED_DIGITS on has more digits than Python's default
+# limit for converting an int to text, so a cap message writes it as a bound
 PRINTED_DIGITS = 4300
 
 
@@ -25,19 +24,29 @@ def ksubsets(n: int, k: int):
     return list(combinations(range(n), k))
 
 
-def binomial(n: int, k: int, cap: int):
+def binomial(n: int, k: int, cap: int) -> int:
     """C(n, k) for a check against ``cap`` (0 for k outside 0..n): the count
-    itself, or the text ``C(n, k)`` once it is past both ``cap`` and
-    ``PRINTED_DIGITS`` digits, and so over the cap.  The partial products
-    C(n, i) grow with i up to i = min(k, n - k), so the first one past that
-    limit ends the count, and no much larger integer is built."""
+    itself while it is within both ``cap`` and ``PRINTED_DIGITS`` digits,
+    else a lower bound past both.  The partial products C(n, i) grow with i
+    up to i = min(k, n - k), so the first one past that limit ends the
+    count, and no much larger integer is built."""
     limit = max(cap, 10**PRINTED_DIGITS - 1)
     count = 1 if 0 <= k <= n else 0
     for i in range(1, min(k, n - k) + 1):
         count = count * (n - i + 1) // i
         if count > limit:
-            return f"C({n}, {k})"
+            break
     return count
+
+
+def check_vertex_cap(name: str, vertices: int, cap: int) -> None:
+    """Raise the one vertex-cap error when ``name``'s graph, of ``vertices``
+    vertices, is over ``cap``.  A count from 10^PRINTED_DIGITS on (exact, or
+    a bound from ``binomial``) is written as that bound, which ``str`` of
+    the count could not print."""
+    if vertices > cap:
+        shown = vertices if vertices < 10**PRINTED_DIGITS else f"at least 10^{PRINTED_DIGITS}"
+        raise ValueError(f"{name}: {shown} vertices exceed the cap {cap}")
 
 
 def subset_label(s) -> str:
@@ -50,10 +59,6 @@ def token_graph(X: SimpleGraph, k: int) -> SimpleGraph:
     n = X.vertex_count
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range 1..{n - 1}")
-    if n > MAX_BASE_VERTICES:
-        raise ValueError(f"base graph too large ({n} > {MAX_BASE_VERTICES} vertices)")
-    if comb(n, k) > MAX_TOKEN_VERTICES:
-        raise ValueError("token graph exceeds the supported size")
     subs = ksubsets(n, k)
     index = {s: i for i, s in enumerate(subs)}
     nbrs = [X.neighbors(u) for u in range(n)]

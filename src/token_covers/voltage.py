@@ -42,7 +42,7 @@ from .symmetry import (
     is_isomorphic,
     maps_edges_into,
 )
-from .tokens import binomial, ksubsets, token_graph
+from .tokens import binomial, check_vertex_cap, ksubsets, token_graph
 
 
 @dataclass(frozen=True)
@@ -204,22 +204,16 @@ def cover_token(n: int, v: CoverVertex):
     return (a, b) if a < b else (b, a)
 
 
-def check_theorem1_cap(n: int, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> None:
-    """Raise the ValueError ``verify_theorem1(n)`` raises when its
-    C(n, 2)-vertex cover is over ``max_vertices``, building nothing."""
-    if comb(n, 2) > max_vertices:
-        raise ValueError("graph too large for isomorphism search")
-
-
 def verify_theorem1(n: int, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> VerificationReport:
     """Machine check that the lifted base graph is F_2(K_n) for even n:
     vertex count, bijectivity of the explicit map, edge-preservation in
     both directions on underlying simple graphs, and an independent
-    isomorphism search.  A cover with more than ``max_vertices`` vertices
-    is rejected before anything is lifted or built (``check_theorem1_cap``);
-    the isomorphism search itself takes no cap."""
+    isomorphism search.  A cover of more than ``max_vertices`` vertices is
+    rejected before anything is built (``tokens.check_vertex_cap``); the
+    isomorphism search itself takes no cap."""
+    name = f"theorem1-n{n}"
+    check_vertex_cap(name, binomial(n, 2, max_vertices), max_vertices)
     cvg = theorem1_base(n)
-    check_theorem1_cap(n, max_vertices=max_vertices)
     target = comb(n, 2)
     cover = lift(cvg)
     count_ok = cover.graph.vertex_count == target
@@ -279,7 +273,7 @@ def verify_theorem1(n: int, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> Verifi
             },
             kind="counterexample",
         ))
-    return VerificationReport.from_outcome(f"theorem1-n{n}", passed, evidence)
+    return VerificationReport.from_outcome(name, passed, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +450,8 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {CONJECTURE_FAMILIES}")
     # checked before the token graph, or any count it could not hold, is built
-    vertices = binomial(n + 1, k, max_vertices)
-    if isinstance(vertices, str) or vertices > max_vertices:
-        raise ValueError(f"token graph too large ({vertices} > {max_vertices})")
+    name = f"conjecture-{family}-n{n}"
+    check_vertex_cap(name, binomial(n + 1, k, max_vertices), max_vertices)
     if family == "star_half":
         quot, rem = divmod(comb(2 * k, k), 2 * n)
         size_readings = {"binom(2k,k)/(2n)": quot if rem == 0 else None}
@@ -516,5 +509,4 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
         evidence.append(Evidence(
             "note", "no verifying candidate found within the enumerated actions",
             kind="note"))
-    return VerificationReport(f"conjecture-{family}-n{n}", complete_search,
-                              status, tuple(evidence))
+    return VerificationReport(name, complete_search, status, tuple(evidence))

@@ -2,6 +2,7 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from token_covers import cli, search, symmetry, voltage
 from token_covers.cli import main
-from token_covers.graphs import FAMILY_BUILDERS, family_size
+from token_covers.graphs import FAMILY_BUILDERS
 
 
 def run(*args):
@@ -82,7 +83,7 @@ def test_verify_theorem1_over_cap_fails_before_lifting(tmp_path, monkeypatch, ca
 
     monkeypatch.setattr(voltage, "lift", never)
     assert run("verify-theorem1", "--n", "40", "--out", str(tmp_path)) == 2
-    assert capsys.readouterr().err == "error: graph too large for isomorphism search\n"
+    assert capsys.readouterr().err == "error: theorem1-n40: 780 vertices exceed the cap 200\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -131,27 +132,37 @@ def test_zz_over_cap_fails_before_building(tmp_path, monkeypatch, capsys):
     for name in ("make_family", "is_connected", "token_graph"):
         monkeypatch.setattr(symmetry, name, _never)
     assert run("zz", "--family", "complete:40", "--k", "3", "--out", str(tmp_path)) == 2
-    assert capsys.readouterr().err == "error: token graph too large (9880 > 200)\n"
+    assert capsys.readouterr().err == "error: zz-complete:40-k3: 9880 vertices exceed the cap 200\n"
     assert not list(tmp_path.iterdir())
 
 
 def test_conjecture_over_cap_fails_before_building(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(voltage, "token_graph", _never)
     assert run("conjecture", "1", "--n", "9", "--out", str(tmp_path)) == 2
-    assert capsys.readouterr().err == "error: token graph too large (252 > 200)\n"
+    assert capsys.readouterr().err == ("error: conjecture-star_half-n9: 252 vertices "
+                                       "exceed the cap 200\n")
     assert not list(tmp_path.iterdir())
+
+
+NINES = "9" * 2500  # a family size whose edge count str() cannot print
 
 
 @pytest.mark.parametrize("argv, message", [
     (("zz", "--family", "complete:200000", "--k", "100000"),
-     "token graph too large (C(200000, 100000) > 200)"),
-    (("conjecture", "1", "--n", "200001"), "token graph too large (C(200002, 100001) > 200)"),
+     "zz-complete:200000-k100000: at least 10^4300 vertices exceed the cap 200"),
+    (("conjecture", "1", "--n", "200001"),
+     "conjecture-star_half-n200001: at least 10^4300 vertices exceed the cap 200"),
     (("build", "--token", "complete:200000", "--k", "100000"),
-     "token_complete200000_k100000: C(200000, 100000) vertices exceed the cap 200"),
-], ids=["zz", "conjecture", "build"])
+     "token_complete200000_k100000: at least 10^4300 vertices exceed the cap 200"),
+    (("build", "--line", f"complete:{NINES}"),
+     f"line_complete{NINES}: at least 10^4300 vertices exceed the cap 200"),
+    (("build", "--subdivision", f"complete:{NINES}"),
+     f"subdivision_complete{NINES}: at least 10^4300 vertices exceed the cap 200"),
+], ids=["zz", "conjecture", "build", "build-line", "build-subdivision"])
 def test_count_too_large_to_print_is_named_against_the_cap(tmp_path, capsys, argv, message):
     """A cap check stops counting C(n, k) once the count is past the cap and
-    too large to print, and names it instead."""
+    too large to print, and a count too large to print (C(n, k) or an edge
+    count) is written as its bound."""
     assert run(*argv, "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.iterdir())
@@ -169,12 +180,14 @@ def test_budget_is_a_usage_error_outside_conjecture(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("zz", "--family", "complete:40", "--k", "1..3"), "token graph too large (780 > 200)"),
+    (("zz", "--family", "complete:40", "--k", "1..3"),
+     "zz-complete:40-k2: 780 vertices exceed the cap 200"),
     (("zz", "--family", "complete:5", "--k", "3..5"), "k=5 out of range 1..4"),
-    (("verify-theorem1", "--n", "18..22"), "graph too large for isomorphism search"),
+    (("verify-theorem1", "--n", "18..22"), "theorem1-n22: 231 vertices exceed the cap 200"),
     # ends far past what a list of the range's values could hold
     (("zz", "--family", "star:3", "--k", f"1..{10**16}"), "k=4 out of range 1..3"),
-    (("verify-theorem1", "--n", f"4..{10**16}"), "graph too large for isomorphism search"),
+    (("verify-theorem1", "--n", f"4..{10**16}"),
+     f"theorem1-n{10**16}: {comb(10**16, 2)} vertices exceed the cap 200"),
 ], ids=["zz-over-cap", "zz-k-out-of-range", "theorem1-over-cap", "zz-huge-range",
         "theorem1-huge-range"])
 def test_range_that_fails_part_way_writes_nothing(tmp_path, monkeypatch, capsys, argv, message):
@@ -221,6 +234,45 @@ def test_zz_past_200_vertices_under_a_raised_cap(tmp_path):
     found = {e["label"]: e["value"] for e in payload["evidence"]}
     assert found["token_vertices"] == 210
     assert found["computed_edge_transitive"] is True and payload["passed"] is True
+
+
+def test_no_hidden_cap_on_the_token_graph_base(tmp_path):
+    """--max-vertices is the only vertex cap: a 65-vertex base, past the
+    64 that token_graph once allowed, builds under a raised cap."""
+    assert run("zz", "--family", "complete:65", "--k", "1", "--max-vertices", "1000",
+               "--out", str(tmp_path)) == 0
+    payload = json.loads((tmp_path / "zz_complete65_k1.json").read_text())
+    assert payload["passed"] is True
+    assert run("build", "--token", "complete:65", "--k", "1", "--max-vertices", "100",
+               "--out", str(tmp_path)) == 0
+    payload = json.loads((tmp_path / "token_complete65_k1.json").read_text())
+    assert payload["vertices"] == 65 and len(payload["edges"]) == 65 * 64 // 2
+
+
+# each family one below its least size, with its builder's message
+@pytest.mark.parametrize("family, message", [
+    ("complete:0", "complete(n) requires n >= 1"),
+    ("complete:-3", "complete(n) requires n >= 1"),
+    ("star:0", "star(n) requires n >= 1"),
+    ("path:0", "path(n) requires n >= 1"),
+    ("cycle:2", "cycle(n) requires n >= 3"),
+    ("complete_bipartite:0:3", "complete_bipartite(m, n) requires m, n >= 1"),
+])
+@pytest.mark.parametrize("argv", [
+    ("zz", "--family"),
+    ("build", "--token"),
+    ("build", "--family"),
+    ("build", "--line"),
+], ids=["zz", "build-token", "build-family", "build-line"])
+def test_family_parameters_are_checked_first(tmp_path, monkeypatch, capsys,
+                                             family, message, argv):
+    """A family's own size check comes before its k range and cap, and
+    nothing is built."""
+    for module in (cli, symmetry):
+        monkeypatch.setattr(module, "make_family", _never)
+    assert run(*argv, family, "--k", "2", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_zz_star(tmp_path):
@@ -368,8 +420,8 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
 huge = st.integers(7, 10**6)
 sizes = st.one_of(st.integers(-2, 6), huge)
 families = st.sampled_from(sorted(FAMILY_BUILDERS)).flatmap(
-    lambda name: st.lists(sizes, min_size=FAMILY_BUILDERS[name][1],
-                          max_size=FAMILY_BUILDERS[name][1])
+    lambda name: st.lists(sizes, min_size=len(FAMILY_BUILDERS[name][1]),
+                          max_size=len(FAMILY_BUILDERS[name][1]))
     .map(lambda sizes: ":".join([name, *map(str, sizes)])))
 numbers = st.integers(-2, 12)
 # a huge end must cost nothing: its range's values can never all be listed
@@ -381,10 +433,11 @@ values = st.one_of(numbers.map(str),
 @st.composite
 def family_and_k(draw, ks):
     """A family and a k, drawn from ``ks`` or near |V|/2, where C(|V|, k)
-    is largest."""
+    is largest (read off the family's size rule, as ``family_size``
+    rejects the sizes its builder rejects)."""
     family = draw(families)
     name, *params = family.split(":")
-    half = family_size(name, *map(int, params))[0] // 2
+    half = FAMILY_BUILDERS[name][-1](*map(int, params))[0] // 2
     return family, draw(st.one_of(ks, st.integers(half - 2, half + 2).map(str)))
 
 
@@ -418,13 +471,42 @@ def cli_argv(draw):
     return [*argv, "--max-vertices", draw(caps)]
 
 
+# config values: small caps (those <= 0 among them), empty values and text
+# int() rejects; lines: every key, an unknown one, comments and no "="
+config_values = st.one_of(st.integers(-2, 30).map(str),
+                          st.sampled_from(["", " ", "x", "1.5", "0x10", "1e3"]))
+config_lines = st.one_of(
+    st.tuples(st.sampled_from([*cli.CONFIG_KEYS, "mystery"]), config_values).map("=".join),
+    st.sampled_from(["# comment", "", "no equals sign", "=5"]))
+
+
+@st.composite
+def config_files(draw):
+    """A ``--config`` argument: the bytes of a file, or ``"dir"`` for a
+    directory.  A file ends with a ``max_vertices`` line, so that with no
+    ``--max-vertices`` flag its value is the cap and every graph built stays
+    small; non-UTF-8 bytes may follow."""
+    if draw(st.booleans()):
+        return "dir"
+    lines = [*draw(st.lists(config_lines, max_size=3)), f"max_vertices={draw(config_values)}"]
+    return "\n".join(lines).encode() + draw(st.sampled_from([b"", b"\n\xff\xfe=1\n"]))
+
+
 @settings(max_examples=200, deadline=None)
-@given(cli_argv())
-def test_fuzzed_arguments_keep_the_exit_code_contract(argv):
+@given(cli_argv(), st.one_of(st.none(), config_files()), st.booleans())
+def test_fuzzed_arguments_keep_the_exit_code_contract(argv, config, cap_flag):
     """Every run ends with a documented exit code and no traceback, and a
-    run that exits 2 has written nothing."""
+    run that exits 2 has written nothing.  With a config file the
+    ``--max-vertices`` flag may be left out, so the file's cap is read."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
+        if config is not None:
+            path = Path(tmp) / "caps.conf"
+            if config == "dir":
+                path.mkdir()
+            else:
+                path.write_bytes(config)
+            argv = [*(argv if cap_flag else argv[:-2]), "--config", str(path)]
         printed = io.StringIO()
         with redirect_stdout(printed), redirect_stderr(printed):
             code = main([*argv, "--out", str(out)])

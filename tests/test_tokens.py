@@ -10,6 +10,7 @@ from token_covers.symmetry import is_automorphism, is_isomorphic
 from token_covers.tokens import (
     PRINTED_DIGITS,
     binomial,
+    check_vertex_cap,
     induced_token_permutation,
     inclusion_bigraph,
     johnson,
@@ -202,13 +203,26 @@ def test_induced_token_permutation():
 
 def test_binomial_is_exact_until_past_the_cap_and_printable_size():
     """Every count up to the cap or PRINTED_DIGITS digits is C(n, k) itself
-    (0 for k outside 0..n); a larger one is named, never computed."""
+    (0 for k outside 0..n); a larger one is a lower bound past both, never
+    computed in full."""
     for n in range(-2, 40):
         for k in range(-2, 42):
             assert binomial(n, k, 10) == (comb(n, k) if 0 <= k <= n else 0)
-    assert binomial(2 * 10**6, 10**6, 200) == "C(2000000, 1000000)"
+    assert binomial(2 * 10**6, 10**6, 200) >= 10**PRINTED_DIGITS
     assert binomial(10**6, 3, 200) == comb(10**6, 3)
     big = comb(20000, 10000)
     assert big >= 10**PRINTED_DIGITS  # too large for str()
-    assert binomial(20000, 10000, 200) == "C(20000, 10000)"
+    assert 10**PRINTED_DIGITS <= binomial(20000, 10000, 200) < big
     assert binomial(20000, 10000, big) == big
+
+
+def test_check_vertex_cap_is_the_one_cap_message():
+    check_vertex_cap("g", 200, 200)
+    with pytest.raises(ValueError, match=r"^g: 201 vertices exceed the cap 200$"):
+        check_vertex_cap("g", 201, 200)
+    # a count str() cannot print is written as its bound
+    with pytest.raises(ValueError, match=rf"^g: at least 10\^{PRINTED_DIGITS} vertices "
+                                         r"exceed the cap 200$"):
+        check_vertex_cap("g", binomial(20000, 10000, 200), 200)
+    with pytest.raises(ValueError, match=rf"^g: {10**PRINTED_DIGITS - 1} vertices"):
+        check_vertex_cap("g", 10**PRINTED_DIGITS - 1, 200)

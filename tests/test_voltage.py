@@ -358,10 +358,17 @@ def test_theorem1_explicit_map_past_workload_sizes(n):
     assert mapped == set(tokens.edges)
 
 
-def test_verify_theorem1_rejects_oversized_cover():
-    with pytest.raises(ValueError, match="graph too large for isomorphism search"):
+def test_verify_theorem1_rejects_oversized_cover(monkeypatch):
+    with pytest.raises(ValueError, match="^theorem1-n8: 28 vertices exceed the cap 27$"):
         verify_theorem1(8, max_vertices=27)
     assert verify_theorem1(8, max_vertices=28).passed
+
+    def never(n):
+        raise AssertionError("the base must not be built past the vertex cap")
+
+    monkeypatch.setattr(voltage, "theorem1_base", never)
+    with pytest.raises(ValueError, match="^theorem1-n40: 780 vertices exceed the cap 200$"):
+        verify_theorem1(40)
 
 
 def test_verify_theorem1_rejects_odd():
