@@ -89,7 +89,9 @@ def _pick(flag_value, cfg_value, default):
 
 
 def resolve_settings(args):
-    """Flags win over config file values, which win over defaults."""
+    """Flags win over config file values, which win over defaults.  Only
+    ``conjecture`` takes ``--budget``: for the other commands the budget is
+    None, and a config file's ``budget`` is not read."""
     cfg = read_config(args.config) if getattr(args, "config", None) else {}
     out_dir = (getattr(args, "out", None)
                or cfg.get("out_dir")
@@ -97,8 +99,9 @@ def resolve_settings(args):
                or "out")
     max_vertices = _pick(getattr(args, "max_vertices", None), cfg.get("max_vertices"),
                          DEFAULT_VERTEX_CAP)
-    budget = _pick(getattr(args, "budget", None), cfg.get("budget"), DEFAULT_GROUP_CAP)
-    if min(max_vertices, budget) < 1:
+    budget = (_pick(args.budget, cfg.get("budget"), DEFAULT_GROUP_CAP)
+              if hasattr(args, "budget") else None)
+    if max_vertices < 1 or (budget is not None and budget < 1):
         raise ValueError("caps must be positive")
     return Path(out_dir), max_vertices, budget
 

@@ -22,7 +22,7 @@ from . import search
 from .algebra import Permutation
 from .graphs import SimpleGraph, components, family_size, is_connected, make_family
 from .report import Evidence, VerificationReport
-from .tokens import binomial, check_vertex_cap, token_graph
+from .tokens import binomial, check_vertex_cap, shown_count, token_graph
 
 DEFAULT_VERTEX_CAP = 200
 DEFAULT_GROUP_CAP = 10**6
@@ -75,9 +75,7 @@ class AutGroup:
     No generator fixes every base point, so the pointwise stabilizer of the
     base is trivial: only the identity fixes every base point.  Two elements
     with the same base images are then equal (g^-1 h fixes the base), so
-    ``base_images`` names an element, and g^t is the identity exactly when
-    it fixes every base point, so ``element_order`` is the lcm of the
-    lengths of the base points' cycles alone.
+    ``base_images`` names an element.
     """
 
     def __init__(self, degree: int, generators, base):
@@ -127,19 +125,6 @@ class AutGroup:
         images = g.images
         return tuple(images[b] for b in self.base)
 
-    def element_order(self, g: Permutation) -> int:
-        """The order of the group element g: the lcm of the lengths of the
-        g-cycles through the base points (1 for an empty base)."""
-        images = g.images
-        order = 1
-        for b in self.base:
-            length, x = 1, images[b]
-            while x != b:
-                length += 1
-                x = images[x]
-            order = lcm(order, length)
-        return order
-
     def elements(self) -> Iterator[Permutation]:
         """Every group element once, identity first, in a fixed order: the
         products u_0 * ... * u_{k-1} with the level-0 factor varying
@@ -170,6 +155,62 @@ class AutGroup:
         if cap < 1:
             raise ValueError("cap must be positive")
         return islice(self.elements(), cap), prod(self.orbit_lengths) <= cap
+
+    def of_order(self, m: int, cap: int = DEFAULT_GROUP_CAP) -> tuple[list, bool]:
+        """The elements of order m among the first ``cap`` of ``elements``, in
+        walk order, and whether those ``cap`` are the whole group (as
+        ``closure`` says).
+
+        g^t is the identity exactly when it fixes every base point, since
+        only the identity fixes the whole base, so the order of g is the lcm
+        of the lengths of the g-cycles through the base points alone.  The
+        walk takes the levels in the order ``elements`` does, but applies
+        the last factor lazily, g(x) = prefix[u[x]], and traces only those
+        cycles, dropping g once one is longer than m or of a length not
+        dividing m; only a kept element's image tuple is built.  The cap
+        counts walked elements, so it may end the walk inside a level.
+        """
+        if cap < 1:
+            raise ValueError("cap must be positive")
+        levels = [list(t.values()) for t in self._transversals]
+        whole = prod(self.orbit_lengths) <= cap
+        if not levels or m < 2:
+            # the identity, first in the walk, is the one element of order 1
+            return ([Permutation(tuple(range(self.degree)))] if m == 1 else []), whole
+        base = self.base
+        last = len(levels) - 1
+        steps = range(1, m + 1)
+        trusted = Permutation._trusted
+        kept = []
+        left = cap
+
+        def walk(i, prefix):
+            nonlocal left
+            if i < last:
+                for u in levels[i]:
+                    if left <= 0:
+                        return
+                    walk(i + 1, _compose(prefix, u))
+                return
+            factors = levels[i][:left]
+            left -= len(factors)
+            for u in factors:
+                order = 1
+                for b in base:
+                    x = b
+                    for length in steps:
+                        x = prefix[u[x]]
+                        if x == b:
+                            break
+                    if x != b or m % length:
+                        break
+                    order = lcm(order, length)
+                else:
+                    if order == m:
+                        kept.append(trusted(_compose(prefix, u)))
+
+        walk(0, tuple(range(self.degree)))
+        return kept, whole
 
     def __repr__(self):
         return f"AutGroup(degree={self.degree}, generators={len(self.generators)})"
@@ -336,7 +377,7 @@ def zz_checks(family: str, params, ks, *,
     family_tag = ":".join([family, *map(str, params)])
     for k in ks:
         if not 1 <= k <= n_x - 1:
-            raise ValueError(f"k={k} out of range 1..{n_x - 1}")
+            raise ValueError(f"k={k} out of range 1..{shown_count(n_x - 1)}")
         check_vertex_cap(f"zz-{family_tag}-k{k}", binomial(n_x, k, max_vertices), max_vertices)
     X = make_family(family, *params)
     if not is_connected(X):

@@ -39,14 +39,18 @@ def binomial(n: int, k: int, cap: int) -> int:
     return count
 
 
+def shown_count(count: int) -> str:
+    """``count`` as an error message writes it: a count from
+    10^PRINTED_DIGITS on (exact, or a bound from ``binomial``) as that bound,
+    which ``str`` of the count could not print."""
+    return str(count) if count < 10**PRINTED_DIGITS else f"at least 10^{PRINTED_DIGITS}"
+
+
 def check_vertex_cap(name: str, vertices: int, cap: int) -> None:
     """Raise the one vertex-cap error when ``name``'s graph, of ``vertices``
-    vertices, is over ``cap``.  A count from 10^PRINTED_DIGITS on (exact, or
-    a bound from ``binomial``) is written as that bound, which ``str`` of
-    the count could not print."""
+    vertices, is over ``cap``, the count written by ``shown_count``."""
     if vertices > cap:
-        shown = vertices if vertices < 10**PRINTED_DIGITS else f"at least 10^{PRINTED_DIGITS}"
-        raise ValueError(f"{name}: {shown} vertices exceed the cap {cap}")
+        raise ValueError(f"{name}: {shown_count(vertices)} vertices exceed the cap {cap}")
 
 
 def subset_label(s) -> str:

@@ -420,9 +420,9 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     ``star_half`` targets F_{(n+1)/2}(K_{1,n}) over Z_{2n} (n odd);
     ``star_two`` targets F_2(K_{1,n}) over Z_n (n dividing C(n+1, 2)).
     The order-m automorphisms among the first ``budget`` elements of the
-    group's walk (``AutGroup.closure``; only they are kept, each order read
-    off the base by ``AutGroup.element_order``) are split into conjugacy
-    classes of the cyclic subgroups they generate (see
+    group's walk (``AutGroup.of_order``, which reads each order off the base
+    points' cycles and builds only the order-m elements) are split into
+    conjugacy classes of the cyclic subgroups they generate (see
     ``cyclic_subgroup_classes``), free classes first, and each class's first
     member is quotiented and verified.  Verifying one member verifies its class:
     <g^j> = <g> for gcd(j, m) = 1, so g^j has the same orbits, and its
@@ -460,11 +460,9 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
 
     X = token_graph(star(n), k)
     aut = automorphisms(X)
-    elements, complete_search = aut.closure(budget)
+    of_order, complete_search = aut.of_order(m, budget)
     aut_order, aut_order_exact = aut.order()
-
-    element_order = aut.element_order
-    of_order = sorted((p for p in elements if element_order(p) == m), key=lambda p: p.images)
+    of_order.sort(key=lambda p: p.images)
     # conjugates and coprime powers keep the cycle type, so one member tells
     # whether its whole class acts freely; the free classes come first
     classes = sorted(((acts_freely(members[0], m), members)

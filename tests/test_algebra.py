@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 from math import factorial, prod
 
 import pytest
@@ -290,33 +291,85 @@ def test_small_groups_include_empty_and_one_point_bases():
     assert {len(automorphisms(X).base) for _, X in SMALL_GROUPS} >= {0, 1}
 
 
-@pytest.mark.parametrize("name, X", SMALL_GROUPS, ids=[g[0] for g in SMALL_GROUPS])
+def _sympy_element_order(p):
+    """The least t >= 1 with p^t the identity, in sympy's arithmetic (its
+    ``order`` reads the same off a cycle form that is far slower to build)."""
+    q, t = p, 1
+    while not q.is_Identity:
+        q, t = q * p, t + 1
+    return t
+
+
+def test_element_order_matches_sympy_on_aut_f5_star9():
+    """The first 6,400 elements of the walk of Aut F_5(K_{1,9}) (order
+    2 * 9!), among them its first order-18 ones: for every m, ``of_order``
+    keeps those whose order in sympy is m."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    aut = automorphisms(token_graph(star(9), 5))
+    assert aut.order()[0] == 2 * factorial(9)
+    cap = 6400
+    walked = list(islice(aut.elements(), cap))
+    orders = [_sympy_element_order(combinatorics.Permutation(list(p.images))) for p in walked]
+    assert 18 in orders
+    for m in range(1, 19):
+        kept, whole = aut.of_order(m, cap)
+        assert not whole
+        assert kept == [p for p, o in zip(walked, orders) if o == m]
+
+
+# Aut F_k(K_{1,n}) for the (n, k) of the conjecture searches' smaller cases
+STAR_TOKEN_GROUPS = tuple((f"F_{k}(K_1,{n})", token_graph(star(n), k))
+                          for n, k in ((5, 2), (5, 3), (7, 2), (7, 4)))
+
+
+@pytest.mark.parametrize("name, X", SMALL_GROUPS + STAR_TOKEN_GROUPS,
+                         ids=[g[0] for g in SMALL_GROUPS + STAR_TOKEN_GROUPS])
 def test_base_images_and_element_order_on_the_whole_walk(name, X):
-    """Base images tell every element of the walk apart, and the order read
-    off the base points equals the order traced over every point."""
+    """Base images tell every element of the walk apart, and for every m in
+    1..18 and caps on both sides of 1,000 and of |G|, ``of_order``, which
+    reads each order off the base points' cycles, is the walk's first
+    ``cap`` elements filtered by their order traced over every point, in
+    walk order, with ``closure``'s flag."""
     aut = automorphisms(X)
     elements = list(aut.elements())
     keys = [aut.base_images(p) for p in elements]
     assert all(type(k) is tuple and len(k) == len(aut.base) for k in keys)
-    assert len(set(keys)) == len(elements) == aut.order()[0]
-    assert [aut.element_order(p) for p in elements] == [p.order() for p in elements]
+    size = len(elements)
+    assert len(set(keys)) == size == aut.order()[0]
+    orders = [p.order() for p in elements]
+    for cap in sorted({1, 2, 3, 999, 1001, max(size - 1, 1), size, size + 1}):
+        assert aut.of_order(1, cap)[1] == aut.closure(cap)[1] == (cap >= size)
+        for m in range(1, 19):
+            kept, _ = aut.of_order(m, cap)
+            assert kept == [p for p, o in zip(elements[:cap], orders) if o == m]
+            assert all(type(p.images) is tuple for p in kept)
 
 
-def test_element_order_matches_sympy_on_aut_f5_star9():
-    """200 elements of Aut F_5(K_{1,9}) (order 2 * 9!), each a seeded random
-    word in the generators: the order read off the base is sympy's."""
-    combinatorics = pytest.importorskip("sympy.combinatorics")
-    aut = automorphisms(token_graph(star(9), 5))
-    assert aut.order()[0] == 2 * factorial(9)
-    rng = random.Random(9)
-    generators = [g.images for g in aut.generators]
-    g = tuple(range(aut.degree))
-    for _ in range(200):
-        for _ in range(rng.randrange(1, 8)):
-            s = rng.choice(generators)
-            g = tuple(s[x] for x in g)
-        expected = combinatorics.Permutation(list(g)).order()
-        assert aut.element_order(Permutation(g)) == expected
+def test_of_order_on_the_empty_base_and_a_bad_cap():
+    aut = automorphisms(ASYMMETRIC)
+    assert aut.base == ()
+    assert aut.of_order(1) == ([identity(6)], True)
+    assert aut.of_order(2) == ([], True)
+    # no element has an order below 1
+    assert automorphisms(complete(4)).of_order(0) == ([], True)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="cap must be positive"):
+            automorphisms(complete(4)).of_order(2, cap)
+
+
+def test_of_order_counts_match_sympy_on_aut_f4_star7():
+    """Per m, the number of order-m elements of Aut F_4(K_{1,7}) that
+    ``of_order`` keeps is the number in sympy's own enumeration."""
+    aut = automorphisms(token_graph(star(7), 4))
+    group = _sympy_group(aut.degree, aut.generators)
+    counts = {}
+    for p in group.generate():
+        order = _sympy_element_order(p)
+        counts[order] = counts.get(order, 0) + 1
+    assert sum(counts.values()) == 10080
+    for m in range(1, max(counts) + 2):
+        kept, whole = aut.of_order(m)
+        assert whole and len(kept) == counts.get(m, 0)
 
 
 @settings(max_examples=150, deadline=None)

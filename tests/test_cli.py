@@ -168,6 +168,33 @@ def test_count_too_large_to_print_is_named_against_the_cap(tmp_path, capsys, arg
     assert not list(tmp_path.iterdir())
 
 
+def test_k_range_of_a_base_too_large_to_print_is_named(tmp_path, capsys):
+    """|V| - 1 of a family past 4,300 digits is written as its bound in the
+    k-range message, as in a cap message."""
+    nines = "9" * 4300
+    assert run("zz", "--family", f"complete_bipartite:{nines}:{nines}", "--k", "0",
+               "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: k=0 out of range 1..at least 10^4300\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "x"])
+def test_config_budget_is_read_by_conjecture_alone(tmp_path, capsys, budget):
+    """Only ``conjecture`` reads a config file's ``budget``: a bad one ends
+    it with exit 2 and nothing written, and the other commands run."""
+    cfg = tmp_path / "caps.conf"
+    cfg.write_text(f"budget={budget}\n")
+    out = tmp_path / "out"
+    assert run("conjecture", "1", "--n", "3", "--config", str(cfg), "--out", str(out)) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+    assert run("zz", "--family", "complete:4", "--k", "2", "--config", str(cfg),
+               "--out", str(out)) == 0
+    assert (out / "zz_complete4_k2.json").exists()
+    assert run("verify-theorem1", "--n", "4", "--config", str(cfg), "--out", str(out)) == 0
+    assert run("build", "--family", "cycle:3", "--config", str(cfg), "--out", str(out)) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ("verify-theorem1", "--n", "4"),
     ("zz", "--family", "complete:5", "--k", "2"),
