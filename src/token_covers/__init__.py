@@ -6,7 +6,7 @@ graphs of even complete graphs, checks edge-transitivity classification
 instances, and searches for cyclic quotient bases of star token graphs.
 """
 
-from .algebra import CyclicGroup, Permutation, Subgroup
+from .algebra import Permutation, Subgroup
 from .graphs import (
     Multigraph,
     SimpleGraph,

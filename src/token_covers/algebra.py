@@ -1,11 +1,11 @@
-"""Finite cyclic groups, subgroups, right cosets and vertex permutations.
-Automorphism groups, with their stabilizer chains, are ``symmetry.AutGroup``.
+"""Subgroups of Z_m and vertex permutations.  Automorphism groups, with
+their stabilizer chains, are ``symmetry.AutGroup``.
 
 Only cyclic voltage groups are implemented: every construction in this package
-voltages over Z_m, and for abelian groups the left/right coset distinction
-vanishes.  A coset is its canonical representative; the covering lift
-decides coset incidence by a congruence on representatives, never by
-member sets.
+takes its voltages in Z_m, an int in 0..m-1, and for abelian groups the
+left/right coset distinction vanishes.  A coset r + dZ_m is its canonical
+representative r, 0 <= r < d; the covering lift decides coset incidence by a
+congruence on representatives, never by member sets.
 """
 
 from __future__ import annotations
@@ -15,63 +15,26 @@ from math import lcm
 
 
 @dataclass(frozen=True)
-class CyclicGroup:
-    """Z_m with elements 0..m-1 under addition mod m."""
+class Subgroup:
+    """The subgroup dZ_m = {0, d, 2d, ...} of Z_m, given by m and its
+    index d; requires d | m.  The trivial subgroup {0} is the case d = m,
+    and the cosets are r + dZ_m for 0 <= r < d."""
 
     modulus: int
+    index: int
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, self.modulus)
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """The subgroup dZ_m = {0, d, 2d, ...} of Z_m; requires d | m.
-
-    The index [Z_m : dZ_m] equals d, and the trivial subgroup {0} is the
-    case d = m.
-    """
-
-    group: CyclicGroup
-    generator: int
-
-    def __post_init__(self):
-        m = self.group.modulus
-        if not (1 <= self.generator <= m) or m % self.generator != 0:
-            raise ValueError(f"generator {self.generator} must divide modulus {m}")
-
-    @property
-    def index(self) -> int:
-        return self.generator
+        m, d = self.modulus, self.index
+        if not (1 <= d <= m) or m % d != 0:
+            raise ValueError(f"index {d} must divide modulus {m}")
 
     @property
     def size(self) -> int:
-        return self.group.modulus // self.generator
+        return self.modulus // self.index
 
-    def members(self) -> range:
-        return range(0, self.group.modulus, self.generator)
-
-    def cosets(self):
-        """All [G:H] cosets, sorted by canonical representative."""
-        return [Coset(self, r) for r in range(self.generator)]
-
-
-@dataclass(frozen=True)
-class Coset:
-    """Right coset rep + dZ_m, canonicalized to 0 <= rep < d."""
-
-    subgroup: Subgroup
-    rep: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "rep", self.rep % self.subgroup.generator)
-
-    def members(self) -> range:
-        return range(self.rep, self.subgroup.group.modulus, self.subgroup.generator)
+    def members(self, r: int = 0) -> range:
+        """The coset r + dZ_m; r = 0 is the subgroup itself."""
+        return range(r, self.modulus, self.index)
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,14 @@ def parse_family(text: str):
 def parse_range(text: str) -> range:
     """'4' -> range(4, 5); '4..10' -> range(4, 11), 4..10 inclusive.  A
     ``range``, not a list, so a huge end costs nothing until its values
-    are checked."""
+    are checked.  Text ``int`` rejects (a bound past its digit limit among
+    it) is named in the error, as in ``parse_family``."""
     lo, dots, hi = text.partition("..")
-    lo = int(lo)
-    hi = int(hi) if dots else lo
+    try:
+        lo = int(lo)
+        hi = int(hi) if dots else lo
+    except ValueError:
+        raise ValueError(f"bad range {text!r}; expected N or A..B") from None
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)

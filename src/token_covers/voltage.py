@@ -2,12 +2,13 @@
 construction whose cover is the 2-token graph of an even complete graph,
 and cyclic quotient constructions.
 
-A combined voltage graph is a multigraph with a group element per edge and
-a subgroup per vertex.  A voltage w is read along its edge's stored (min,
-max) orientation; read the other way it is -w, and the cover's edge
-relation is the same either way.  The fiber over a vertex x is the coset
-space of its subgroup, and a base edge x-y with voltage w lifts to one
-edge per coset pair (K, H) with (K + w) meeting H.
+A combined voltage graph is a multigraph with a voltage in Z_m (an int
+in 0..m-1) per edge and a subgroup dZ_m per vertex.  A voltage w is read
+along its edge's stored (min, max) orientation; read the other way it is
+-w, and the cover's edge relation is the same either way.  The fiber over
+a vertex x is the coset space of its subgroup, one cover vertex (x, r)
+per coset, and a base edge x-y with voltage w lifts to one edge per coset
+pair (K, H) with (K + w) meeting H.
 Over Z_m the cosets of the index-d subgroup are r + dZ_m (0 <= r < d), and
 r + w + d_x Z_m meets s + d_y Z_m exactly when r + w = s mod
 gcd(d_x, d_y), so ``lift`` lists the matching s for each r instead of
@@ -18,12 +19,12 @@ edges come ordered by base edge, then r, then s.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import comb, gcd
 from typing import NamedTuple, Optional
 
-from .algebra import Coset, CyclicGroup, Permutation, Subgroup
+from .algebra import Permutation, Subgroup
 from .graphs import Multigraph, SimpleGraph, complete, components, star, underlying_simple
 from .report import (
     STATUS_BUDGET_EXHAUSTED,
@@ -47,13 +48,12 @@ from .tokens import binomial, check_vertex_cap, ksubsets, token_graph
 
 @dataclass(frozen=True)
 class CombinedVoltageGraph:
-    """Base multigraph + per-edge voltage + per-vertex subgroup."""
+    """Base multigraph + per-edge voltage in Z_modulus + per-vertex subgroup."""
 
     base: Multigraph
-    group: CyclicGroup
+    modulus: int
     voltages: tuple
     vertex_groups: tuple
-    lift_verified: Optional[bool] = None
 
     def __post_init__(self):
         object.__setattr__(self, "voltages", tuple(self.voltages))
@@ -62,10 +62,12 @@ class CombinedVoltageGraph:
             raise ValueError("one voltage per edge required")
         if len(self.vertex_groups) != self.base.vertex_count:
             raise ValueError("one subgroup per vertex required")
-        m = self.group.modulus
+        m = self.modulus
+        if m < 1:
+            raise ValueError("modulus must be positive")
         if any(not 0 <= w < m for w in self.voltages):
             raise ValueError("voltages must be canonical group elements")
-        if any(s.group != self.group for s in self.vertex_groups):
+        if any(s.modulus != m for s in self.vertex_groups):
             raise ValueError("vertex subgroups must belong to the voltage group")
 
     def cover_vertex_count(self) -> int:
@@ -92,20 +94,16 @@ class CombinedVoltageGraph:
 
         payload = {
             "graph": json.loads(to_json(self.base)),
-            "group_modulus": self.group.modulus,
+            "group_modulus": self.modulus,
             "voltages": list(self.voltages),
-            "vertex_subgroup_generators": [s.generator for s in self.vertex_groups],
+            "vertex_subgroup_generators": [s.index for s in self.vertex_groups],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-class CoverVertex(NamedTuple):
-    base_vertex: int
-    coset: Coset
-
-
 class Cover(NamedTuple):
-    """A lifted multigraph and its vertices in ``lift``'s order."""
+    """A lifted multigraph and its vertices, the (base vertex, coset
+    representative) pairs (x, r), in ``lift``'s order."""
 
     graph: Multigraph
     vertices: tuple
@@ -114,15 +112,16 @@ class Cover(NamedTuple):
 def lift(cvg: CombinedVoltageGraph) -> Cover:
     """Covering graph of a combined voltage graph.
 
-    Vertices are (base vertex, coset) pairs ordered by (base vertex, coset
-    representative), so cover vertex (x, r) has index offset[x] + r, with
-    offset[x] the total fiber size of the base vertices before x.  A base
-    edge u-v of voltage w lifts to one edge per coset pair (K_r, H_s) with
-    K_r + w meeting H_s, which holds exactly when r + w = s mod
-    gcd(d_u, d_v) for fiber sizes d_u, d_v; the matching s are listed
-    directly, so the cost is that of the output.  Edges come ordered by
-    base edge, then r, then s.  A base loop of voltage w contributes one
-    edge per unordered pair {r, r + w mod d_u}, in order of its first r.
+    Vertices are the pairs (x, r) of a base vertex and a coset
+    representative 0 <= r < d_x, in order, so (x, r) has index
+    offset[x] + r, with offset[x] the total fiber size of the base
+    vertices before x.  A base edge u-v of voltage w lifts to one edge per
+    coset pair (K_r, H_s) with K_r + w meeting H_s, which holds exactly
+    when r + w = s mod gcd(d_u, d_v) for fiber sizes d_u, d_v; the
+    matching s are listed directly, so the cost is that of the output.
+    Edges come ordered by base edge, then r, then s.  A base loop of
+    voltage w contributes one edge per unordered pair {r, r + w mod d_u},
+    in order of its first r.
     """
     base = cvg.base
     sizes = [H.index for H in cvg.vertex_groups]
@@ -131,9 +130,9 @@ def lift(cvg: CombinedVoltageGraph) -> Cover:
     labels = []
     for x, H in enumerate(cvg.vertex_groups):
         name = base.labels[x] if base.labels is not None else str(x)
-        for K in H.cosets():
-            verts.append(CoverVertex(x, K))
-            members = ",".join(map(str, K.members()))
+        for r in range(H.index):
+            verts.append((x, r))
+            members = ",".join(map(str, H.members(r)))
             labels.append(f"({name},{{{members}}})")
     edges = []
     for (u, v), w in zip(base.edges, cvg.voltages):
@@ -171,7 +170,6 @@ def theorem1_base(n: int) -> CombinedVoltageGraph:
     if n < 4 or n % 2 != 0:
         raise ValueError("n must be an even integer >= 4")
     h = n // 2
-    group = CyclicGroup(n)
     edges = []
     volts = []
     for i, j in combinations(range(1, h + 1), 2):
@@ -181,24 +179,24 @@ def theorem1_base(n: int) -> CombinedVoltageGraph:
     for i in range(1, h):
         edges.append((i - 1, i - 1))
         volts.append(i)
-    vertex_groups = [group.trivial_subgroup()] * (h - 1) + [Subgroup(group, h)]
+    vertex_groups = [Subgroup(n, n)] * (h - 1) + [Subgroup(n, h)]
     base = Multigraph(h, edges, labels=[f"x{i}" for i in range(1, h + 1)])
-    return CombinedVoltageGraph(base, group, tuple(volts), tuple(vertex_groups))
+    return CombinedVoltageGraph(base, n, tuple(volts), tuple(vertex_groups))
 
 
-def cover_token(n: int, v: CoverVertex):
-    """Token (2-subset of 1..n) carried by a cover vertex of
-    ``lift(theorem1_base(n))``: coset representative j at base vertex x_i
-    maps to {1 + j, 1 + j + i} mod n, residues normalized into 1..n."""
+def cover_token(n: int, v):
+    """Token (2-subset of 1..n) carried by the cover vertex v = (x, j) of
+    ``lift(theorem1_base(n))``: coset representative j at base vertex
+    x_i, i = x + 1, maps to {1 + j, 1 + j + i} mod n, residues normalized
+    into 1..n.  The fiber over x_i holds n cosets for i < n/2 and n/2 for
+    the last vertex; a pair outside the base or its fiber is rejected."""
     h = n // 2
-    i = v.base_vertex + 1
+    x, j = v
+    i = x + 1
     if not 1 <= i <= h:
         raise ValueError("cover vertex outside the base graph")
-    expected_index = n if i < h else h
-    if (v.coset.subgroup.group.modulus != n
-            or v.coset.subgroup.index != expected_index):
-        raise ValueError("cover vertex carries the wrong coset space")
-    j = v.coset.rep
+    if not 0 <= j < (n if i < h else h):
+        raise ValueError("coset representative outside the fiber")
     a = (1 + j) % n or n
     b = (1 + j + i) % n or n
     return (a, b) if a < b else (b, a)
@@ -280,17 +278,33 @@ def verify_theorem1(n: int, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> Verifi
 # cyclic quotients
 
 
-def _cyclic_quotient(X: SimpleGraph, g: Permutation) -> CombinedVoltageGraph:
-    """Quotient of X by <g> with voltages from a fixed transversal.
+def quotient_free(X: SimpleGraph, g: Permutation):
+    """Quotient by a free cyclic action: trivial subgroups everywhere.
+
+    Rejects an action that is not free, then returns ``quotient_cyclic``'s
+    (base graph, report) pair.
+    """
+    if not acts_freely(g, g.order()):
+        raise ValueError("action is not free: some cycle is shorter than the order")
+    return quotient_cyclic(X, g)
+
+
+def quotient_cyclic(X: SimpleGraph, g: Permutation):
+    """Quotient of X by <g>, with voltages from a fixed transversal and
+    subgroups recording the orbit stabilizers.
 
     One base vertex per orbit (transversal = minimal vertex, identified
     with coset 0 of the orbit stabilizer); one base edge per edge orbit,
     its voltage read off the representative edge's transversal positions.
+    Rejects a g that is not an automorphism of X.  Returns the candidate
+    base graph and a report stating whether its lift reconstructs X
+    (failure is reported, not raised), decided by an isomorphism search;
+    the lift has X's vertex count, so a caller that caps X has capped the
+    search too.
     """
     if not is_automorphism(X, g):
         raise ValueError("g is not an automorphism of X")
     m = g.order()
-    group = CyclicGroup(m)
     orbits = g.orbits()
     orbit_of = {}
     position = {}
@@ -298,7 +312,7 @@ def _cyclic_quotient(X: SimpleGraph, g: Permutation) -> CombinedVoltageGraph:
         for t, x in enumerate(orb):
             orbit_of[x] = oi
             position[x] = t
-    vertex_groups = tuple(Subgroup(group, len(orb)) for orb in orbits)
+    vertex_groups = tuple(Subgroup(m, len(orb)) for orb in orbits)
 
     edges = []
     volts = []
@@ -319,36 +333,14 @@ def _cyclic_quotient(X: SimpleGraph, g: Permutation) -> CombinedVoltageGraph:
             volts.append((position[v] - position[u]) % m)
     base = Multigraph(len(orbits), edges,
                       labels=[str(orb[0]) for orb in orbits])
-    return CombinedVoltageGraph(base, group, tuple(volts), vertex_groups)
-
-
-def quotient_free(X: SimpleGraph, g: Permutation) -> CombinedVoltageGraph:
-    """Quotient by a free cyclic action: trivial subgroups everywhere.
-
-    Rejects non-automorphisms and non-free actions; the returned graph
-    carries ``lift_verified`` = whether the lift reproduces X.
-    """
-    if not is_automorphism(X, g):
-        raise ValueError("g is not an automorphism of X")
-    if not acts_freely(g, g.order()):
-        raise ValueError("action is not free: some cycle is shorter than the order")
-    return quotient_cyclic(X, g)[0]
-
-
-def quotient_cyclic(X: SimpleGraph, g: Permutation):
-    """Quotient by an arbitrary cyclic action; subgroups record the orbit
-    stabilizers.  Returns the candidate base graph and a report stating
-    whether its lift reconstructs X (failure is reported, not raised),
-    decided by an isomorphism search; the lift has X's vertex count, so
-    a caller that caps X has capped the search too."""
-    cvg = _cyclic_quotient(X, g)
+    cvg = CombinedVoltageGraph(base, m, tuple(volts), vertex_groups)
     cover = lift(cvg)
     simple = underlying_simple(cover.graph)
     witness = is_isomorphic(simple, X)
     passed = witness is not None
     evidence = [
         Evidence("automorphism", g.cycle_string()),
-        Evidence("group_modulus", cvg.group.modulus),
+        Evidence("group_modulus", m),
         Evidence("base_vertices", cvg.base.vertex_count),
         Evidence("base_edges", cvg.base.edge_count),
         Evidence("stabilizer_sizes", sorted(s.size for s in cvg.vertex_groups)),
@@ -366,8 +358,8 @@ def quotient_cyclic(X: SimpleGraph, g: Permutation):
             kind="counterexample",
         ))
     report = VerificationReport.from_outcome(
-        f"cyclic-quotient-order{cvg.group.modulus}", passed, evidence)
-    return replace(cvg, lift_verified=passed), report
+        f"cyclic-quotient-order{m}", passed, evidence)
+    return cvg, report
 
 
 # ---------------------------------------------------------------------------

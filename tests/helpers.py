@@ -10,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from token_covers import symmetry
-from token_covers.algebra import Coset, Permutation, Subgroup
+from token_covers.algebra import Permutation, Subgroup
 from token_covers.graphs import (
     Multigraph,
     SimpleGraph,
@@ -28,25 +28,39 @@ from token_covers.symmetry import acts_freely, automorphisms, edge_orbits
 from token_covers.tokens import johnson, line_graph, subdivision, token_graph
 
 
-def subgroups(G):
-    """All subgroups of the cyclic group G, one per divisor of its modulus."""
-    m = G.modulus
-    return [Subgroup(G, d) for d in range(1, m + 1) if m % d == 0]
+def subgroups(m: int):
+    """All subgroups of Z_m, one per divisor d of m (the index)."""
+    return [Subgroup(m, d) for d in range(1, m + 1) if m % d == 0]
 
 
-def translate(K: Coset, v: int) -> Coset:
+# A coset r + dZ_m of Z_m is the triple (m, d, r) with 0 <= r < d, and its
+# member set is range(r, m, d), written here rather than read from
+# ``Subgroup.members``, so that the tests compare the library against it.
+
+
+def cosets(m: int, d: int):
+    """The d cosets of dZ_m, by representative."""
+    return [(m, d, r) for r in range(d)]
+
+
+def members(K) -> set:
+    m, d, r = K
+    return set(range(r, m, d))
+
+
+def translate(K, v: int):
     """The set-wise translate K + v, representative recanonicalized."""
-    return Coset(K.subgroup, K.rep + v)
+    m, d, r = K
+    return (m, d, (r + v) % d)
 
 
-def intersects(K: Coset, H: Coset) -> bool:
+def intersects(K, H) -> bool:
     """Whether two cosets (of possibly different subgroups of the same
-    group) share an element, by the congruence rep_K = rep_H mod
+    Z_m) share an element, by the congruence rep_K = rep_H mod
     gcd(d_K, d_H): the reference for ``lift``'s edge rule."""
-    if K.subgroup.group != H.subgroup.group:
+    if K[0] != H[0]:
         raise ValueError("cosets live in different groups")
-    d = gcd(K.subgroup.generator, H.subgroup.generator)
-    return (K.rep - H.rep) % d == 0
+    return (K[2] - H[2]) % gcd(K[1], H[1]) == 0
 
 
 def identity(n: int) -> Permutation:

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from token_covers import search
-from token_covers.algebra import (
-    Coset,
-    CyclicGroup,
-    Permutation,
-    Subgroup,
-)
+from token_covers.algebra import Permutation, Subgroup
 from token_covers.graphs import (
     SimpleGraph,
     complete,
@@ -25,6 +20,7 @@ from token_covers.symmetry import KernelResultError, automorphisms
 from token_covers.tokens import johnson, token_graph
 
 from helpers import (
+    cosets,
     disjoint_union,
     from_cycles,
     graphs_or_doubles,
@@ -32,6 +28,7 @@ from helpers import (
     intersects,
     is_identity,
     kneser,
+    members,
     relabel,
     rook_4x4,
     shrikhande,
@@ -41,59 +38,57 @@ from helpers import (
 
 
 def test_cosets_of_3z6():
-    H = Subgroup(CyclicGroup(6), 3)
-    ks = H.cosets()
-    assert [k.rep for k in ks] == [0, 1, 2]
-    assert [set(k.members()) for k in ks] == [{0, 3}, {1, 4}, {2, 5}]
+    H = Subgroup(6, 3)
+    assert (H.index, H.size) == (3, 2)
+    assert [list(H.members(r)) for r in range(H.index)] == [[0, 3], [1, 4], [2, 5]]
+    assert H.members() == H.members(0) == range(0, 6, 3)
 
 
 def test_trivial_and_full_subgroup_cosets():
-    G = CyclicGroup(6)
-    assert len(G.trivial_subgroup().cosets()) == 6
-    assert all(len(list(k.members())) == 1 for k in G.trivial_subgroup().cosets())
-    full = Subgroup(G, 1)
-    assert len(full.cosets()) == 1
-    assert set(full.cosets()[0].members()) == set(range(6))
+    trivial = Subgroup(6, 6)
+    assert (trivial.index, trivial.size) == (6, 1)
+    assert [list(trivial.members(r)) for r in range(6)] == [[r] for r in range(6)]
+    full = Subgroup(6, 1)
+    assert (full.index, full.size) == (1, 6)
+    assert set(full.members()) == set(range(6))
 
 
 def test_subgroup_validation():
     with pytest.raises(ValueError):
-        Subgroup(CyclicGroup(6), 4)
+        Subgroup(6, 4)
     with pytest.raises(ValueError):
-        Subgroup(CyclicGroup(6), 0)
+        Subgroup(6, 0)
     with pytest.raises(ValueError):
-        CyclicGroup(0)
+        Subgroup(6, 12)
+    with pytest.raises(ValueError):
+        Subgroup(0, 1)
 
 
 def test_coset_translate_examples():
-    H = Subgroup(CyclicGroup(6), 3)
-    assert set(translate(Coset(H, 0), 1).members()) == {1, 4}
-    assert set(translate(Coset(H, 1), 3).members()) == {1, 4}  # absorbed
-    assert set(translate(Coset(H, 2), 5).members()) == {1, 4}
-    assert translate(Coset(H, 0), 1) == Coset(H, 1)
+    assert members(translate((6, 3, 0), 1)) == {1, 4}
+    assert members(translate((6, 3, 1), 3)) == {1, 4}  # absorbed
+    assert members(translate((6, 3, 2), 5)) == {1, 4}
+    assert translate((6, 3, 0), 1) == (6, 3, 1)
 
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_coset_partition(m):
-    G = CyclicGroup(m)
-    for H in subgroups(G):
-        ks = H.cosets()
-        assert len(ks) == H.index
+    for H in subgroups(m):
         union = set()
         total = 0
-        for k in ks:
-            members = set(k.members())
-            assert not union & members
-            union |= members
-            total += len(members)
+        for r in range(H.index):
+            coset = set(H.members(r))
+            assert coset == members((m, H.index, r))
+            assert not union & coset
+            union |= coset
+            total += len(coset)
         assert union == set(range(m)) and total == m
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_translate_compatibility(m):
-    G = CyclicGroup(m)
-    for H in subgroups(G):
-        for K in H.cosets():
+    for H in subgroups(m):
+        for K in cosets(m, H.index):
             for a in range(m):
                 for b in range(m):
                     assert translate(translate(K, a), b) == translate(K, (a + b) % m)
@@ -102,33 +97,28 @@ def test_translate_compatibility(m):
 @pytest.mark.parametrize("m", range(1, 13))
 def test_coset_intersection_symmetry(m):
     # (K + v) meets H iff (H - v) meets K, for all subgroup pairs
-    G = CyclicGroup(m)
-    subs = subgroups(G)
+    subs = subgroups(m)
     for H1 in subs:
         for H2 in subs:
-            for K in H1.cosets():
-                for H in H2.cosets():
+            for K in cosets(m, H1.index):
+                for H in cosets(m, H2.index):
                     for v in range(m):
                         assert intersects(translate(K, v), H) == intersects(translate(H, -v), K)
 
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_intersects_matches_set_oracle(m):
-    G = CyclicGroup(m)
-    subs = subgroups(G)
+    subs = subgroups(m)
     for H1 in subs:
         for H2 in subs:
-            for K in H1.cosets():
-                for H in H2.cosets():
-                    truth = bool(set(K.members()) & set(H.members()))
-                    assert intersects(K, H) == truth
+            for K in cosets(m, H1.index):
+                for H in cosets(m, H2.index):
+                    assert intersects(K, H) == bool(members(K) & members(H))
 
 
 def test_intersects_rejects_mixed_groups():
-    K = Coset(Subgroup(CyclicGroup(6), 3), 0)
-    H = Coset(Subgroup(CyclicGroup(4), 2), 0)
     with pytest.raises(ValueError):
-        intersects(K, H)
+        intersects((6, 3, 0), (4, 2, 0))
 
 
 def test_permutation_basics():

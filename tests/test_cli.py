@@ -51,6 +51,24 @@ def test_build_theorem1_base_dot(tmp_path):
     assert all("label=" in l for l in edge_lines)  # voltage labels
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_build_theorem1_files_are_pinned(tmp_path, capsys):
+    """``build --theorem1-base 6 --theorem1-cover 6`` writes these exact
+    bytes: the base's vertex labels (``x3 {0,3}``) and subgroup indices
+    (``vertex_subgroup_generators``), and the cover's (x, {coset}) labels."""
+    golden = GOLDEN / "build_theorem1_6"
+    assert run("build", "--theorem1-base", "6", "--theorem1-cover", "6",
+               "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().out == (golden / "stdout.txt").read_text()
+    names = ["theorem1_base_6.dot", "theorem1_base_6.json",
+             "theorem1_cover_6.dot", "theorem1_cover_6.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 def test_build_requires_a_target(tmp_path):
     assert run("build", "--out", str(tmp_path)) == 2
 
@@ -274,6 +292,30 @@ def test_no_hidden_cap_on_the_token_graph_base(tmp_path):
                "--out", str(tmp_path)) == 0
     payload = json.loads((tmp_path / "token_complete65_k1.json").read_text())
     assert payload["vertices"] == 65 and len(payload["edges"]) == 65 * 64 // 2
+
+
+@pytest.mark.parametrize("text", ["9" * 4301, "x", "", "4..", "..4", "4..x"],
+                         ids=["4301-digits", "x", "empty", "no-end", "no-start", "bad-end"])
+@pytest.mark.parametrize("argv", [
+    ("zz", "--family", "complete:5", "--k"),
+    ("verify-theorem1", "--n"),
+], ids=["zz", "verify-theorem1"])
+def test_bad_range_is_named(tmp_path, capsys, argv, text):
+    """A range int() rejects exits 2 with a message naming the text, not
+    int()'s own (which for 4,301 digits is the digit-limit message)."""
+    assert run(*argv, text, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad range {text!r}; expected N or A..B\n"
+    assert "int()" not in err and "Exceeds the limit" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("4", range(4, 5)), ("4..10", range(4, 11)), (" 4 .. 10 ", range(4, 11)),
+    ("+4..1_0", range(4, 11)), ("-3..-1", range(-3, 0)),
+])
+def test_valid_ranges_parse_as_int_reads_them(text, expected):
+    assert cli.parse_range(text) == expected
 
 
 # each family one below its least size, with its builder's message

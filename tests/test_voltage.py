@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from token_covers import symmetry, voltage
-from token_covers.algebra import CyclicGroup, Permutation, Subgroup
+from token_covers.algebra import Permutation, Subgroup
 from token_covers.graphs import (
     Multigraph,
     SimpleGraph,
@@ -20,7 +20,6 @@ from token_covers.symmetry import acts_freely, automorphisms, is_isomorphic
 from token_covers.tokens import induced_token_permutation, ksubsets, token_graph
 from token_covers.voltage import (
     CombinedVoltageGraph,
-    CoverVertex,
     conjecture_search,
     cover_token,
     cyclic_subgroup_classes,
@@ -32,6 +31,7 @@ from token_covers.voltage import (
 )
 
 from helpers import (
+    cosets,
     fiber_offsets,
     free_actions,
     from_cycles,
@@ -44,20 +44,19 @@ from helpers import (
 
 
 def single_loop_graph(m, voltage):
-    G = CyclicGroup(m)
-    return CombinedVoltageGraph(Multigraph(1, [(0, 0)]), G, (voltage,),
-                                (G.trivial_subgroup(),))
+    return CombinedVoltageGraph(Multigraph(1, [(0, 0)]), m, (voltage,), (Subgroup(m, m),))
 
 
 def test_cvg_validation():
-    G = CyclicGroup(4)
+    loop = Multigraph(1, [(0, 0)])
     with pytest.raises(ValueError):
-        CombinedVoltageGraph(Multigraph(1, [(0, 0)]), G, (), (G.trivial_subgroup(),))
+        CombinedVoltageGraph(loop, 4, (), (Subgroup(4, 4),))
     with pytest.raises(ValueError):
-        CombinedVoltageGraph(Multigraph(1, [(0, 0)]), G, (5,), (G.trivial_subgroup(),))
+        CombinedVoltageGraph(loop, 4, (5,), (Subgroup(4, 4),))
     with pytest.raises(ValueError):
-        CombinedVoltageGraph(Multigraph(1, [(0, 0)]), G, (1,),
-                             (CyclicGroup(5).trivial_subgroup(),))
+        CombinedVoltageGraph(loop, 4, (1,), (Subgroup(5, 5),))
+    with pytest.raises(ValueError):
+        CombinedVoltageGraph(Multigraph(0, []), 0, (), ())
 
 
 def test_lift_single_loop_is_cycle():
@@ -66,9 +65,8 @@ def test_lift_single_loop_is_cycle():
 
 
 def test_lift_zero_voltage_edge_is_matching():
-    G = CyclicGroup(3)
-    cvg = CombinedVoltageGraph(Multigraph(2, [(0, 1)]), G, (0,),
-                               (G.trivial_subgroup(), G.trivial_subgroup()))
+    cvg = CombinedVoltageGraph(Multigraph(2, [(0, 1)]), 3, (0,),
+                               (Subgroup(3, 3), Subgroup(3, 3)))
     cover = lift(cvg)
     assert cover.graph.vertex_count == 6
     assert cover.graph.edge_count == 3
@@ -78,9 +76,8 @@ def test_lift_zero_voltage_edge_is_matching():
 def test_lift_mixed_fiber_degrees():
     # trivial fiber on one side, index-3 subgroup of Z_6 on the other:
     # every (x, {a}) gains one edge, every (y, H) gains two
-    G = CyclicGroup(6)
-    cvg = CombinedVoltageGraph(Multigraph(2, [(0, 1)]), G, (0,),
-                               (G.trivial_subgroup(), Subgroup(G, 3)))
+    cvg = CombinedVoltageGraph(Multigraph(2, [(0, 1)]), 6, (0,),
+                               (Subgroup(6, 6), Subgroup(6, 3)))
     cover = lift(cvg)
     assert cover.graph.vertex_count == 6 + 3
     degrees = [cover.graph.degree(v) for v in range(cover.graph.vertex_count)]
@@ -95,11 +92,10 @@ def random_trivial_fiber_voltage_graphs():
     for _ in range(12):
         m = rng.randint(2, 8)
         n = rng.randint(1, 4)
-        G = CyclicGroup(m)
         base = random_multigraph(rng, n, rng.randint(1, 6))
         yield CombinedVoltageGraph(
-            base, G, tuple(rng.randrange(m) for _ in range(base.edge_count)),
-            tuple(G.trivial_subgroup() for _ in range(n)))
+            base, m, tuple(rng.randrange(m) for _ in range(base.edge_count)),
+            tuple(Subgroup(m, m) for _ in range(n)))
 
 
 def test_lift_fiber_sizes():
@@ -107,10 +103,10 @@ def test_lift_fiber_sizes():
     documents, and the fiber over x has [Z_m : H_x] vertices."""
     for cvg in (theorem1_base(6), theorem1_base(8), *random_trivial_fiber_voltage_graphs()):
         cover, offset = lift(cvg), fiber_offsets(cvg)
-        for i, cv in enumerate(cover.vertices):
-            assert i == offset[cv.base_vertex] + cv.coset.rep
+        for i, (x, r) in enumerate(cover.vertices):
+            assert i == offset[x] + r
         for x, H in enumerate(cvg.vertex_groups):
-            assert sum(cv.base_vertex == x for cv in cover.vertices) == H.index
+            assert sum(y == x for y, _ in cover.vertices) == H.index
 
 
 def test_lift_loop_with_involution_voltage():
@@ -122,8 +118,7 @@ def test_lift_loop_with_involution_voltage():
 
 
 def test_lift_loop_in_stabilizer_gives_cover_loops():
-    G = CyclicGroup(6)
-    cvg = CombinedVoltageGraph(Multigraph(1, [(0, 0)]), G, (3,), (Subgroup(G, 3),))
+    cvg = CombinedVoltageGraph(Multigraph(1, [(0, 0)]), 6, (3,), (Subgroup(6, 3),))
     cover = lift(cvg)
     assert cover.graph.vertex_count == 3
     assert sum(u == v for u, v in cover.graph.edges) == 3
@@ -136,18 +131,16 @@ def test_lift_degree_conservation_trivial_fibers():
     rng = random.Random(17)
     for _ in range(15):
         m = rng.randint(2, 8)
-        G = CyclicGroup(m)
         base = random_multigraph(rng, rng.randint(1, 4), rng.randint(1, 6))
         volts = tuple(rng.randrange(m) for _ in range(base.edge_count))
         cvg = CombinedVoltageGraph(
-            base, G, volts, tuple(G.trivial_subgroup() for _ in range(base.vertex_count)))
+            base, m, volts, tuple(Subgroup(m, m) for _ in range(base.vertex_count)))
         cover = lift(cvg)
         involution_loops = [0] * base.vertex_count
         for (u, v), w in zip(base.edges, volts):
             if u == v and w != 0 and (2 * w) % m == 0:
                 involution_loops[u] += 1
-        for i, cv in enumerate(cover.vertices):
-            x = cv.base_vertex
+        for i, (x, _) in enumerate(cover.vertices):
             assert cover.graph.degree(i) == base.degree(x) - involution_loops[x]
 
 
@@ -155,22 +148,23 @@ def test_lift_edge_rule_orientation_independent():
     # the coset rule gives the same pair set read from either endpoint,
     # with the voltage negated when the edge is read from v to u
     cvg = theorem1_base(6)
-    m = cvg.group.modulus
+    m = cvg.modulus
+    d = [H.index for H in cvg.vertex_groups]
     for eid, (u, v) in enumerate(cvg.base.edges):
         if u == v:
             continue
         w = cvg.voltages[eid]
         back = (-w) % m
         forward_pairs = {
-            (K.rep, H.rep)
-            for K in cvg.vertex_groups[u].cosets()
-            for H in cvg.vertex_groups[v].cosets()
+            (K[2], H[2])
+            for K in cosets(m, d[u])
+            for H in cosets(m, d[v])
             if intersects(translate(K, w), H)
         }
         backward_pairs = {
-            (K.rep, H.rep)
-            for H in cvg.vertex_groups[v].cosets()
-            for K in cvg.vertex_groups[u].cosets()
+            (K[2], H[2])
+            for H in cosets(m, d[v])
+            for K in cosets(m, d[u])
             if intersects(translate(H, back), K)
         }
         assert forward_pairs == backward_pairs
@@ -179,29 +173,30 @@ def test_lift_edge_rule_orientation_independent():
 def oracle_lift(cvg):
     """Reference lift by set-wise coset intersection: (vertices, labels,
     edges) with every coset pair of every base edge tested, and a loop's
-    pairs deduplicated as unordered pairs."""
-    base = cvg.base
-    vertices = [CoverVertex(x, K) for x in range(base.vertex_count)
-                for K in cvg.vertex_groups[x].cosets()]
-    index = {(cv.base_vertex, cv.coset.rep): i for i, cv in enumerate(vertices)}
+    pairs deduplicated as unordered pairs.  The coset r + dZ_m is the
+    member set range(r, m, d)."""
+    base, m = cvg.base, cvg.modulus
+    d = [H.index for H in cvg.vertex_groups]
+    vertices = [(x, r) for x in range(base.vertex_count) for r in range(d[x])]
+    index = {xr: i for i, xr in enumerate(vertices)}
     labels = []
-    for cv in vertices:
-        name = base.labels[cv.base_vertex] if base.labels is not None else str(cv.base_vertex)
-        labels.append(f"({name},{{{','.join(map(str, cv.coset.members()))}}})")
+    for x, r in vertices:
+        name = base.labels[x] if base.labels is not None else str(x)
+        labels.append(f"({name},{{{','.join(map(str, range(r, m, d[x])))}}})")
     edges = []
     for (u, v), w in zip(base.edges, cvg.voltages):
         seen = set()
-        for K in cvg.vertex_groups[u].cosets():
-            shifted = set(translate(K, w).members())
-            for H in cvg.vertex_groups[v].cosets():
-                if not shifted & set(H.members()):
+        for r in range(d[u]):
+            shifted = {(t + w) % m for t in range(r, m, d[u])}
+            for s in range(d[v]):
+                if not shifted & set(range(s, m, d[v])):
                     continue
                 if u == v:
-                    pair = frozenset((K.rep, H.rep))
+                    pair = frozenset((r, s))
                     if pair in seen:
                         continue
                     seen.add(pair)
-                a, b = index[(u, K.rep)], index[(v, H.rep)]
+                a, b = index[(u, r)], index[(v, s)]
                 edges.append((a, b) if a <= b else (b, a))
     return vertices, labels, edges
 
@@ -221,16 +216,15 @@ def _voltage_graphs(draw):
     edges drawn with repetition, so parallel edges and loops occur; half
     the voltages are 0 or m // 2 (the involution when m is even)."""
     m = draw(st.integers(1, 12))
-    G = CyclicGroup(m)
     n = draw(st.integers(1, 4))
     indices = [d for d in range(1, m + 1) if m % d == 0]
-    vertex_groups = [Subgroup(G, draw(st.sampled_from(indices))) for _ in range(n)]
+    vertex_groups = [Subgroup(m, draw(st.sampled_from(indices))) for _ in range(n)]
     ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = [(min(a, b), max(a, b)) for a, b in draw(st.lists(ends, max_size=8))]
     voltage = st.one_of(st.sampled_from([0, m // 2]), st.integers(0, m - 1))
     volts = [draw(voltage) for _ in edges]
     labels = draw(st.one_of(st.none(), st.just([f"v{x}" for x in range(n)])))
-    return CombinedVoltageGraph(Multigraph(n, edges, labels=labels), G, volts,
+    return CombinedVoltageGraph(Multigraph(n, edges, labels=labels), m, volts,
                                 vertex_groups)
 
 
@@ -305,14 +299,14 @@ def test_cover_token_bijective(n):
 
 
 def test_cover_token_malformed():
-    from token_covers.voltage import CoverVertex
-    from token_covers.algebra import Coset
-
-    G = CyclicGroup(6)
-    with pytest.raises(ValueError):
-        cover_token(6, CoverVertex(5, Coset(G.trivial_subgroup(), 0)))
-    with pytest.raises(ValueError):
-        cover_token(6, CoverVertex(2, Coset(G.trivial_subgroup(), 0)))
+    # the base of n = 6 has x_1, x_2 (fibers of 6) and x_3 (a fiber of 3)
+    for x in (-1, 3, 5):
+        with pytest.raises(ValueError, match="outside the base"):
+            cover_token(6, (x, 0))
+    for v in ((0, -1), (0, 6), (1, 6), (2, 3), (2, 5)):
+        with pytest.raises(ValueError, match="outside the fiber"):
+            cover_token(6, v)
+    assert cover_token(6, (2, 2)) == (3, 6)
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -377,27 +371,38 @@ def test_verify_theorem1_rejects_odd():
 
 
 def test_quotient_free_rotation():
-    q = quotient_free(cycle(6), from_cycles(6, [(0, 1, 2, 3, 4, 5)]))
+    q, report = quotient_free(cycle(6), from_cycles(6, [(0, 1, 2, 3, 4, 5)]))
     assert q.base.vertex_count == 1
     assert q.base.edges == ((0, 0),)
     assert q.voltages == (1,)
-    assert q.lift_verified
+    assert report.passed
 
 
 def test_quotient_free_rotation_squared():
     g = from_cycles(6, [(0, 2, 4), (1, 3, 5)])
-    q = quotient_free(cycle(6), g)
-    assert q.group.modulus == 3
+    q, report = quotient_free(cycle(6), g)
+    assert q.modulus == 3
     assert q.base.vertex_count == 2
-    assert q.lift_verified
+    assert report.passed
     assert all(s.size == 1 for s in q.vertex_groups)
 
 
 def test_quotient_free_rejections():
-    with pytest.raises(ValueError):  # center is a fixed point
+    with pytest.raises(ValueError, match="not free"):  # center is a fixed point
         quotient_free(star(3), from_cycles(4, [(1, 2)]))
-    with pytest.raises(ValueError):  # not an automorphism
-        quotient_free(path(3), from_cycles(3, [(0, 1)]))
+    with pytest.raises(ValueError, match="not an automorphism"):  # free, but {0, 3} is no edge
+        quotient_free(path(4), from_cycles(4, [(0, 1), (2, 3)]))
+
+
+def test_quotient_free_is_quotient_cyclic_on_a_free_action(monkeypatch):
+    """The free quotient returns quotient_cyclic's pair, and each call
+    checks the automorphism once."""
+    X, g = cycle(6), from_cycles(6, [(0, 2, 4), (1, 3, 5)])
+    checks = []
+    real = voltage.is_automorphism
+    monkeypatch.setattr(voltage, "is_automorphism", lambda *a: checks.append(a) or real(*a))
+    assert quotient_free(X, g) == quotient_cyclic(X, g)
+    assert len(checks) == 2
 
 
 @pytest.mark.parametrize("n,m", [(4, 2), (4, 4), (6, 2), (6, 3), (6, 6), (8, 2), (8, 4), (8, 8)])
@@ -405,21 +410,20 @@ def test_quotient_free_cycle_round_trip(n, m):
     found = free_actions(cycle(n), m)
     assert found
     for g in found:
-        q = quotient_free(cycle(n), g)
-        assert q.lift_verified
+        q, report = quotient_free(cycle(n), g)
+        assert report.passed
         assert is_isomorphic(underlying_simple(lift(q).graph), cycle(n)) is not None
 
 
 def test_quotient_free_random_voltage_round_trip():
     for cvg in random_trivial_fiber_voltage_graphs():
-        m, offset = cvg.group.modulus, fiber_offsets(cvg)
+        m, offset = cvg.modulus, fiber_offsets(cvg)
         cover = lift(cvg)
         X = underlying_simple(cover.graph)
         # (x, r) -> (x, r + 1): the generator of Z_m acting on the cover
-        shift = Permutation(tuple(
-            offset[cv.base_vertex] + (cv.coset.rep + 1) % m for cv in cover.vertices))
-        q = quotient_free(X, shift)
-        assert q.lift_verified
+        shift = Permutation(tuple(offset[x] + (r + 1) % m for x, r in cover.vertices))
+        q, report = quotient_free(X, shift)
+        assert report.passed
 
 
 def test_quotient_cyclic_identity():
@@ -481,11 +485,11 @@ def test_underlying_simple_matches_validated_constructor():
     covers = [lift(theorem1_base(n)).graph for n in range(4, 21, 2)]
     rng = random.Random(23)
     for _ in range(40):
-        G = CyclicGroup(rng.randint(1, 6))
+        m = rng.randint(1, 6)
         base = random_multigraph(rng, rng.randint(1, 4), rng.randint(1, 8))
-        volts = tuple(rng.randrange(G.modulus) for _ in range(base.edge_count))
-        vertex_groups = tuple(rng.choice(subgroups(G)) for _ in range(base.vertex_count))
-        covers.append(lift(CombinedVoltageGraph(base, G, volts, vertex_groups)).graph)
+        volts = tuple(rng.randrange(m) for _ in range(base.edge_count))
+        vertex_groups = tuple(rng.choice(subgroups(m)) for _ in range(base.vertex_count))
+        covers.append(lift(CombinedVoltageGraph(base, m, volts, vertex_groups)).graph)
     assert any(u == v for C in covers for u, v in C.edges)
     assert any(len(set(C.edges)) < C.edge_count for C in covers)
     for C in covers:
