@@ -69,8 +69,13 @@ def parse_range(text: str) -> range:
 
 
 def read_config(path):
+    """key -> (value text, ``<path>:<line>``, which names it in an error)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -80,16 +85,22 @@ def read_config(path):
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = val.strip()
+        values[key] = (val.strip(), f"{path}:{lineno}")
     return values
 
 
-def _pick(flag_value, cfg_value, default):
+def _pick(flag_value, cfg, key, default):
+    """The flag's value, else the config file's ``key`` as an int, else
+    ``default``."""
     if flag_value is not None:
         return flag_value
-    if cfg_value is not None:
-        return int(cfg_value)
-    return default
+    if key not in cfg:
+        return default
+    text, where = cfg[key]
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: bad value for {key}: {text!r}") from None
 
 
 def resolve_settings(args):
@@ -98,12 +109,12 @@ def resolve_settings(args):
     None, and a config file's ``budget`` is not read."""
     cfg = read_config(args.config) if getattr(args, "config", None) else {}
     out_dir = (getattr(args, "out", None)
-               or cfg.get("out_dir")
+               or cfg.get("out_dir", ("",))[0]
                or os.environ.get("TOKEN_COVER_OUT")
                or "out")
-    max_vertices = _pick(getattr(args, "max_vertices", None), cfg.get("max_vertices"),
+    max_vertices = _pick(getattr(args, "max_vertices", None), cfg, "max_vertices",
                          DEFAULT_VERTEX_CAP)
-    budget = (_pick(args.budget, cfg.get("budget"), DEFAULT_GROUP_CAP)
+    budget = (_pick(args.budget, cfg, "budget", DEFAULT_GROUP_CAP)
               if hasattr(args, "budget") else None)
     if max_vertices < 1 or (budget is not None and budget < 1):
         raise ValueError("caps must be positive")
@@ -170,6 +181,9 @@ def cmd_build(args) -> int:
         n = args.theorem1_cover
         add(f"theorem1_cover_{n}", binomial(n, 2, max_vertices),
             lambda n=n: voltage.lift(voltage.theorem1_base(n)).graph)
+    # checked after the jobs, so a family's own size error is named first
+    if args.k is not None and not args.token:
+        raise ValueError("--k requires --token")
     if not jobs:
         raise ValueError("nothing to build; pass --token/--johnson/--line/"
                          "--subdivision/--inclusion/--family/--theorem1-base/--theorem1-cover")

@@ -358,8 +358,7 @@ def srg_parameters(G: SimpleGraph):
 def to_dot(G, *, name: str = "G", edge_labels: Optional[Mapping[int, str]] = None) -> str:
     """Deterministic DOT export (undirected; loops as self-edges).
 
-    ``edge_labels`` maps edge ids (Multigraph) or sorted-edge positions
-    (SimpleGraph) to label strings.
+    ``edge_labels`` maps edge ids (positions in ``G.edges``) to labels.
     """
     lines = [f"graph {name} {{"]
     labels = G.labels
@@ -368,11 +367,9 @@ def to_dot(G, *, name: str = "G", edge_labels: Optional[Mapping[int, str]] = Non
             lines.append(f'  {v} [label="{labels[v]}"];')
         else:
             lines.append(f"  {v};")
-    if isinstance(G, Multigraph):
-        order = sorted(range(G.edge_count), key=lambda e: (*G.edges[e], e))
-    else:
-        order = range(G.edge_count)
-    for e in order:
+    # a stable sort: parallel edges stay in id order, and a SimpleGraph's
+    # sorted edges in theirs
+    for e in sorted(range(G.edge_count), key=G.edges.__getitem__):
         u, v = G.edges[e]
         if edge_labels is not None and e in edge_labels:
             lines.append(f'  {u} -- {v} [label="{edge_labels[e]}"];')
@@ -384,10 +381,7 @@ def to_dot(G, *, name: str = "G", edge_labels: Optional[Mapping[int, str]] = Non
 
 def to_json(G) -> str:
     """Deterministic JSON export: {"vertices", "labels", "edges"}."""
-    if isinstance(G, Multigraph):
-        order = sorted(range(G.edge_count), key=lambda e: (*G.edges[e], e))
-    else:
-        order = range(G.edge_count)
+    order = sorted(range(G.edge_count), key=G.edges.__getitem__)  # as in to_dot
     payload = {
         "vertices": G.vertex_count,
         "labels": list(G.labels) if G.labels is not None else None,

@@ -13,7 +13,7 @@ before it builds anything (``zz_checks`` checks every k).
 
 from __future__ import annotations
 
-from itertools import islice
+from functools import cached_property
 from math import lcm, prod
 from operator import itemgetter
 from typing import Iterator
@@ -50,10 +50,15 @@ class KernelResultError(RuntimeError):
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
-    """Image tuple of p * q, that is x -> p(q(x)).  Needs degree >= 2, as
-    every group with a nonempty base has: for one index itemgetter returns
-    a bare item, not a tuple."""
-    return itemgetter(*q)(p)
+    """Image tuple of p * q, that is x -> p(q(x)).  itemgetter returns a
+    bare item for one index and fails on none, so degrees 0 and 1 loop."""
+    return itemgetter(*q)(p) if len(q) > 1 else tuple(p[x] for x in q)
+
+
+def _products(prefixes, level):
+    """p * u for each p of ``prefixes`` and u of ``level``, u varying
+    fastest: a walk's prefixes one level deeper."""
+    return (_compose(p, u) for p in prefixes for u in level)
 
 
 class AutGroup:
@@ -82,17 +87,12 @@ class AutGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self.base = tuple(base)
-        self._levels = None
 
-    @property
-    def _transversals(self) -> list:
-        if self._levels is None:
-            self._levels = self._build_transversals()
-        return self._levels
+    _transversals = cached_property(lambda self: self._build_transversals())
 
-    def _build_transversals(self) -> list:
-        """Per base point, orbit point -> representative, in breadth-first
-        discovery order."""
+    def _build_transversals(self) -> tuple:
+        """Per base point, the representatives of its transversal, in
+        breadth-first orbit discovery order (the identity first)."""
         identity = tuple(range(self.degree))
         gens = [g.images for g in self.generators]
         levels = []
@@ -107,8 +107,8 @@ class AutGroup:
                     if z not in trans:
                         trans[z] = _compose(s, u)
                         queue.append(z)
-            levels.append(trans)
-        return levels
+            levels.append(tuple(trans.values()))
+        return tuple(levels)
 
     @property
     def orbit_lengths(self) -> tuple:
@@ -125,75 +125,63 @@ class AutGroup:
         images = g.images
         return tuple(images[b] for b in self.base)
 
+    def _walk(self, cap: int) -> tuple[Iterator[tuple[tuple, tuple]], bool]:
+        """The first ``cap`` elements of the group's one walk, as runs
+        (prefix, factors) standing for the elements prefix * u, u in
+        factors, and whether those ``cap`` are the whole group.
+
+        The elements are the products u_0 * ... * u_{k-1}, the level-0
+        factor varying slowest and each transversal in orbit discovery
+        order, so the identity comes first.  A prefix is u_0 * ... * u_{k-2},
+        built once, lazily, from the one a level up; its factors are the
+        last transversal, cut short where the cap ends the walk.  The walk
+        starts from a level holding the identity alone, so an empty base
+        walks the identity alone.
+        """
+        if cap < 1:
+            raise ValueError("cap must be positive")
+        identity = tuple(range(self.degree))
+        *outer, last = ((identity,), *self._transversals)
+        prefixes = [identity]
+        for level in outer:
+            prefixes = _products(prefixes, level)
+        # the run starting at walk position ``start`` keeps cap - start at most
+        runs = ((prefix, last[:cap - start])
+                for start, prefix in zip(range(0, cap, len(last)), prefixes))
+        return runs, prod(self.orbit_lengths) <= cap
+
     def elements(self) -> Iterator[Permutation]:
-        """Every group element once, identity first, in a fixed order: the
-        products u_0 * ... * u_{k-1} with the level-0 factor varying
-        slowest and each transversal in orbit discovery order."""
-        levels = [list(t.values()) for t in self._transversals]
-        if not levels:
-            yield Permutation(tuple(range(self.degree)))
-            return
-        last = len(levels) - 1
-        trusted = Permutation._trusted
-
-        def walk(i, prefix):
-            if i == last:
-                for u in levels[i]:
-                    yield trusted(_compose(prefix, u))
-            else:
-                for u in levels[i]:
-                    yield from walk(i + 1, _compose(prefix, u))
-
-        yield from walk(0, tuple(range(self.degree)))
+        """Every group element once, in walk order, identity first."""
+        return self.closure(prod(self.orbit_lengths))[0]
 
     def closure(self, cap: int = DEFAULT_GROUP_CAP) -> tuple[Iterator[Permutation], bool]:
-        """A stream of the first ``cap`` elements of ``elements`` and whether
+        """A stream of the first ``cap`` elements of the walk and whether
         they are the whole group.
 
         The stream holds no elements; a caller keeps only those it selects.
         """
-        if cap < 1:
-            raise ValueError("cap must be positive")
-        return islice(self.elements(), cap), prod(self.orbit_lengths) <= cap
+        runs, whole = self._walk(cap)
+        trusted = Permutation._trusted
+        return (trusted(_compose(prefix, u)) for prefix, factors in runs for u in factors), whole
 
     def of_order(self, m: int, cap: int = DEFAULT_GROUP_CAP) -> tuple[list, bool]:
-        """The elements of order m among the first ``cap`` of ``elements``, in
+        """The elements of order m among the first ``cap`` of the walk, in
         walk order, and whether those ``cap`` are the whole group (as
         ``closure`` says).
 
         g^t is the identity exactly when it fixes every base point, since
         only the identity fixes the whole base, so the order of g is the lcm
-        of the lengths of the g-cycles through the base points alone.  The
-        walk takes the levels in the order ``elements`` does, but applies
-        the last factor lazily, g(x) = prefix[u[x]], and traces only those
-        cycles, dropping g once one is longer than m or of a length not
-        dividing m; only a kept element's image tuple is built.  The cap
-        counts walked elements, so it may end the walk inside a level.
+        of the lengths of the g-cycles through the base points alone.  Each
+        run's last factor is applied lazily, g(x) = prefix[u[x]], and only
+        those cycles are traced, dropping g once one is longer than m or of
+        a length not dividing m; only a kept element's image tuple is built.
         """
-        if cap < 1:
-            raise ValueError("cap must be positive")
-        levels = [list(t.values()) for t in self._transversals]
-        whole = prod(self.orbit_lengths) <= cap
-        if not levels or m < 2:
-            # the identity, first in the walk, is the one element of order 1
-            return ([Permutation(tuple(range(self.degree)))] if m == 1 else []), whole
+        runs, whole = self._walk(cap)
         base = self.base
-        last = len(levels) - 1
         steps = range(1, m + 1)
         trusted = Permutation._trusted
         kept = []
-        left = cap
-
-        def walk(i, prefix):
-            nonlocal left
-            if i < last:
-                for u in levels[i]:
-                    if left <= 0:
-                        return
-                    walk(i + 1, _compose(prefix, u))
-                return
-            factors = levels[i][:left]
-            left -= len(factors)
+        for prefix, factors in runs:
             for u in factors:
                 order = 1
                 for b in base:
@@ -202,14 +190,14 @@ class AutGroup:
                         x = prefix[u[x]]
                         if x == b:
                             break
-                    if x != b or m % length:
+                    else:
+                        break  # the cycle through b is longer than m
+                    if m % length:
                         break
                     order = lcm(order, length)
                 else:
                     if order == m:
                         kept.append(trusted(_compose(prefix, u)))
-
-        walk(0, tuple(range(self.degree)))
         return kept, whole
 
     def __repr__(self):

@@ -25,7 +25,8 @@ from math import comb, gcd
 from typing import NamedTuple, Optional
 
 from .algebra import Permutation, Subgroup
-from .graphs import Multigraph, SimpleGraph, complete, components, star, underlying_simple
+from .graphs import (Multigraph, SimpleGraph, complete, components, star, to_dot, to_json,
+                     underlying_simple)
 from .report import (
     STATUS_BUDGET_EXHAUSTED,
     STATUS_COMPLETED,
@@ -79,8 +80,6 @@ class CombinedVoltageGraph:
         return f"{base} {{{members}}}"
 
     def to_dot(self, *, name: str = "base") -> str:
-        from .graphs import to_dot
-
         labelled = Multigraph(
             self.base.vertex_count,
             self.base.edges,
@@ -90,8 +89,6 @@ class CombinedVoltageGraph:
                       edge_labels={e: str(w) for e, w in enumerate(self.voltages)})
 
     def to_json(self) -> str:
-        from .graphs import to_json
-
         payload = {
             "graph": json.loads(to_json(self.base)),
             "group_modulus": self.modulus,

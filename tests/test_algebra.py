@@ -179,6 +179,23 @@ def test_closure_empty_and_overflow():
         automorphisms(complete(4)).closure(0)
 
 
+@pytest.mark.parametrize("n, edges, walk, involutions", [
+    (0, [], [()], []),
+    (1, [], [(0,)], []),
+    (2, [(0, 1)], [(0, 1), (1, 0)], [(1, 0)]),
+])
+def test_walk_of_the_smallest_graphs(n, edges, walk, involutions):
+    """The walk on 0, 1 and 2 vertices, where the base is empty or one
+    point and a permutation has at most one image to look up."""
+    aut = automorphisms(SimpleGraph(n, edges))
+    assert [p.images for p in aut.elements()] == walk
+    elements, whole = aut.closure(1)
+    assert [p.images for p in elements] == walk[:1] and whole == (len(walk) == 1)
+    assert aut.of_order(1) == ([Permutation(walk[0])], True)
+    kept, whole = aut.of_order(2)
+    assert [p.images for p in kept] == involutions and whole
+
+
 def test_closure_k33_automorphism_order():
     # part permutations plus the part swap: a group of order 2*(3!)^2
     elements, whole = automorphisms(complete_bipartite(3, 3)).closure()

@@ -73,6 +73,16 @@ def test_build_requires_a_target(tmp_path):
     assert run("build", "--out", str(tmp_path)) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--k", "3", "--family", "star:3"), "--k requires --token"),
+    (("--token", "star:3"), "--token requires --k"),
+])
+def test_build_token_and_k_come_together(tmp_path, capsys, argv, message):
+    assert run("build", *argv, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_build_bad_family(tmp_path):
     assert run("build", "--family", "torus:3", "--out", str(tmp_path)) == 2
 
@@ -460,6 +470,26 @@ def test_bad_config_rejected(tmp_path):
     cfg.write_text("mystery=1\n")
     assert run("build", "--family", "cycle:3", "--config", str(cfg),
                "--out", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("content, argv, message", [
+    (b"# caps\nmax_vertices=abc\n", ("zz", "--family", "complete:4", "--k", "2"),
+     "{cfg}:2: bad value for max_vertices: 'abc'"),
+    (b"budget=" + b"9" * 4400 + b"\n", ("conjecture", "1", "--n", "3"),
+     "{cfg}:1: bad value for budget: '" + "9" * 4400 + "'"),
+    (b"max_vertices=5\n\xff=1\n", ("zz", "--family", "complete:4", "--k", "2"),
+     "{cfg}: not UTF-8 text (byte 15)"),
+])
+def test_bad_config_value_is_named_by_file_and_line(tmp_path, capsys, content, argv, message):
+    """A config value ``int`` rejects (one past its digit limit among them)
+    and a file that is not UTF-8 are named by the file (and line), not by
+    Python's own error text."""
+    cfg = tmp_path / "caps.conf"
+    cfg.write_bytes(content)
+    out = tmp_path / "out"
+    assert run(*argv, "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: " + message.format(cfg=cfg) + "\n"
+    assert not out.exists()
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
