@@ -69,7 +69,8 @@ def parse_range(text: str) -> range:
 
 
 def read_config(path):
-    """key -> (value text, ``<path>:<line>``, which names it in an error)."""
+    """key -> (value text, ``<path>:<line>``, which names it in an error);
+    a key may appear once."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -85,6 +86,9 @@ def read_config(path):
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: repeated key {key} "
+                             f"(first at {values[key][1]})")
         values[key] = (val.strip(), f"{path}:{lineno}")
     return values
 

@@ -1,11 +1,13 @@
 """Multigraphs, simple graphs, standard families, serialization.
 
-Two carrier types live here.  ``Multigraph`` permits loops and parallel
-edges and carries voltage base graphs and covering lifts; each edge is
-stored once, as ``(min, max)``.  ``SimpleGraph`` is the loop-free carrier
-used for token graphs and everything downstream of them.
+``Multigraph`` is the one graph carrier: it permits loops and parallel
+edges, stores each edge once as ``(min, max)``, checks the vertex count,
+edge ranges and labels, and carries voltage base graphs and covering
+lifts.  ``SimpleGraph`` is a multigraph with no loops or parallel edges,
+its edges sorted and its adjacency also held as bitmasks, for token graphs
+and everything downstream of them; the two are never equal.
 
-Both types are immutable after construction; every function in this module
+Graphs are immutable after construction; every function in this module
 is pure.
 """
 
@@ -70,50 +72,37 @@ class Multigraph:
         return degs
 
     def __eq__(self, other):
-        return (isinstance(other, Multigraph)
+        return (type(other) is type(self)
                 and self._n == other._n and self._edges == other._edges)
 
     def __hash__(self):
         return hash((self._n, self._edges))
 
     def __repr__(self):
-        return f"Multigraph({self._n} vertices, {len(self._edges)} edges)"
+        return f"{type(self).__name__}({self._n} vertices, {len(self._edges)} edges)"
 
 
-class SimpleGraph:
-    """Finite undirected simple graph on vertices ``0..n-1``.
+class SimpleGraph(Multigraph):
+    """Finite undirected simple graph on vertices ``0..n-1``: a multigraph
+    with no loops or parallel edges, its edges sorted.
 
     Adjacency is additionally exposed as per-vertex integer bitmasks
     (``adjacency_masks``), the representation the search kernels consume.
     """
 
-    __slots__ = ("_n", "_edges", "_adj", "_labels")
+    __slots__ = ("_adj",)
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence[int]] = (),
                  labels: Optional[Sequence[str]] = None):
-        if vertex_count < 0:
-            raise ValueError("vertex_count must be non-negative")
-        self._n = vertex_count
-        adj = [0] * vertex_count
+        super().__init__(vertex_count, edges, labels)
         seen = set()
-        for u, v in edges:
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u},{v}) out of range for {vertex_count} vertices")
-            if u == v:
-                raise ValueError(f"loop at {u} not allowed in a simple graph")
-            e = (u, v) if u < v else (v, u)
+        for e in self._edges:
+            if e[0] == e[1]:
+                raise ValueError(f"loop at {e[0]} not allowed in a simple graph")
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self._edges = tuple(sorted(seen))
-        self._adj = tuple(adj)
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != vertex_count:
-                raise ValueError("labels length must equal vertex_count")
-        self._labels = labels
+        self._set_edges(seen)
 
     @classmethod
     def _trusted(cls, vertex_count: int, edges, labels) -> "SimpleGraph":
@@ -122,32 +111,19 @@ class SimpleGraph:
         output), skipping the checks of ``__init__``; they are still
         sorted.  ``labels`` are None or ``vertex_count`` strings."""
         g = object.__new__(cls)
-        adj = [0] * vertex_count
-        for u, v in edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
         g._n = vertex_count
-        g._edges = tuple(sorted(edges))
-        g._adj = tuple(adj)
         g._labels = None if labels is None else tuple(labels)
+        g._set_edges(edges)
         return g
 
-    @property
-    def vertex_count(self) -> int:
-        return self._n
-
-    @property
-    def edges(self) -> tuple:
-        """Edges as (u, v) pairs with u < v, sorted."""
-        return self._edges
-
-    @property
-    def edge_count(self) -> int:
-        return len(self._edges)
-
-    @property
-    def labels(self):
-        return self._labels
+    def _set_edges(self, edges):
+        """Store ``edges`` sorted and build the adjacency masks."""
+        self._edges = tuple(sorted(edges))
+        adj = [0] * self._n
+        for u, v in self._edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        self._adj = tuple(adj)
 
     @property
     def adjacency_masks(self) -> tuple:
@@ -170,16 +146,6 @@ class SimpleGraph:
 
     def degrees(self):
         return [m.bit_count() for m in self._adj]
-
-    def __eq__(self, other):
-        return (isinstance(other, SimpleGraph)
-                and self._n == other._n and self._edges == other._edges)
-
-    def __hash__(self):
-        return hash((self._n, self._edges))
-
-    def __repr__(self):
-        return f"SimpleGraph({self._n} vertices, {len(self._edges)} edges)"
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,12 @@ class AutGroup:
         run's last factor is applied lazily, g(x) = prefix[u[x]], and only
         those cycles are traced, dropping g once one is longer than m or of
         a length not dividing m; only a kept element's image tuple is built.
+        The identity alone has order 1, and it is the walk's first element,
+        so m = 1 walks no further and m <= 0 keeps nothing.
         """
+        if m < 2:
+            elements, whole = self.closure(cap)
+            return ([next(elements)] if m == 1 else []), whole
         runs, whole = self._walk(cap)
         base = self.base
         steps = range(1, m + 1)

@@ -5,7 +5,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings
 
-from token_covers import search
+from token_covers import search, symmetry
 from token_covers.algebra import Permutation, Subgroup
 from token_covers.graphs import (
     SimpleGraph,
@@ -362,6 +362,23 @@ def test_of_order_on_the_empty_base_and_a_bad_cap():
     for cap in (0, -1):
         with pytest.raises(ValueError, match="cap must be positive"):
             automorphisms(complete(4)).of_order(2, cap)
+
+
+def test_of_order_1_stops_at_the_walks_first_element(monkeypatch):
+    """Only the identity has order 1, and the walk starts with it: m = 1
+    composes the one chain of prefixes down to it, not the prefixes of all
+    10,080 elements of Aut F_4(K_{1,7}), and m <= 0 composes none."""
+    aut = automorphisms(token_graph(star(7), 4))
+    assert aut.orbit_lengths  # the transversals, built before counting
+    compose = symmetry._compose
+    calls = []
+    monkeypatch.setattr(symmetry, "_compose", lambda p, q: calls.append(1) or compose(p, q))
+    for m, cap, expected in ((1, 10080, ([identity(aut.degree)], True)),
+                             (1, 1, ([identity(aut.degree)], False)),
+                             (0, 10080, ([], True)), (-1, 1, ([], False))):
+        calls.clear()
+        assert aut.of_order(m, cap) == expected
+        assert len(calls) <= (len(aut.base) + 1 if m == 1 else 0)
 
 
 def test_of_order_counts_match_sympy_on_aut_f4_star7():

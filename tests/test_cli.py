@@ -492,6 +492,19 @@ def test_bad_config_value_is_named_by_file_and_line(tmp_path, capsys, content, a
     assert not out.exists()
 
 
+def test_repeated_config_key_names_both_lines(tmp_path, capsys):
+    """A key set twice ends the run naming both lines; the later line does
+    not silently win (here it would lift the cap 5 to 300)."""
+    cfg = tmp_path / "caps.conf"
+    cfg.write_text("max_vertices=5\n# raised\nmax_vertices=300\n")
+    out = tmp_path / "out"
+    assert run("build", "--token", "complete:6", "--k", "2",
+               "--config", str(cfg), "--out", str(out)) == 2
+    assert (capsys.readouterr().err
+            == f"error: {cfg}:3: repeated key max_vertices (first at {cfg}:1)\n")
+    assert not out.exists()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     missing = tmp_path / "no-such.conf"
     assert run("zz", "--family", "complete:5", "--k", "2", "--config", str(missing),

@@ -98,6 +98,53 @@ def test_simple_graph_validation():
         SimpleGraph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize("cls", [Multigraph, SimpleGraph])
+@pytest.mark.parametrize("args, message", [
+    ((-1,), "vertex_count must be non-negative"),
+    ((2, [(0, 2)]), "edge (0,2) out of range for 2 vertices"),
+    ((2, [(-1, 1)]), "edge (-1,1) out of range for 2 vertices"),
+    ((2, [(0, 1)], ["a"]), "labels length must equal vertex_count"),
+])
+def test_each_single_fault_has_its_message(cls, args, message):
+    """Both constructors name a fault of the count, the edges or the labels
+    alike: ``Multigraph`` checks them for both."""
+    with pytest.raises(ValueError) as info:
+        cls(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("edges, labels, message", [
+    ([(0, 1), (2, 2)], None, "loop at 2 not allowed in a simple graph"),
+    ([(0, 1), (1, 0)], None, "duplicate edge (0, 1)"),
+    ([(1, 2), (0, 1), (2, 1), (0, 0)], None, "duplicate edge (1, 2)"),
+    ([(0, 0), (1, 2), (2, 1)], None, "loop at 0 not allowed in a simple graph"),
+    # the labels are checked before loops and parallel edges
+    ([(1, 1)], ["a"], "labels length must equal vertex_count"),
+])
+def test_simple_graph_rejects_loops_and_parallel_edges(edges, labels, message):
+    """The first loop or parallel edge in the given order is named, while a
+    multigraph takes them."""
+    with pytest.raises(ValueError) as info:
+        SimpleGraph(3, edges, labels)
+    assert str(info.value) == message
+    assert Multigraph(3, edges).edge_count == len(edges)
+
+
+def test_a_simple_graph_is_a_multigraph_but_never_equal_to_one():
+    simple, multi = SimpleGraph(2, [(0, 1)]), Multigraph(2, [(0, 1)])
+    assert isinstance(SimpleGraph(1), Multigraph)
+    assert simple != multi and multi != simple
+    for same in (SimpleGraph(2, [(1, 0)]), SimpleGraph._trusted(2, [(0, 1)], None)):
+        assert simple == same and hash(simple) == hash(same)
+    same = Multigraph(2, [(1, 0)])
+    assert multi == same and hash(multi) == hash(same)
+    # a simple graph sorts its edges; a multigraph keeps their order as ids
+    assert SimpleGraph(3, [(1, 2), (0, 1)]) == SimpleGraph(3, [(0, 1), (1, 2)])
+    assert Multigraph(3, [(1, 2), (0, 1)]) != Multigraph(3, [(0, 1), (1, 2)])
+    assert repr(simple) == "SimpleGraph(2 vertices, 1 edges)"
+    assert repr(Multigraph(3, [(0, 0), (0, 0)])) == "Multigraph(3 vertices, 2 edges)"
+
+
 def test_multigraph_loop_counts_twice():
     g = Multigraph(2, [(0, 1), (1, 1)])
     assert g.degree(1) == 3
