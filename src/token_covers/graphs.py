@@ -321,16 +321,22 @@ def srg_parameters(G: SimpleGraph):
 # serialization
 
 
+def _dot_escape(label: str) -> str:
+    return label.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(G, *, name: str = "G", edge_labels: Optional[Mapping[int, str]] = None) -> str:
     """Deterministic DOT export (undirected; loops as self-edges).
 
     ``edge_labels`` maps edge ids (positions in ``G.edges``) to labels.
+    Labels are written as DOT quoted strings, with ``\\`` and ``"``
+    escaped.
     """
     lines = [f"graph {name} {{"]
     labels = G.labels
     for v in range(G.vertex_count):
         if labels is not None:
-            lines.append(f'  {v} [label="{labels[v]}"];')
+            lines.append(f'  {v} [label="{_dot_escape(labels[v])}"];')
         else:
             lines.append(f"  {v};")
     # a stable sort: parallel edges stay in id order, and a SimpleGraph's
@@ -338,7 +344,7 @@ def to_dot(G, *, name: str = "G", edge_labels: Optional[Mapping[int, str]] = Non
     for e in sorted(range(G.edge_count), key=G.edges.__getitem__):
         u, v = G.edges[e]
         if edge_labels is not None and e in edge_labels:
-            lines.append(f'  {u} -- {v} [label="{edge_labels[e]}"];')
+            lines.append(f'  {u} -- {v} [label="{_dot_escape(edge_labels[e])}"];')
         else:
             lines.append(f"  {u} -- {v};")
     lines.append("}")

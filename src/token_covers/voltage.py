@@ -13,7 +13,9 @@ Over Z_m the cosets of the index-d subgroup are r + dZ_m (0 <= r < d), and
 r + w + d_x Z_m meets s + d_y Z_m exactly when r + w = s mod
 gcd(d_x, d_y), so ``lift`` lists the matching s for each r instead of
 testing every pair: its cost is that of the cover it returns, and its
-edges come ordered by base edge, then r, then s.
+edges come ordered by base edge, then r, then s.  Loops follow the same
+rule (gcd(d_x, d_x) = d_x); one whose voltage has order 2 in Z_{d_x} meets
+each pair from both ends, so it lifts once per r < d_x / 2.
 """
 
 from __future__ import annotations
@@ -116,9 +118,10 @@ def lift(cvg: CombinedVoltageGraph) -> Cover:
     coset pair (K_r, H_s) with K_r + w meeting H_s, which holds exactly
     when r + w = s mod gcd(d_u, d_v) for fiber sizes d_u, d_v; the
     matching s are listed directly, so the cost is that of the output.
-    Edges come ordered by base edge, then r, then s.  A base loop of
-    voltage w contributes one edge per unordered pair {r, r + w mod d_u},
-    in order of its first r.
+    Edges come ordered by base edge, then r, then s.  A loop follows the
+    same rule, joining r to r + w mod d_u; when w has order 2 in the fiber
+    group Z_{d_u} (not necessarily in Z_m) each pair is met from both ends,
+    so that loop takes only r < d_u / 2.
     """
     base = cvg.base
     sizes = [H.index for H in cvg.vertex_groups]
@@ -133,20 +136,11 @@ def lift(cvg: CombinedVoltageGraph) -> Cover:
             labels.append(f"({name},{{{members}}})")
     edges = []
     for (u, v), w in zip(base.edges, cvg.voltages):
-        du, ou = sizes[u], offset[u]
-        if u == v:
-            seen = set()
-            for r in range(du):
-                r2 = (r + w) % du
-                pair = (r, r2) if r <= r2 else (r2, r)
-                if pair not in seen:
-                    seen.add(pair)
-                    edges.append((ou + r, ou + r2))
-        else:
-            dv, ov = sizes[v], offset[v]
-            g = gcd(du, dv)
-            edges.extend((ou + r, ov + s) for r in range(du)
-                         for s in range((r + w) % g, dv, g))
+        du, dv, ou, ov = sizes[u], sizes[v], offset[u], offset[v]
+        g = gcd(du, dv)
+        # a loop whose voltage has order 2 in Z_{d_u} meets each pair twice
+        rs = range(du // 2) if u == v and w % du and not 2 * w % du else range(du)
+        edges.extend((ou + r, ov + s) for r in rs for s in range((r + w) % g, dv, g))
     return Cover(Multigraph(len(verts), edges, labels=labels), tuple(verts))
 
 
@@ -213,21 +207,15 @@ def verify_theorem1(n: int, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> Verifi
     cover = lift(cvg)
     count_ok = cover.graph.vertex_count == target
 
-    images = [cover_token(n, cv) for cv in cover.vertices]
-    pairs = ksubsets(n, 2)
-    pair_set = set(pairs)
-    bijective = (len(images) == len(set(images)) == target
-                 and all((a - 1, b - 1) in pair_set for a, b in images))
+    index = {pair: i for i, pair in enumerate(ksubsets(n, 2))}
+    to_token = [index.get((a - 1, b - 1))
+                for a, b in (cover_token(n, cv) for cv in cover.vertices)]
+    bijective = len(to_token) == target and set(to_token) == set(range(target))
 
     simple = underlying_simple(cover.graph)
     tokens = token_graph(complete(n), 2)
-    position = {p: i for i, p in enumerate(pairs)}
-    to_token = [position[(a - 1, b - 1)] for a, b in images] if bijective else None
-    if bijective:
-        iso_ok = (simple.edge_count == tokens.edge_count
-                  and maps_edges_into(simple, tokens.adjacency_masks, to_token))
-    else:
-        iso_ok = False
+    iso_ok = (bijective and simple.edge_count == tokens.edge_count
+              and maps_edges_into(simple, tokens.adjacency_masks, to_token))
 
     witness = is_isomorphic(simple, tokens)
 
@@ -292,7 +280,8 @@ def quotient_cyclic(X: SimpleGraph, g: Permutation):
 
     One base vertex per orbit (transversal = minimal vertex, identified
     with coset 0 of the orbit stabilizer); one base edge per edge orbit,
-    its voltage read off the representative edge's transversal positions.
+    its voltage read off the representative edge's transversal positions,
+    a loop's the shorter way round its orbit.
     Rejects a g that is not an automorphism of X.  Returns the candidate
     base graph and a report stating whether its lift reconstructs X
     (failure is reported, not raised), decided by an isomorphism search;
@@ -316,18 +305,14 @@ def quotient_cyclic(X: SimpleGraph, g: Permutation):
     # one base edge per edge orbit of <g>, represented by its least edge
     for (u, v), *_ in edge_orbits(X, (g,)):
         A, B = orbit_of[u], orbit_of[v]
+        if A > B:
+            A, B, u, v = B, A, v, u
+        w = (position[v] - position[u]) % m
         if A == B:
             span = len(orbits[A])
-            d = (position[v] - position[u]) % span
-            d = min(d, span - d)
-            edges.append((A, A))
-            volts.append(d % m)
-        else:
-            if A > B:
-                A, B = B, A
-                u, v = v, u
-            edges.append((A, B))
-            volts.append((position[v] - position[u]) % m)
+            w = min(w % span, -w % span)
+        edges.append((A, B))
+        volts.append(w)
     base = Multigraph(len(orbits), edges,
                       labels=[str(orb[0]) for orb in orbits])
     cvg = CombinedVoltageGraph(base, m, tuple(volts), vertex_groups)
@@ -424,8 +409,11 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     Every class whose lift verifies is listed with its size and its base
     size compared to the conjectured count(s).  A search that finds
     nothing still completes; only exhausting the enumeration budget is
-    reported separately.
+    reported separately.  A ``group_order`` below 1 is rejected before
+    anything is built.
     """
+    if group_order is not None and group_order < 1:
+        raise ValueError("group_order must be positive")
     if family == "star_half":
         if n < 3 or n % 2 == 0:
             raise ValueError("star_half requires odd n >= 3")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +203,32 @@ def test_dot_single_vertex():
     lines = text.strip().splitlines()
     assert lines[0].startswith("graph")
     assert len(lines) == 3  # header, one node, closer
+
+
+_DOT_LABEL = re.compile(r'label="((?:[^"\\]|\\.)*)"')
+
+
+def dot_labels(text):
+    """The quoted labels of a DOT text, read as DOT reads them: a quote
+    ends the string unless a backslash escapes it."""
+    return [re.sub(r"\\(.)", r"\1", raw) for raw in _DOT_LABEL.findall(text)]
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    G = Multigraph(2, [(0, 1)], labels=['a"b', "c\\d"])
+    text = to_dot(G, edge_labels={0: 'say "\\hi"'})
+    assert '  0 [label="a\\"b"];' in text
+    assert '  1 [label="c\\\\d"];' in text
+    assert '  0 -- 1 [label="say \\"\\\\hi\\""];' in text
+    assert dot_labels(text) == ['a"b', "c\\d", 'say "\\hi"']
+
+
+def test_dot_escapes_labels_read_from_json():
+    # from_json takes any strings as labels
+    text = json.dumps({"vertices": 3, "labels": ['x" color="red', "end\\", "plain"],
+                       "edges": [{"id": 0, "u": 0, "v": 1}]})
+    G = from_json(text)
+    assert dot_labels(to_dot(G)) == ['x" color="red', "end\\", "plain"]
 
 
 def test_json_cycle3():

@@ -32,6 +32,7 @@ from token_covers.voltage import (
 
 from helpers import (
     cosets,
+    disjoint_union,
     fiber_offsets,
     free_actions,
     from_cycles,
@@ -239,6 +240,21 @@ def test_theorem1_lift_matches_set_oracle(n):
     assert_lift_matches_oracle(theorem1_base(n))
 
 
+@pytest.mark.parametrize("w, edges", [
+    (2, ((0, 2), (1, 3))),
+    (6, ((0, 2), (1, 3))),
+    (10, ((0, 2), (1, 3))),
+    (4, ((0, 0), (1, 1), (2, 2), (3, 3))),
+])
+def test_lift_loop_halves_by_voltage_order_in_the_fiber(w, edges):
+    """A loop over Z_12 at a vertex of fiber size 4 reads its voltage in
+    Z_4: 2 and 10 have order 2 there (but 6 in Z_12), so like 6 they lift
+    to one edge per pair {r, r + 2}, and 4 = 0 in Z_4 lifts to cover loops."""
+    cvg = CombinedVoltageGraph(Multigraph(1, [(0, 0)]), 12, (w,), (Subgroup(12, 4),))
+    assert lift(cvg).graph.edges == edges
+    assert_lift_matches_oracle(cvg)
+
+
 def test_theorem1_base_n4_structure():
     cvg = theorem1_base(4)
     assert cvg.base.vertex_count == 2
@@ -442,6 +458,20 @@ def test_quotient_cyclic_reflection():
     assert sorted(s.index for s in cvg.vertex_groups) == [1, 1, 2, 2]
 
 
+def test_quotient_cyclic_reads_a_loop_the_short_way_round_a_short_orbit():
+    """Over Z_6 the triangle is an orbit of span 3, (0 2 1), and its least
+    edge (0, 1) joins positions 0 and 2: the loop's voltage is 1, the
+    shorter way round the orbit, where Z_6 alone would read 2."""
+    X = disjoint_union(cycle(3), cycle(6))
+    g = from_cycles(9, [(0, 2, 1), (3, 4, 5, 6, 7, 8)])
+    cvg, report = quotient_cyclic(X, g)
+    assert cvg.modulus == 6
+    assert cvg.base.edges == ((0, 0), (1, 1))
+    assert cvg.voltages == (1, 1)
+    assert [s.index for s in cvg.vertex_groups] == [3, 6]
+    assert report.passed
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_quotient_cyclic_reconstructs_half_base(n):
     F = token_graph(complete(n), 2)
@@ -525,6 +555,26 @@ def test_conjecture_preconditions():
         conjecture_search("star_two", 4)
     with pytest.raises(ValueError):
         conjecture_search("unknown", 3)
+
+
+@pytest.mark.parametrize("group_order", [-6, 0])
+def test_conjecture_rejects_a_group_order_below_1(monkeypatch, group_order):
+    def never(*args):
+        raise AssertionError("nothing may be checked or built for a bad group order")
+
+    monkeypatch.setattr(voltage, "check_vertex_cap", never)
+    monkeypatch.setattr(voltage, "token_graph", never)
+    with pytest.raises(ValueError, match="^group_order must be positive$"):
+        conjecture_search("star_half", 3, group_order=group_order)
+
+
+def test_conjecture_group_order_1_keeps_the_identity():
+    report = conjecture_search("star_half", 3, group_order=1)
+    assert report.status == "completed"
+    assert report.find("group_modulus") == 1
+    assert report.find("order_m_elements") == 1
+    assert report.find("order_m_classes") == 1
+    assert [c["automorphism"] for c in report.find("verified_candidates")] == ["()"]
 
 
 def test_conjecture_budget_exhaustion():
