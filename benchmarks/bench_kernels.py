@@ -68,6 +68,11 @@ def workloads():
     yield ("iso theorem-1 cover ~ F_2(K_20), 190v", "iso",
            (cover.adjacency_masks, f2k20.adjacency_masks))
     yield ("aut F_2(K_20), 190v", "aut", (f2k20.adjacency_masks,))
+    # 1,099 leaves individualized one level at a time: a first path deeper
+    # than the default recursion limit
+    k1_1100 = star(1100)
+    yield ("iso K_{1,1100} ~ relabeling, 1101v", "iso",
+           (k1_1100.adjacency_masks, relabeled(k1_1100, 4)))
 
 
 def best_time(func, args, repeat):

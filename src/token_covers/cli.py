@@ -111,13 +111,12 @@ def resolve_settings(args):
     """Flags win over config file values, which win over defaults.  Only
     ``conjecture`` takes ``--budget``: for the other commands the budget is
     None, and a config file's ``budget`` is not read."""
-    cfg = read_config(args.config) if getattr(args, "config", None) else {}
-    out_dir = (getattr(args, "out", None)
+    cfg = read_config(args.config) if args.config else {}
+    out_dir = (args.out
                or cfg.get("out_dir", ("",))[0]
                or os.environ.get("TOKEN_COVER_OUT")
                or "out")
-    max_vertices = _pick(getattr(args, "max_vertices", None), cfg, "max_vertices",
-                         DEFAULT_VERTEX_CAP)
+    max_vertices = _pick(args.max_vertices, cfg, "max_vertices", DEFAULT_VERTEX_CAP)
     budget = (_pick(args.budget, cfg, "budget", DEFAULT_GROUP_CAP)
               if hasattr(args, "budget") else None)
     if max_vertices < 1 or (budget is not None and budget < 1):
@@ -259,7 +258,8 @@ def cmd_conjecture(args) -> int:
 
 
 def add_common(parser):
-    parser.add_argument("--out", help="output directory (default $TOKEN_COVER_OUT or ./out)")
+    parser.add_argument("--out", help="output directory (default: the config file's "
+                                      "out_dir, else $TOKEN_COVER_OUT, else ./out)")
     parser.add_argument("--config", help="key=value config file; flags win")
     parser.add_argument("--max-vertices", type=int, dest="max_vertices")
 

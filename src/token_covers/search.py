@@ -22,15 +22,18 @@ otherwise each reached vertex is visited once, its count a popcount.
 Every branch of the search pairs the same left side with a different right
 side.  The left side is the *first path*: the initial refinement, then at
 each level the least vertex of the target cell individualized and the
-coloring refined again.  It is refined once per level and kept, together
-with its split trace: per splitter pop, the size of each (class, count)
-group and the keys that received new ids.  A right side is never refined on its own;
-it replays that trace on its own graph, and the first pop whose groups
-differ in keys or sizes proves that no color-preserving isomorphism
-extends the branch.  A matching replay allocates the same ids as the left,
-so the two colorings stay structurally aligned down to a discrete leaf,
-and the bijection read off that leaf is an isomorphism: the kernel checks
-no edge itself (the proof is in ``_descend``).
+coloring refined again, down to a discrete coloring.  ``_first_path``
+builds it whole, each level with its split trace: per splitter pop, the
+size of each (class, count) group and the keys that received new ids.  A
+right side is never refined on its own; ``_children``, the one
+individualize-and-replay step, replays that trace on its own graph, and
+the first pop whose groups differ in keys or sizes proves that no
+color-preserving isomorphism extends the branch.  ``_descend`` walks an
+explicit stack of ``_children`` generators, so no search recurses.  A
+matching replay allocates the same ids as the left, so the two colorings
+stay structurally aligned down to a discrete leaf, and the bijection read
+off that leaf is an isomorphism: the kernel checks no edge itself (the
+proof is in ``_descend``).
 A recorded pop that split nothing (most of them, on token graphs) is
 replayed on the digit masks alone: each recorded class must lie inside
 its count's digit pattern and the classes must cover the reached set,
@@ -241,38 +244,30 @@ def _split(cells, col, ncolors, hits, moves, stride):
 _Level = namedtuple("_Level", "col ncolors cell vertex trace")
 
 
-def _level(col, ncolors, trace):
-    """A first-path level: the coloring, its color count, the target cell
-    (smallest non-singleton class, ties to the lowest id) and its least
-    member, to be individualized (both -1 once the coloring is discrete),
-    and the trace that refined the coloring."""
-    sizes = [0] * ncolors
-    for c in col:
-        sizes[c] += 1
-    cells = [c for c in range(ncolors) if sizes[c] >= 2]
-    if not cells:
-        return _Level(col, ncolors, -1, -1, trace)
-    best = min(cells, key=sizes.__getitem__)
-    return _Level(col, ncolors, best, col.index(best), trace)
-
-
 def _first_path(adj):
-    """The first path's level 0: the refined uniform coloring."""
+    """The whole first path, one ``_Level`` per level down to a discrete
+    coloring: the coloring, its color count, the target cell (smallest
+    non-singleton class, ties to the lowest id) and its least member,
+    individualized in the next level (both -1 at the discrete level), and
+    the trace that refined the coloring."""
     col = [0] * len(adj)
     trace = []
-    return [_level(col, _refine(adj, col, 1, trace, (0,)), trace)]
-
-
-def _path_level(adj, path, depth):
-    """Level ``depth`` of the first path, refining the missing levels."""
-    while len(path) <= depth:
-        last = path[-1]
-        col = last.col.copy()
-        col[last.vertex] = last.ncolors
+    ncolors = _refine(adj, col, 1, trace, (0,))
+    path = []
+    while True:
+        sizes = [0] * ncolors
+        for c in col:
+            sizes[c] += 1
+        cells = [c for c in range(ncolors) if sizes[c] >= 2]
+        cell = min(cells, key=sizes.__getitem__) if cells else -1
+        vertex = col.index(cell) if cells else -1
+        path.append(_Level(col, ncolors, cell, vertex, trace))
+        if not cells:
+            return path
+        col = col.copy()
+        col[vertex] = ncolors
         trace = []
-        path.append(_level(col, _refine(adj, col, last.ncolors + 1, trace,
-                                        (last.cell, last.ncolors)), trace))
-    return path[depth]
+        ncolors = _refine(adj, col, ncolors + 1, trace, (cell, ncolors))
 
 
 def _extract(col_l, col_r, n):
@@ -285,6 +280,20 @@ def _extract(col_l, col_r, n):
 
 def _members(col, c, n):
     return [v for v in range(n) if col[v] == c]
+
+
+def _children(adj_r, path, depth, col_r, members):
+    """The one individualize-and-replay step: for each u of ``members``,
+    read lazily, the right side ``col_r`` (aligned with level ``depth``)
+    with u individualized, yielded when level ``depth + 1``'s trace
+    replays on it."""
+    nc = path[depth].ncolors
+    trace = path[depth + 1].trace
+    for u in members:
+        cr = col_r.copy()
+        cr[u] = nc
+        if _refine(adj_r, cr, nc + 1, trace) >= 0:
+            yield cr
 
 
 def isomorphism_witness(adj1, adj2):
@@ -300,13 +309,14 @@ def isomorphism_witness(adj1, adj2):
     col = [0] * n
     if _refine(adj2, col, 1, path[0].trace) < 0:
         return None
-    return _descend(adj1, path, 0, adj2, col)
+    return _descend(path, 0, adj2, col)
 
 
-def _descend(adj_l, path, depth, adj_r, col_r):
+def _descend(path, depth, adj_r, col_r):
     """First bijection below a right side ``col_r`` aligned with the first
     path's level ``depth``: each member of the target cell on the right is
-    individualized against the first path's vertex, in order.
+    individualized against the first path's vertex, in order, by one
+    ``_children`` generator per level on a stack, so no depth recurses.
 
     The bijection extracted at a discrete leaf is an isomorphism, so no
     edge is checked here:
@@ -327,20 +337,17 @@ def _descend(adj_l, path, depth, adj_r, col_r):
       on both sides, and mapping each vertex to the right vertex of its
       color (y to y') preserves adjacency both ways.
     """
-    n = len(adj_l)
-    col_l, nc, c, _, _ = path[depth]
-    if c < 0:
-        return _extract(col_l, col_r, n)
-    trace = _path_level(adj_l, path, depth + 1).trace
-    for u in _members(col_r, c, n):
-        cr = col_r.copy()
-        cr[u] = nc
-        if _refine(adj_r, cr, nc + 1, trace) < 0:
-            continue
-        found = _descend(adj_l, path, depth + 1, adj_r, cr)
-        if found is not None:
-            return found
-    return None
+    n = len(col_r)
+    stack = []
+    while True:
+        level = depth + len(stack)
+        if level == len(path) - 1:
+            return _extract(path[level].col, col_r, n)
+        stack.append(_children(adj_r, path, level, col_r, _members(col_r, path[level].cell, n)))
+        while (col_r := next(stack[-1], None)) is None:
+            stack.pop()
+            if not stack:
+                return None
 
 
 def automorphism_generators(adj):
@@ -353,8 +360,9 @@ def automorphism_generators(adj):
     branches map v_d to other members of the cell; each sibling subtree is
     searched for a single automorphism, and siblings already in the orbit
     of v_d under the known generators are pruned.  One orbit partition
-    serves every level, each generator merged into it as it is found.
-    Levels are visited deepest first, and a generator found at depth d
+    serves every level, each generator merged into it as it is found; the
+    siblings are read lazily, so each is pruned against every generator
+    found before it.  Levels are visited deepest first, and a generator found at depth d
     fixes v_0..v_{d-1} (singleton cells on both sides) and moves v_d, its
     base point; so every generator known at level d lies in the pointwise
     stabilizer G_d of v_0..v_{d-1}, whose orbits the pruning needs.
@@ -378,19 +386,11 @@ def automorphism_generators(adj):
         return gens
     parent = list(range(n))  # orbit partition under ``gens``, as a forest
     path = _first_path(adj)
-    while path[-1].cell >= 0:
-        _path_level(adj, path, len(path))
     for depth in reversed(range(len(path) - 1)):
-        col, nc, c, v, _ = path[depth]
-        trace = path[depth + 1].trace
-        for u in _members(col, c, n):
-            if _root(parent, u) == _root(parent, v):
-                continue
-            cr = col.copy()
-            cr[u] = nc
-            if _refine(adj, cr, nc + 1, trace) < 0:
-                continue
-            found = _descend(adj, path, depth + 1, adj, cr)
+        col, _, c, v, _ = path[depth]
+        siblings = (u for u in _members(col, c, n) if _root(parent, u) != _root(parent, v))
+        for cr in _children(adj, path, depth, col, siblings):
+            found = _descend(path, depth + 1, adj, cr)
             if found is not None:
                 gens.append((found, v))
                 for x, y in enumerate(found):

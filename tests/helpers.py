@@ -346,7 +346,9 @@ def edge_orbit_count(X, automorphisms):
 
 
 def kernel_corpus():
-    """Graphs the search-kernel tests run every kernel entry point on."""
+    """Graphs the search-kernel tests run every kernel entry point on; the
+    last, K_{1,30}, has a first path of 30 levels (29 leaves individualized
+    one at a time), so the search backtracks through a deep stack."""
     graphs = [
         complete(1), complete(2), complete(6), cycle(4), cycle(7), path(5),
         star(4), complete_bipartite(2, 3), complete_bipartite(3, 3),
@@ -357,6 +359,7 @@ def kernel_corpus():
     rng = random.Random(3)
     for _ in range(25):
         graphs.append(random_simple_graph(rng, rng.randint(2, 12), rng.random()))
+    graphs.append(star(30))
     return graphs
 
 
@@ -365,7 +368,9 @@ def kernel_witness_pairs():
     graph against a cycle, whose splitters reach nothing on the left, so
     only the no-split replay's cover check rejects them; each corpus graph
     with a seeded relabelling of itself; then neighbouring corpus graphs
-    paired up (mostly non-isomorphic, some of unequal size)."""
+    paired up (mostly non-isomorphic, some of unequal size); then
+    K_{1,25} built as a complete bipartite graph against ``star(25)``, a
+    first path of 25 levels."""
     rng = random.Random(5)
     graphs = kernel_corpus()
     pairs = [(SimpleGraph(5).adjacency_masks, cycle(5).adjacency_masks)]
@@ -375,6 +380,7 @@ def kernel_witness_pairs():
         pairs.append((g.adjacency_masks, relabel(g, images).adjacency_masks))
     for a, b in zip(graphs[::2], graphs[1::2]):
         pairs.append((a.adjacency_masks, b.adjacency_masks))
+    pairs.append((complete_bipartite(1, 25).adjacency_masks, star(25).adjacency_masks))
     return pairs
 
 

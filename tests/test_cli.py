@@ -528,6 +528,21 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "cycle3.json").exists()
 
 
+def test_out_dir_precedence(tmp_path, monkeypatch):
+    """``--out`` beats the config file's ``out_dir``, which beats
+    ``$TOKEN_COVER_OUT``."""
+    monkeypatch.setenv("TOKEN_COVER_OUT", str(tmp_path / "envout"))
+    config = tmp_path / "run.conf"
+    config.write_text(f"out_dir = {tmp_path / 'cfgout'}\n")
+    assert run("build", "--family", "cycle:3", "--config", str(config)) == 0
+    assert (tmp_path / "cfgout" / "cycle3.json").exists()
+    assert run("build", "--family", "cycle:4", "--config", str(config),
+               "--out", str(tmp_path / "flagout")) == 0
+    assert (tmp_path / "flagout" / "cycle4.json").exists()
+    assert not (tmp_path / "envout").exists()
+    assert not (tmp_path / "cfgout" / "cycle4.json").exists()
+
+
 # small sizes build, huge ones (up to 10^6) must fail on their caps at once
 huge = st.integers(7, 10**6)
 sizes = st.one_of(st.integers(-2, 6), huge)

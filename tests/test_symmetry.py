@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 from math import factorial
 
@@ -81,6 +82,29 @@ def test_automorphisms_deterministic():
 def test_aut_past_200_vertices_takes_no_cap():
     """|Aut F_2(K_21)| = 21! on its 210 vertices: the search has no cap."""
     assert automorphisms(token_graph(complete(21), 2)).order()[0] == factorial(21)
+
+
+def test_isomorphic_through_a_first_path_past_the_recursion_limit():
+    """K_{1,1100}'s first path individualizes 1,099 leaves, one level each,
+    deeper than the default recursion limit: the search walks a stack,
+    so it still returns a witness."""
+    X = star(1100)
+    witness = is_isomorphic(X, X)
+    assert witness is not None
+    assert symmetry.maps_edges_into(X, X.adjacency_masks, witness.images)
+
+
+def test_automorphisms_deeper_than_a_lowered_recursion_limit():
+    """|Aut K_{1,200}| = 200! with the recursion limit lowered to 120, below
+    the depth of the first path (199 leaves individualized one level at a
+    time) and of the sibling search at its root."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        order = automorphisms(star(200)).order()[0]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert order == factorial(200)
 
 
 def test_edge_transitive_families():
