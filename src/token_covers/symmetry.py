@@ -125,30 +125,52 @@ class AutGroup:
         images = g.images
         return tuple(images[b] for b in self.base)
 
+    _tail = cached_property(lambda self: self._build_tail())
+
+    def _build_tail(self) -> tuple[tuple, tuple]:
+        """(head, tail): the transversals split where the longest suffix
+        whose orbit lengths multiply to at most the degree begins, and that
+        suffix precomposed, the products u_j * ... * u_{k-1} with the last
+        factor varying fastest.  The tail then holds no more tuples than
+        one transversal can, and an empty base has the identity alone."""
+        levels = self._transversals
+        j, size = len(levels), 1
+        while j and size * len(levels[j - 1]) <= self.degree:
+            j -= 1
+            size *= len(levels[j])
+        tail = [tuple(range(self.degree))]
+        for level in levels[j:]:
+            tail = list(_products(tail, level))
+        return levels[:j], tuple(tail)
+
+    def _whole(self, cap: int) -> bool:
+        """Whether the walk's first ``cap`` elements are the whole group."""
+        if cap < 1:
+            raise ValueError("cap must be positive")
+        return prod(self.orbit_lengths) <= cap
+
     def _walk(self, cap: int) -> tuple[Iterator[tuple[tuple, tuple]], bool]:
         """The first ``cap`` elements of the group's one walk, as runs
-        (prefix, factors) standing for the elements prefix * u, u in
+        (prefix, factors) standing for the elements prefix * t, t in
         factors, and whether those ``cap`` are the whole group.
 
         The elements are the products u_0 * ... * u_{k-1}, the level-0
         factor varying slowest and each transversal in orbit discovery
-        order, so the identity comes first.  A prefix is u_0 * ... * u_{k-2},
-        built once, lazily, from the one a level up; its factors are the
-        last transversal, cut short where the cap ends the walk.  The walk
-        starts from a level holding the identity alone, so an empty base
-        walks the identity alone.
+        order, so the identity comes first.  A prefix is the product over
+        the head levels, built once, lazily, from the one a level up; its
+        factors are the precomposed tail (``_build_tail``), cut short where
+        the cap ends the walk.  The prefixes start from the identity alone,
+        so a chain that is all tail walks the one prefix.
         """
-        if cap < 1:
-            raise ValueError("cap must be positive")
-        identity = tuple(range(self.degree))
-        *outer, last = ((identity,), *self._transversals)
-        prefixes = [identity]
-        for level in outer:
+        whole = self._whole(cap)
+        head, tail = self._tail
+        prefixes = [tuple(range(self.degree))]
+        for level in head:
             prefixes = _products(prefixes, level)
         # the run starting at walk position ``start`` keeps cap - start at most
-        runs = ((prefix, last[:cap - start])
-                for start, prefix in zip(range(0, cap, len(last)), prefixes))
-        return runs, prod(self.orbit_lengths) <= cap
+        runs = ((prefix, tail[:cap - start])
+                for start, prefix in zip(range(0, cap, len(tail)), prefixes))
+        return runs, whole
 
     def elements(self) -> Iterator[Permutation]:
         """Every group element once, in walk order, identity first."""
@@ -162,37 +184,38 @@ class AutGroup:
         """
         runs, whole = self._walk(cap)
         trusted = Permutation._trusted
-        return (trusted(_compose(prefix, u)) for prefix, factors in runs for u in factors), whole
+        return (trusted(_compose(prefix, t)) for prefix, factors in runs for t in factors), whole
 
     def of_order(self, m: int, cap: int = DEFAULT_GROUP_CAP) -> tuple[list, bool]:
         """The elements of order m among the first ``cap`` of the walk, in
-        walk order, and whether those ``cap`` are the whole group (as
+        walk order (u_0 * ... * u_{k-1}, level 0 slowest, as ``_walk``
+        lists them), and whether those ``cap`` are the whole group (as
         ``closure`` says).
 
         g^t is the identity exactly when it fixes every base point, since
         only the identity fixes the whole base, so the order of g is the lcm
         of the lengths of the g-cycles through the base points alone.  Each
-        run's last factor is applied lazily, g(x) = prefix[u[x]], and only
+        run's tail factor t is applied lazily, g(x) = prefix[t[x]], and only
         those cycles are traced, dropping g once one is longer than m or of
         a length not dividing m; only a kept element's image tuple is built.
         The identity alone has order 1, and it is the walk's first element,
-        so m = 1 walks no further and m <= 0 keeps nothing.
+        so m = 1 keeps it and m <= 0 keeps nothing, walking nothing.
         """
         if m < 2:
-            elements, whole = self.closure(cap)
-            return ([next(elements)] if m == 1 else []), whole
+            whole = self._whole(cap)
+            return ([Permutation._trusted(tuple(range(self.degree)))] if m == 1 else []), whole
         runs, whole = self._walk(cap)
         base = self.base
         steps = range(1, m + 1)
         trusted = Permutation._trusted
         kept = []
         for prefix, factors in runs:
-            for u in factors:
+            for t in factors:
                 order = 1
                 for b in base:
                     x = b
                     for length in steps:
-                        x = prefix[u[x]]
+                        x = prefix[t[x]]
                         if x == b:
                             break
                     else:
@@ -202,7 +225,7 @@ class AutGroup:
                     order = lcm(order, length)
                 else:
                     if order == m:
-                        kept.append(trusted(_compose(prefix, u)))
+                        kept.append(trusted(_compose(prefix, t)))
         return kept, whole
 
     def __repr__(self):

@@ -355,22 +355,32 @@ def cyclic_subgroup_classes(elements, group: AutGroup, m: int):
     g ~ s g^j s^-1, with s in the group and gcd(j, m) = 1: the conjugacy
     classes of the cyclic subgroups the elements generate.
 
-    Classes come in the order of their first listed member, which is
-    listed first in its class, and each is walked from that member by
-    conjugating with the group's generators and taking coprime powers.  The
-    walk only passes through ``elements``: when they are every order-m
-    element of the group each class is exact, otherwise a class may split.
-    An element is known by its base images (``AutGroup.base_images``), so
-    each conjugate and power is computed on the base points alone.
+    The walk is over nodes, not elements.  A node is the part of
+    ``elements`` inside one cyclic subgroup H: the first element not yet
+    placed and those of its coprime powers listed, all found from one trace
+    of its base cycles.  Under
+    a generator s, a node leads to the node holding s g s^-1 for its first
+    member g whose conjugate is listed; s g^j s^-1 = (s g s^-1)^j, so every
+    listed conjugate of a node's members lies in that one node, and the
+    members of a node reach each other by coprime powers.  So the classes
+    are those of a walk over the elements that conjugates by the generators
+    and takes coprime powers, passing only through ``elements``: when they
+    are every order-m element of the group each class is exact, otherwise a
+    class may split.  Classes come in the order of their first listed
+    member, each listed in input order.  An element is known by its base
+    images (``AutGroup.base_images``), so each conjugate and power is
+    computed on the base points alone.
     """
     position = {group.base_images(p): i for i, p in enumerate(elements)}
     # (s g s^-1)(b) = s(g(s^-1(b))) for each base point b
     conjugators = [(s.images, [s.inverse()(b) for b in group.base]) for s in group.generators]
     coprime = [j for j in range(2, m) if gcd(j, m) == 1]
-
-    def related(i):
-        g = elements[i].images
-        found = [tuple(s[g[x]] for x in preimages) for s, preimages in conjugators]
+    node_of = [None] * len(elements)
+    nodes = []
+    for i, p in enumerate(elements):
+        if node_of[i] is not None:
+            continue
+        g = p.images
         # g^j(b) lies j steps along the g-cycle through b
         cycles = []
         for b in group.base:
@@ -379,11 +389,26 @@ def cyclic_subgroup_classes(elements, group: AutGroup, m: int):
                 cycle.append(x)
                 x = g[x]
             cycles.append(cycle)
-        found.extend(tuple(c[j % len(c)] for c in cycles) for j in coprime)
-        return [k for k in map(position.get, found) if k is not None]
+        powers = (position.get(tuple(c[j % len(c)] for c in cycles)) for j in coprime)
+        members = [i, *(k for k in powers if k is not None)]
+        n = len(nodes)
+        for k in members:
+            node_of[k] = n
+        nodes.append(members)
 
-    return [[elements[i] for i in members]
-            for members in components(len(elements), related)]
+    def conjugate_nodes(n):
+        found = []
+        for s, preimages in conjugators:
+            for i in nodes[n]:
+                g = elements[i].images
+                k = position.get(tuple(s[g[x]] for x in preimages))
+                if k is not None:
+                    found.append(node_of[k])
+                    break
+        return found
+
+    return [[elements[i] for i in sorted(i for n in component for i in nodes[n])]
+            for component in components(len(nodes), conjugate_nodes)]
 
 
 def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
@@ -394,11 +419,13 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     ``star_half`` targets F_{(n+1)/2}(K_{1,n}) over Z_{2n} (n odd);
     ``star_two`` targets F_2(K_{1,n}) over Z_n (n dividing C(n+1, 2)).
     The order-m automorphisms among the first ``budget`` elements of the
-    group's walk (``AutGroup.of_order``, which reads each order off the base
-    points' cycles and builds only the order-m elements) are split into
-    conjugacy classes of the cyclic subgroups they generate (see
-    ``cyclic_subgroup_classes``), free classes first, and each class's first
-    member is quotiented and verified.  Verifying one member verifies its class:
+    group's walk (``AutGroup.of_order``: level 0 of the stabilizer chain
+    slowest, each order read off the base points' cycles, only the order-m
+    elements built) are split into conjugacy classes of the cyclic
+    subgroups they generate (``cyclic_subgroup_classes``, a walk over one
+    node per subgroup, so a budget that cuts the walk can split a class but
+    never join two), free classes first, and each class's first member is
+    quotiented and verified.  Verifying one member verifies its class:
     <g^j> = <g> for gcd(j, m) = 1, so g^j has the same orbits, and its
     voltages are those of g under the automorphism t -> j^-1 t of Z_m; an
     automorphism s of X carries the orbits of <g> onto those of

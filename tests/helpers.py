@@ -16,6 +16,7 @@ from token_covers.graphs import (
     SimpleGraph,
     complete,
     complete_bipartite,
+    components,
     cycle,
     family_size,
     is_connected,
@@ -586,3 +587,30 @@ def _lockstep_in_orbit(v, u, gens, prefix):
                 seen.add(g[x])
                 stack.append(g[x])
     return u in seen
+
+
+def cyclic_subgroup_classes_by_elements(elements, group, m: int):
+    """The lockstep reference for ``voltage.cyclic_subgroup_classes``: one
+    ``components`` walk over the elements themselves, each joined to its
+    conjugate by every generator and to each coprime power, whichever of
+    them are listed, with every conjugate and power computed afresh on the
+    base points."""
+    position = {group.base_images(p): i for i, p in enumerate(elements)}
+    conjugators = [(s.images, [s.inverse()(b) for b in group.base]) for s in group.generators]
+    coprime = [j for j in range(2, m) if gcd(j, m) == 1]
+
+    def related(i):
+        g = elements[i].images
+        found = [tuple(s[g[x]] for x in preimages) for s, preimages in conjugators]
+        cycles = []
+        for b in group.base:
+            cycle, x = [b], g[b]
+            while x != b:
+                cycle.append(x)
+                x = g[x]
+            cycles.append(cycle)
+        found.extend(tuple(c[j % len(c)] for c in cycles) for j in coprime)
+        return [k for k in map(position.get, found) if k is not None]
+
+    return [[elements[i] for i in members]
+            for members in components(len(elements), related)]

@@ -1,5 +1,6 @@
 import random
-from itertools import islice
+from functools import reduce
+from itertools import islice, product
 from math import factorial, prod
 
 import pytest
@@ -379,6 +380,42 @@ def test_of_order_1_stops_at_the_walks_first_element(monkeypatch):
         calls.clear()
         assert aut.of_order(m, cap) == expected
         assert len(calls) <= (len(aut.base) + 1 if m == 1 else 0)
+
+
+# the walk's precomposed tail is one level of Aut C_6 (orbit lengths 6, 2),
+# four of the six of Aut F_4(K_{1,7}) (70, 4, 3, 2, 3, 2), and the whole
+# chain of Aut(P_2 + P_3 + P_4) = Z_2^3, of order 8 on 9 points
+TAIL_GROUPS = (
+    ("C_6", cycle(6), 1),
+    ("F_4(K_1,7)", token_graph(star(7), 4), 4),
+    ("P_2+P_3+P_4", disjoint_union(disjoint_union(path(2), path(3)), path(4)), 3),
+)
+
+
+@pytest.mark.parametrize("name, X, tail_levels", TAIL_GROUPS, ids=[g[0] for g in TAIL_GROUPS])
+def test_walk_is_the_product_of_the_transversals_level_0_slowest(name, X, tail_levels):
+    """``elements``, ``closure`` and ``of_order`` follow the products
+    u_0 * ... * u_{k-1} that ``itertools.product`` lists over the
+    transversals, level 0 slowest, with caps below one tail run, inside a
+    run, at a run boundary and at |G| - 1, |G| and |G| + 1."""
+    aut = automorphisms(X)
+    head, tail = aut._tail
+    assert len(aut._transversals) - len(head) == tail_levels
+    identity_images = tuple(range(aut.degree))
+    reference = [reduce(lambda p, u: tuple(p[y] for y in u), factors, identity_images)
+                 for factors in product(*aut._transversals)]
+    size, run = len(reference), len(tail)
+    assert [p.images for p in aut.elements()] == reference
+    orders = [Permutation(g).order() for g in reference]
+    caps = {max(run - 1, 1), run + run // 2, 2 * run, size - 1, size, size + 1}
+    for cap in sorted(c for c in caps if c >= 1):
+        elements, whole = aut.closure(cap)
+        assert [p.images for p in elements] == reference[:cap]
+        assert whole == (cap >= size)
+        for m in sorted(set(orders)):
+            kept, whole = aut.of_order(m, cap)
+            assert [p.images for p in kept] == [g for g, o in zip(reference[:cap], orders) if o == m]
+            assert whole == (cap >= size)
 
 
 def test_of_order_counts_match_sympy_on_aut_f4_star7():

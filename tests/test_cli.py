@@ -69,6 +69,26 @@ def test_build_theorem1_files_are_pinned(tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("name, argv, code", [
+    ("conjecture1_n5", ("conjecture", "1", "--n", "5"), 0),
+    ("conjecture1_n7", ("conjecture", "1", "--n", "7"), 0),
+    ("conjecture2_n5", ("conjecture", "2", "--n", "5"), 0),
+    ("conjecture2_n7", ("conjecture", "2", "--n", "7"), 0),
+    ("conjecture1_n7_budget1000", ("conjecture", "1", "--n", "7", "--budget", "1000"), 3),
+])
+def test_conjecture_reports_are_pinned(tmp_path, capsys, name, argv, code):
+    """``conjecture`` writes these exact reports and stdout, with its exit
+    code: the class counts, each class's first member and the budget's
+    partial walk, whatever walk and class partition produce them."""
+    golden = GOLDEN / "conjecture" / name
+    assert run(*argv, "--out", str(tmp_path)) == code
+    assert capsys.readouterr().out == (golden / "stdout.txt").read_text()
+    names = sorted(p.name for p in golden.iterdir() if p.name != "stdout.txt")
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for report in names:
+        assert (tmp_path / report).read_bytes() == (golden / report).read_bytes(), report
+
+
 def test_build_requires_a_target(tmp_path):
     assert run("build", "--out", str(tmp_path)) == 2
 

@@ -32,6 +32,7 @@ from token_covers.voltage import (
 
 from helpers import (
     cosets,
+    cyclic_subgroup_classes_by_elements,
     disjoint_union,
     fiber_offsets,
     free_actions,
@@ -662,3 +663,21 @@ def test_cyclic_subgroup_classes_split_only_when_elements_are_missing():
     assert sorted(p.images for c in parts for p in c) == [p.images for p in kept]
     assert [kept.index(c[0]) for c in parts] == sorted(kept.index(c[0]) for c in parts)
     assert all(kept.index(c[0]) == min(kept.index(p) for p in c) for c in parts)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 10, 14])
+@pytest.mark.parametrize("n, k", [(5, 2), (5, 3), (7, 2), (7, 4)])
+def test_cyclic_subgroup_classes_match_the_element_walk(n, k, m):
+    """The walk over cyclic-subgroup nodes splits every input as the walk
+    over the elements themselves does: the whole order-m list, every r-th
+    element of it and seeded random subsets, each sorted by images, so the
+    partial inputs split classes as a budget would."""
+    aut = automorphisms(token_graph(star(n), k))
+    of_order = sorted(aut.of_order(m)[0], key=lambda p: p.images)
+    rng = random.Random(1000 * n + 10 * k + m)
+    inputs = [of_order, *(of_order[::r] for r in (2, 3, 5))]
+    inputs += [sorted(rng.sample(of_order, rng.randint(0, len(of_order))),
+                      key=lambda p: p.images) for _ in range(4)]
+    for elements in inputs:
+        assert (cyclic_subgroup_classes(elements, aut, m)
+                == cyclic_subgroup_classes_by_elements(elements, aut, m))
