@@ -52,8 +52,8 @@ class Permutation:
         object.__setattr__(self, "images", images)
         n = len(images)
         seen = [False] * n
-        for x in images:
-            if not (isinstance(x, int) and 0 <= x < n) or seen[x]:
+        for x in images:  # bools are ints, but not vertices
+            if not (type(x) is int and 0 <= x < n) or seen[x]:
                 raise ValueError("images do not define a permutation")
             seen[x] = True
 

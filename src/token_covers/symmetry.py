@@ -20,7 +20,8 @@ from typing import Iterator
 
 from . import search
 from .algebra import Permutation
-from .graphs import SimpleGraph, components, family_size, is_connected, make_family
+from .graphs import (SimpleGraph, components, family_size, is_biregular, is_connected,
+                     make_family)
 from .report import Evidence, VerificationReport
 from .tokens import binomial, check_vertex_cap, shown_count, token_graph
 
@@ -319,28 +320,25 @@ def acts_freely(p: Permutation, m: int) -> bool:
 # classification checker
 
 
-def _canonical_family(name, params):
-    """Fold family tags that coincide with classification families."""
-    if name == "path" and params == (2,):
-        return "star", (1,)
-    if name == "path" and params == (3,):
-        return "star", (2,)
-    if name == "cycle" and params == (3,):
-        return "complete", (3,)
-    if name == "cycle" and params == (4,):
-        return "complete_bipartite", (2, 2)
-    if name == "complete_bipartite":
-        m, n = params
-        if m > n:
-            m, n = n, m
-        if m == 1:
-            return "star", (n,)
-        return name, (m, n)
-    return name, tuple(params)
+def _classification_family(X: SimpleGraph):
+    """The classification family of the connected graph X, read off its
+    edge count: ``complete`` (n,) when every pair is an edge, else ``star``
+    (b,) or ``complete_bipartite`` (a, b), a <= b, when X is biregular with
+    side degrees a and b and has a * b edges (each side then meets the
+    whole other side), else a name ``_in_classification`` does not list."""
+    n, e = X.vertex_count, X.edge_count
+    if 2 * e == n * (n - 1):
+        return "complete", (n,)
+    sides = is_biregular(X)
+    if sides is not None and e == sides[0] * sides[1]:
+        a, b = sorted(sides)
+        return ("star", (b,)) if a == 1 else ("complete_bipartite", (a, b))
+    return "unclassified", ()
 
 
 def _in_classification(name, params, k):
-    """Whether (family, k) is one of the edge-transitive cases."""
+    """Whether (family, k) is one of the edge-transitive cases.  On
+    2 <= k <= |V| - 2 each holds for k exactly when it does for |V| - k."""
     if name == "complete":
         n = params[0]
         return 2 <= k <= n - 1
@@ -374,6 +372,8 @@ def zz_checks(family: str, params, ks, *,
     The family's parameters, every k's range (1..|V|-1) and every token-graph
     size (C(|V|, k), through ``tokens.check_vertex_cap``) are checked before
     X is built, so a failing range raises its ValueError having built nothing.
+    The prediction is read off X (``_classification_family``); the tag only
+    names the reports.
 
     Complementation, S to V minus S, is an isomorphism F_k(X) -> F_{|V|-k}(X),
     and under the lexicographic order of ``token_graph``'s vertices it
@@ -398,7 +398,7 @@ def zz_checks(family: str, params, ks, *,
     X = make_family(family, *params)
     if not is_connected(X):
         raise ValueError("classification check requires a connected graph")
-    name, norm = _canonical_family(family, tuple(params))
+    name, norm = _classification_family(X)
     found = {}  # k -> generators of Aut(F_k)
 
     def generators(k, F):
@@ -419,9 +419,7 @@ def zz_checks(family: str, params, ks, *,
             predicted = len(edge_orbits(X, generators(1, X))) <= 1
             rule = "k reduces the token graph to the base graph"
         else:
-            direct = _in_classification(name, norm, k)
-            mirrored = _in_classification(name, norm, n_x - k)
-            predicted = direct or mirrored
+            predicted = _in_classification(name, norm, k)
             rule = f"classification case for {name}{norm}" if predicted else "no classification case matches"
         F = token_graph(X, k)
         orbits = edge_orbits(F, generators(k, F))
@@ -450,7 +448,7 @@ def zz_checks(family: str, params, ks, *,
 def zz_check(family: str, params, k: int, *,
              max_vertices: int = DEFAULT_VERTEX_CAP) -> VerificationReport:
     """Compare computed edge-transitivity of a token graph against the
-    classification's prediction for the tagged family.
+    classification's prediction for the family's graph.
 
     k = 1 and k = |V| - 1 reduce to the base graph itself and are predicted
     by its own edge-transitivity (outside the classification's k-range).

@@ -283,21 +283,21 @@ def graph_unions(draw, max_vertices=8):
 def zz_reference(family, params, k):
     """The ``zz`` report for one k with no shared work: the base graph is
     built and searched for k = 1 and k = |V| - 1, and every F_k gets its
-    own ``automorphisms`` search.  The classification rule is read through
-    the ``symmetry`` module, so a test that patches it patches both."""
+    own ``automorphisms`` search.  The classification family and rule are
+    read through the ``symmetry`` module, so a test that patches either
+    patches both."""
     n_x, _ = family_size(family, *params)
     if not 1 <= k <= n_x - 1:
         raise ValueError(f"k={k} out of range 1..{n_x - 1}")
     X = make_family(family, *params)
     if not is_connected(X):
         raise ValueError("classification check requires a connected graph")
-    name, norm = symmetry._canonical_family(family, tuple(params))
+    name, norm = symmetry._classification_family(X)
     if k == 1 or k == n_x - 1:
         predicted = len(edge_orbits(X, automorphisms(X).generators)) <= 1
         rule = "k reduces the token graph to the base graph"
     else:
-        predicted = (symmetry._in_classification(name, norm, k)
-                     or symmetry._in_classification(name, norm, n_x - k))
+        predicted = symmetry._in_classification(name, norm, k)
         rule = f"classification case for {name}{norm}" if predicted else "no classification case matches"
     F = token_graph(X, k)
     orbits = edge_orbits(F, automorphisms(F).generators)

@@ -134,6 +134,8 @@ def test_permutation_basics():
         Permutation((0, 0, 1))
     with pytest.raises(ValueError):
         Permutation((0, 2))
+    with pytest.raises(ValueError):
+        Permutation((True, False))
 
 
 def test_permutation_composition_convention():

@@ -89,6 +89,27 @@ def test_conjecture_reports_are_pinned(tmp_path, capsys, name, argv, code):
         assert (tmp_path / report).read_bytes() == (golden / report).read_bytes(), report
 
 
+@pytest.mark.parametrize("name, family, ks", [
+    ("complete_bipartite_2_6", "complete_bipartite:2:6", "1..7"),
+    ("cycle_4", "cycle:4", "1..3"),
+    ("path_3", "path:3", "1..2"),
+    ("star_6", "star:6", "1..5"),
+    ("path_6", "path:6", "1..5"),
+])
+def test_zz_reports_are_pinned(tmp_path, capsys, name, family, ks):
+    """``zz`` writes these exact reports and stdout: K_{2,6}, a star, two
+    tags that name a classification graph under another family's name
+    (``cycle:4`` is K_{2,2}, ``path:3`` is K_{1,2}) and the negative
+    control ``path:6``."""
+    golden = GOLDEN / "zz" / name
+    assert run("zz", "--family", family, "--k", ks, "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().out == (golden / "stdout.txt").read_text()
+    names = sorted(p.name for p in golden.iterdir() if p.name != "stdout.txt")
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for report in names:
+        assert (tmp_path / report).read_bytes() == (golden / report).read_bytes(), report
+
+
 def test_build_requires_a_target(tmp_path):
     assert run("build", "--out", str(tmp_path)) == 2
 

@@ -311,6 +311,92 @@ def test_zz_bad_k():
         zz_check("complete", (4,), 5)
 
 
+CLASSIFIED = ("complete", "star", "complete_bipartite")
+
+
+def classified_as(X):
+    """``_classification_family(X)``, or None for a graph of no listed family."""
+    name, params = symmetry._classification_family(X)
+    return (name, params) if name in CLASSIFIED else None
+
+
+@pytest.mark.parametrize("X, family", [
+    (complete(1), ("complete", (1,))),
+    (complete(2), ("complete", (2,))),
+    (complete(3), ("complete", (3,))),
+    (path(3), ("star", (2,))),
+    (cycle(4), ("complete_bipartite", (2, 2))),
+    (star(5), ("star", (5,))),
+    (complete_bipartite(5, 1), ("star", (5,))),
+    (complete_bipartite(2, 5), ("complete_bipartite", (2, 5))),
+    (complete_bipartite(3, 3), ("complete_bipartite", (3, 3))),
+    (complete_bipartite(5, 3), ("complete_bipartite", (3, 5))),
+    (path(4), None),
+    (cycle(5), None),
+    # biregular with side degrees (2, 2) and (3, 3), but 6 and 12 edges, not 4 and 9
+    (cycle(6), None),
+    (SimpleGraph(8, [(u, u | 1 << i) for u in range(8) for i in range(3) if not u >> i & 1]),
+     None),
+    (SimpleGraph(5, [e for e in complete(5).edges if e != (0, 1)]), None),
+], ids=["K1", "K2", "K3", "P3", "C4", "K1,5", "K5,1", "K2,5", "K3,3", "K5,3", "P4", "C5",
+        "C6", "cube", "K5-e"])
+def test_classification_family_is_read_off_the_graph(X, family):
+    assert classified_as(X) == family
+
+
+@pytest.mark.parametrize("tags, ks", [
+    (["path:3", "star:2", "complete_bipartite:1:2", "complete_bipartite:2:1"], range(1, 3)),
+    (["cycle:3", "complete:3"], range(1, 3)),
+    (["cycle:4", "complete_bipartite:2:2"], range(1, 4)),
+    (["complete_bipartite:3:5", "complete_bipartite:5:3"], range(1, 8)),
+    (["complete_bipartite:1:6", "star:6"], range(1, 7)),
+    (["path:2", "star:1", "complete:2", "complete_bipartite:1:1"], [1]),
+])
+def test_zz_prediction_does_not_depend_on_the_tag(tags, ks):
+    """Tags that name one graph get one prediction, result and rule per k."""
+    labels = ("predicted_edge_transitive", "computed_edge_transitive", "rule")
+    seen = set()
+    for tag in tags:
+        family, *params = tag.split(":")
+        reports = zz_checks(family, tuple(map(int, params)), ks)
+        seen.add(tuple(tuple(r.find(label) for label in labels) for r in reports))
+    assert len(seen) == 1
+
+
+def test_classification_matches_the_atlas():
+    """Every connected graph of networkx's atlas (Read & Wilson, *An Atlas
+    of Graphs*, 1998) on 2..7 vertices, 995 graphs: its family is the one
+    networkx's isomorphism test finds among K_n and K_{a,b}, and for every
+    k, 5,785 pairs, ``zz``'s prediction is whether F_k is edge-transitive."""
+    nx = pytest.importorskip("networkx")
+    graphs = pairs = 0
+    disagreements = []
+    for G in nx.graph_atlas_g():
+        n = G.number_of_nodes()
+        if n < 2 or not nx.is_connected(G):
+            continue
+        graphs += 1
+        X = SimpleGraph(n, G.edges())
+        expected = None
+        if nx.is_isomorphic(G, nx.complete_graph(n)):
+            expected = ("complete", (n,))
+        else:
+            for a in range(1, n // 2 + 1):
+                if nx.is_isomorphic(G, nx.complete_bipartite_graph(a, n - a)):
+                    expected = ("star", (n - 1,)) if a == 1 else ("complete_bipartite", (a, n - a))
+        family = symmetry._classification_family(X)
+        if classified_as(X) != expected:
+            disagreements.append((sorted(G.edges()), family, expected))
+        base = is_edge_transitive(X)
+        for k in range(1, n):
+            pairs += 1
+            predicted = base if k in (1, n - 1) else symmetry._in_classification(*family, k)
+            if predicted != is_edge_transitive(token_graph(X, k)):
+                disagreements.append((sorted(G.edges()), k, predicted))
+    assert (graphs, pairs) == (995, 5785)
+    assert disagreements == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(simple_graphs(min_vertices=2, max_vertices=8).filter(is_connected))
 def test_complementation_reverses_token_vertex_order(X):
