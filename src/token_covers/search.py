@@ -10,7 +10,11 @@ bijection found, or None).
 Refinement is the classic splitter-queue procedure: for a splitter class
 ``s``, every class is partitioned by the number of neighbors its members
 have inside ``s``.  New color ids are allocated by ascending count within
-ascending class id (the smallest count keeps the old id).  It is
+ascending class id (the smallest count keeps the old id).  The queue
+follows McKay's rule ("Practical graph isomorphism", 1981), Hopcroft's
+for automata: a class split while queued queues each new part, and a
+class split while off the queue queues each part but its first largest
+(its own part first, then the new ids in allocation order).  It is
 cell-indexed (McKay & Piperno, "Practical graph isomorphism, II", 2014):
 each call builds one member bitmask per class.  The counts are bit
 sliced: a pop adds the adjacency masks of the splitter's |s| members
@@ -33,7 +37,8 @@ explicit stack of ``_children`` generators, so no search recurses.  A
 matching replay allocates the same ids as the left, so the two colorings
 stay structurally aligned down to a discrete leaf, and the bijection read
 off that leaf is an isomorphism: the kernel checks no edge itself (the
-proof is in ``_descend``).
+proof, which also shows the parts the queue leaves out need no pop, is
+in ``_descend``).
 A recorded pop that split nothing (most of them, on token graphs) is
 replayed on the digit masks alone: each recorded class must lie inside
 its count's digit pattern and the classes must cover the reached set,
@@ -49,7 +54,10 @@ def _refine(adj, col, ncolors, trace, seeds=None):
     """Refine ``col`` (mutated) on one graph; return the new color count.
 
     With ``seeds`` this refines a level of the first path: the splitter
-    queue starts from ``seeds`` and each pop is appended to ``trace`` as
+    queue starts from ``seeds`` (the one class at level 0, then the
+    individualized singleton: every other class starts settled, in the
+    sense of ``_descend``), takes the parts of each split by the module's
+    queue rule, and each pop is appended to ``trace`` as
     ``(splitter, {key: group size}, moved keys)`` over the pop's
     ``_splitter_hits``.  Without, this refines a right side against that
     ``trace``: it pops the recorded splitters in order and returns -1 on
@@ -108,18 +116,25 @@ def _refine(adj, col, ncolors, trace, seeds=None):
             while end < len(keys) and keys[end] // stride == c:
                 touched += sizes[keys[end]]
                 end += 1
-            if touched == cells[c].bit_count():
+            size = cells[c].bit_count()
+            if touched == size:
                 start += 1  # no zero-count members: the smallest count keeps c
             if start == end:
                 continue
-            if not in_queue[c]:
-                in_queue[c] = 1
-                queue.append(c)
-            for key in keys[start:end]:
-                new = ncolors + len(moves)
-                moves.append(key)
-                in_queue[new] = 1
-                queue.append(new)
+            new = ncolors + len(moves)
+            moves += keys[start:end]
+            parts = [sizes[key] for key in keys[start:end]]
+            queued = [c, *range(new, new + len(parts))]
+            if in_queue[c]:
+                del queued[0]
+            else:
+                # c is off the queue, so its first largest part (c's own
+                # first, then the new ids) needs no pop (see ``_descend``)
+                parts.insert(0, size - sum(parts))
+                del queued[parts.index(max(parts))]
+            for x in queued:
+                in_queue[x] = 1
+                queue.append(x)
         ncolors = _split(cells, col, ncolors, hits, moves, stride)
         trace.append((s, sizes, moves))
     return ncolors
@@ -267,7 +282,7 @@ def _first_path(adj):
         col = col.copy()
         col[vertex] = ncolors
         trace = []
-        ncolors = _refine(adj, col, ncolors + 1, trace, (cell, ncolors))
+        ncolors = _refine(adj, col, ncolors + 1, trace, (ncolors,))
 
 
 def _extract(col_l, col_r, n):
@@ -319,23 +334,28 @@ def _descend(path, depth, adj_r, col_r):
     ``_children`` generator per level on a stack, so no depth recurses.
 
     The bijection extracted at a discrete leaf is an isomorphism, so no
-    edge is checked here:
+    edge is checked here.  Name vertex sets by class ids, so that one name
+    means a set on each side, and call such a set *settled* when every
+    class has one count of neighbours in it, the same on both sides:
 
-    - ``_refine`` enqueues every part of a split, the old id as well as
-      the new ones, and individualization seeds both parts.  So every
-      final singleton {y} of the first path is popped after its last
-      change.
-    - At that pop, each vertex's count is its adjacency to y, and that
-      count becomes part of its color: afterwards every class is wholly
-      adjacent to y or wholly not, and a class split later inherits it.
-    - A right side that replayed every pop with the same keys and group
-      sizes (on a pop that split nothing: the same classes, covering the
-      reached set) gets the same class tree and the same ids.  Its
-      splitter {y'} reaches wholly the classes that {y} reaches, and no
-      others.
-    - So at the leaf, adjacency to every y is the same function of color
-      on both sides, and mapping each vertex to the right vertex of its
-      color (y to y') preserves adjacency both ways.
+    - Each class of the previous level's coloring starts a ``_refine``
+      call settled: that coloring is equitable, and its replay matched.
+    - A popped splitter is settled by its pop: the replay matched its
+      keys, which are the per-class counts, and the group sizes.
+    - The part left out of a split of a settled class has the class's
+      counts minus its siblings' counts, so it is settled once those
+      siblings are popped.
+    - Classes only get finer, so a settled set stays settled.
+    - So every class off the queue is a settled set less some disjoint
+      sets, each settled or a union of queued classes (the target cell
+      less its individualized vertex starts so, and a split off the
+      queue keeps it so), and when the queue empties, every class is
+      settled: the two colorings have equal quotient matrices (McKay,
+      "Practical graph isomorphism", 1981).
+
+    At a discrete leaf the quotient matrix is the adjacency matrix read
+    in color order, so mapping each vertex to the right vertex of its
+    color preserves adjacency both ways.
     """
     n = len(col_r)
     stack = []

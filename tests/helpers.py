@@ -347,9 +347,13 @@ def edge_orbit_count(X, automorphisms):
 
 
 def kernel_corpus():
-    """Graphs the search-kernel tests run every kernel entry point on; the
-    last, K_{1,30}, has a first path of 30 levels (29 leaves individualized
-    one at a time), so the search backtracks through a deep stack."""
+    """Graphs the search-kernel tests run every kernel entry point on.  The
+    second last is graph 1043 of networkx's atlas (Read & Wilson, *An Atlas
+    of Graphs*, 1998), the one graph on up to 7 vertices whose first path
+    is left unequitable by a queue that leaves out a part of a split class
+    that was still queued.  The last, K_{1,30}, has a first path of 30
+    levels (29 leaves individualized one at a time), so the search
+    backtracks through a deep stack."""
     graphs = [
         complete(1), complete(2), complete(6), cycle(4), cycle(7), path(5),
         star(4), complete_bipartite(2, 3), complete_bipartite(3, 3),
@@ -360,6 +364,8 @@ def kernel_corpus():
     rng = random.Random(3)
     for _ in range(25):
         graphs.append(random_simple_graph(rng, rng.randint(2, 12), rng.random()))
+    graphs.append(SimpleGraph(7, [(0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+                                  (2, 5), (2, 6), (3, 4), (3, 6), (4, 5), (5, 6)]))
     graphs.append(star(30))
     return graphs
 
@@ -412,10 +418,12 @@ def regular_pairs():
 def full_scan_refine(adj_l, col_l, adj_r, col_r, ncolors, seeds):
     """Reference equitable refinement: the search kernel's original
     splitter-queue loop, which rescans all n vertices for every splitter
-    (splitter masks, per-vertex counts, per-class histograms, recoloring).
-    Refines both sides in lockstep; mutates ``col_l``/``col_r`` and returns
-    the new color count, or -1 when the sides are incompatible.  Both
-    colorings must have the same class sizes."""
+    (splitter masks, per-vertex counts, per-class histograms, recoloring),
+    with the kernel's queue rule and tie-break, so that it allocates the
+    same ids in the same order.  Refines both sides in lockstep; mutates
+    ``col_l``/``col_r`` and returns the new color count, or -1 when the
+    sides are incompatible.  Both colorings must have the same class
+    sizes."""
     n = len(adj_l)
     in_queue = bytearray(n + 1)
     queue = deque()
@@ -464,10 +472,17 @@ def full_scan_refine(adj_l, col_l, adj_r, col_r, ncolors, seeds):
                     table[val] = ncolors
                     ncolors += 1
                 splits[c] = table
-                for cc in table.values():
-                    if not in_queue[cc]:
-                        in_queue[cc] = 1
-                        queue.append(cc)
+                # Hopcroft's rule: a class not queued leaves out its first
+                # largest part (its own part first, then new ids in order)
+                parts = list(table.values())
+                if in_queue[c]:
+                    parts.remove(c)
+                else:
+                    largest = max(h.values())
+                    parts.remove(next(cc for val, cc in table.items() if h[val] == largest))
+                for cc in parts:
+                    in_queue[cc] = 1
+                    queue.append(cc)
         if splits:
             for v in range(n):
                 t = splits.get(col_l[v])
@@ -538,7 +553,7 @@ def _lockstep_first(adj_l, col_l, adj_r, col_r, nc):
         cr = col_r.copy()
         cl[v] = nc
         cr[u] = nc
-        nc2 = full_scan_refine(adj_l, cl, adj_r, cr, nc + 1, (c, nc))
+        nc2 = full_scan_refine(adj_l, cl, adj_r, cr, nc + 1, (nc,))
         if nc2 < 0:
             continue
         found = _lockstep_first(adj_l, cl, adj_r, cr, nc2)
@@ -556,7 +571,7 @@ def _lockstep_aut(adj, col_l, col_r, nc, base, depth, gens):
     cl = col_l.copy()
     cr = col_r.copy()
     cl[v] = cr[v] = nc
-    nc2 = full_scan_refine(adj, cl, adj, cr, nc + 1, (c, nc))
+    nc2 = full_scan_refine(adj, cl, adj, cr, nc + 1, (nc,))
     _lockstep_aut(adj, cl, cr, nc2, base, depth + 1, gens)
     prefix = base[:depth]
     for u in [w for w in range(n) if col_r[w] == c]:
@@ -566,7 +581,7 @@ def _lockstep_aut(adj, col_l, col_r, nc, base, depth, gens):
         cr = col_r.copy()
         cl[v] = nc
         cr[u] = nc
-        nc2 = full_scan_refine(adj, cl, adj, cr, nc + 1, (c, nc))
+        nc2 = full_scan_refine(adj, cl, adj, cr, nc + 1, (nc,))
         if nc2 < 0:
             continue
         found = _lockstep_first(adj, cl, adj, cr, nc2)

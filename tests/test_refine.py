@@ -4,6 +4,9 @@ refinement against the full-scan lockstep refinement
 search built on it (``helpers.reference_*``)."""
 
 import random
+from collections import Counter
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,7 +58,9 @@ def test_refine_matches_full_scan(pair, data):
     degrees so that they diverge only after the first pop), then
     individualise one left and one right vertex of a common class per
     level, as the search does, down to a discrete coloring or a -1
-    verdict."""
+    verdict.  The queue starts from the new singleton alone, as the search
+    seeds it, or from the singleton and the class it left, which is then
+    queued and so gives up no part of its later splits."""
     X, Y = pair
     adj_l, adj_r = X.adjacency_masks, Y.adjacency_masks
     n = X.vertex_count
@@ -68,7 +73,8 @@ def test_refine_matches_full_scan(pair, data):
         v = data.draw(st.sampled_from([w for w in range(n) if col_l[w] == c]))
         u = data.draw(st.sampled_from([w for w in range(n) if col_r[w] == c]))
         col_l[v] = col_r[u] = nc
-        nc, col_l, col_r = _refine_both(adj_l, col_l, adj_r, col_r, nc + 1, (c, nc))
+        seeds = data.draw(st.sampled_from([(nc,), (c, nc)]))
+        nc, col_l, col_r = _refine_both(adj_l, col_l, adj_r, col_r, nc + 1, seeds)
 
 
 def test_refine_rejects_after_matching_first_pop():
@@ -216,3 +222,111 @@ def test_search_matches_lockstep_reference_on_drawn_graphs(X, data):
     assert search.automorphism_generators(adj) == reference_automorphism_generators(adj)
     other = relabel(X, data.draw(st.permutations(range(X.vertex_count)))).adjacency_masks
     assert search.isomorphism_witness(adj, other) == reference_isomorphism_witness(adj, other)
+
+
+def _quotient(adj, col):
+    """The quotient matrix of ``col`` on ``adj`` by brute-force counting,
+    ``{(c, d): neighbours in class d of each member of class c}``, or None
+    if some class has members with different counts (not equitable)."""
+    n = len(adj)
+    quotient = {}
+    for v in range(n):
+        counts = {}
+        for u in range(n):
+            if adj[v] >> u & 1:
+                counts[col[u]] = counts.get(col[u], 0) + 1
+        for d in set(col):
+            if quotient.setdefault((col[v], d), counts.get(d, 0)) != counts.get(d, 0):
+                return None
+    return quotient
+
+
+def _assert_queue_rule(trace, col, ncolors, seeds):
+    """The splitters of a recorded ``trace`` are those the queue rule pops,
+    from ``seeds`` and the classes of ``col`` (``ncolors`` of them): a
+    split class already queued queues each new part; any other queues
+    each part but its first largest (its own part first, then the new ids
+    in allocation order); and the queue ends empty."""
+    size = Counter(col)
+    stride = len(col) + 1
+    queue = list(seeds)
+    for s, hits, moves in trace:
+        assert queue.pop(0) == s
+        parts = {}
+        for key in moves:
+            parts.setdefault(key // stride, []).append((ncolors, hits[key]))
+            ncolors += 1
+        for c, new in sorted(parts.items()):
+            new.insert(0, (c, size[c] - sum(p for _, p in new)))
+            for x, p in new:
+                size[x] = p
+            sizes = [p for _, p in new]
+            del new[0 if c in queue else sizes.index(max(sizes))]
+            queue += [x for x, _ in new]
+    assert not queue
+
+
+def test_refinement_ends_equitable_on_both_sides(monkeypatch):
+    """Every level of the first path is equitable, by brute-force counting
+    on the kernel corpus, and its trace pops what the queue rule says; and
+    on the witness pairs, every right side a replay accepts (at level 0,
+    and each ``_children`` yield the search reaches) has the quotient
+    matrix of the left level it is aligned with.  The queue leaves one
+    part of most splits unpopped, and the search's soundness rests on this
+    holding all the same."""
+    for g in kernel_corpus():
+        adj = g.adjacency_masks
+        col, ncolors, seeds = [0] * len(adj), 1, (0,)
+        for level in search._first_path(adj):
+            _assert_queue_rule(level.trace, col, ncolors, seeds)
+            assert _quotient(adj, level.col) is not None
+            col = level.col.copy()
+            col[level.vertex] = level.ncolors
+            ncolors, seeds = level.ncolors + 1, (level.ncolors,)
+    children = search._children
+    seen = []
+
+    def checking(adj_r, path, depth, col_r, members):
+        for cr in children(adj_r, path, depth, col_r, members):
+            assert _quotient(adj_r, cr) == left[depth + 1]
+            seen.append(depth)
+            yield cr
+
+    monkeypatch.setattr(search, "_children", checking)
+    for a, b in kernel_witness_pairs():
+        if len(a) != len(b) or not a:
+            continue
+        path = search._first_path(a)
+        left = [_quotient(a, level.col) for level in path]
+        col = [0] * len(b)
+        if search._refine(b, col, 1, path[0].trace) >= 0:
+            assert _quotient(b, col) == left[0]
+            search.isomorphism_witness(a, b)
+    assert len(seen) > 100
+
+
+def test_isomorphism_witness_agrees_with_networkx():
+    """An oracle that shares nothing with the kernel's queue rule: on
+    seeded random d-regular pairs (d = 3..6, n = 10..40), half of them a
+    graph and its relabelling, the witness exists exactly when networkx's
+    ``is_isomorphic`` says so, and maps the edges of one graph onto the
+    other's."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(27)
+    isomorphic = 0
+    for i in range(40):
+        d, n = rng.randint(3, 6), rng.randint(10, 40)
+        n -= d * n % 2
+        X = SimpleGraph(n, nx.random_regular_graph(d, n, seed=rng.randrange(2**32)).edges)
+        if i % 2:
+            Y = relabel(X, rng.sample(range(n), n))
+        else:
+            Y = SimpleGraph(n, nx.random_regular_graph(d, n, seed=rng.randrange(2**32)).edges)
+        witness = search.isomorphism_witness(X.adjacency_masks, Y.adjacency_masks)
+        G, H = (nx.Graph(list(Z.edges)) for Z in (X, Y))
+        assert (witness is not None) == nx.is_isomorphic(G, H)
+        if witness is not None:
+            isomorphic += 1
+            assert sorted(witness) == list(range(n))
+            assert {tuple(sorted((witness[u], witness[v]))) for u, v in X.edges} == set(Y.edges)
+    assert isomorphic >= 20
