@@ -1,48 +1,59 @@
 """Search kernel: equitable refinement plus backtracking.
 
-Adjacency comes in as a sequence of per-vertex integer bitmasks.  The two
-entry points are ``automorphism_generators`` (a strong generating set of
-the automorphism group relative to the first path's base, found by walking
-that path and harvesting one generator per new orbit point, each with the
-base point it moves) and ``isomorphism_witness`` (first color-preserving
-bijection found, or None).
+Adjacency comes in as a sequence of per-vertex integer bitmasks, and a
+coloring is a list ``cells`` of class member bitmasks, one entry per
+vertex: the first ``ncolors`` entries are the classes, the rest 0 (the
+cell-indexed partitions of McKay & Piperno, "Practical graph isomorphism,
+II", 2014, with no per-vertex color array).  The two entry points are
+``automorphism_generators`` (a strong generating set of the automorphism
+group relative to the first path's base, found by walking that path and
+harvesting one generator per new orbit point, each with the base point it
+moves) and ``isomorphism_witness`` (first color-preserving bijection
+found, or None).
 
 Refinement is the classic splitter-queue procedure: for a splitter class
 ``s``, every class is partitioned by the number of neighbors its members
 have inside ``s``.  New color ids are allocated by ascending count within
-ascending class id (the smallest count keeps the old id).  The queue
-follows McKay's rule ("Practical graph isomorphism", 1981), Hopcroft's
-for automata: a class split while queued queues each new part, and a
-class split while off the queue queues each part but its first largest
-(its own part first, then the new ids in allocation order).  It is
-cell-indexed (McKay & Piperno, "Practical graph isomorphism, II", 2014):
-each call builds one member bitmask per class.  The counts are bit
-sliced: a pop adds the adjacency masks of the splitter's |s| members
-into a binary counter held as one mask per binary digit.  When the
-coloring has no more classes than the pop reaches vertices, its groups
-come from those digit masks and the class masks, with no vertex visited;
-otherwise each reached vertex is visited once, its count a popcount.
+ascending class id (the smallest count keeps the old id), and a split only
+moves mask bits from the old class to the new ones.  The queue follows
+McKay's rule ("Practical graph isomorphism", 1981), Hopcroft's for
+automata: a class split while queued queues each new part, and a class
+split while off the queue queues each part but its first largest (its own
+part first, then the new ids in allocation order).  The counts are bit
+sliced: a pop adds the adjacency masks of the splitter's |s| members into
+a binary counter held as one mask per binary digit (``_counts``), so the
+vertices of one count are one pattern of those digits, and a (class,
+count) group is a class mask and'ed with that pattern.
 
 Every branch of the search pairs the same left side with a different right
 side.  The left side is the *first path*: the initial refinement, then at
 each level the least vertex of the target cell individualized and the
 coloring refined again, down to a discrete coloring.  ``_first_path``
 builds it whole, each level with its split trace: per splitter pop, the
-size of each (class, count) group and the keys that received new ids.  A
-right side is never refined on its own; ``_children``, the one
-individualize-and-replay step, replays that trace on its own graph, and
-the first pop whose groups differ in keys or sizes proves that no
-color-preserving isomorphism extends the branch.  ``_descend`` walks an
-explicit stack of ``_children`` generators, so no search recurses.  A
-matching replay allocates the same ids as the left, so the two colorings
-stay structurally aligned down to a discrete leaf, and the bijection read
-off that leaf is an isomorphism: the kernel checks no edge itself (the
-proof, which also shows the parts the queue leaves out need no pop, is
-in ``_descend``).
-A recorded pop that split nothing (most of them, on token graphs) is
-replayed on the digit masks alone: each recorded class must lie inside
-its count's digit pattern and the classes must cover the reached set,
-so no vertex is visited.
+size of each (class, count) group and the keys that received new ids.
+Recording groups a pop's hits by ``_splitter_hits``: with no more classes
+than the pop reaches vertices, from the digit masks and the class masks
+with no vertex visited; otherwise by visiting each reached vertex once,
+its class read from a per-vertex color lookup.  That lookup is an index
+for recording alone: ``_first_path`` keeps one for the whole path and
+writes only the vertices that change class, since one built from the
+masks per level costs O(n) a level, O(n^2) on a star.  A recorded pop
+that reaches each class whole at a single count splits nothing (616 of
+the 714 pops on the first paths of F_2(K_n), even n in 4..20) and is
+appended with no sort.
+
+A right side is never refined on its own; ``_children``, the one
+individualize-and-replay step, replays the trace on its own graph, and
+each pop is checked one way, by ``_replayed``: each recorded group, read
+off the digit masks, must have its recorded size and the groups must
+cover the reached set, so no vertex is visited; the moved groups are then
+split off.  The first pop that fails proves that no color-preserving
+isomorphism extends the branch.  ``_descend`` walks an explicit stack of
+``_children`` generators, so no search recurses.  A matching replay
+allocates the same ids as the left, so the two colorings stay structurally
+aligned down to a discrete leaf, and the bijection read off that leaf is
+an isomorphism: the kernel checks no edge itself (the proof, which also
+shows the parts the queue leaves out need no pop, is in ``_descend``).
 """
 
 from __future__ import annotations
@@ -50,49 +61,34 @@ from __future__ import annotations
 from collections import deque, namedtuple
 
 
-def _refine(adj, col, ncolors, trace, seeds=None):
-    """Refine ``col`` (mutated) on one graph; return the new color count.
+def _refine(adj, cells, ncolors, trace, seeds=None, col=None):
+    """Refine the coloring ``cells`` (mutated) on one graph; return the new
+    color count.
 
-    With ``seeds`` this refines a level of the first path: the splitter
-    queue starts from ``seeds`` (the one class at level 0, then the
+    With ``seeds`` (and ``col``, the coloring's color lookup, kept current
+    here) this refines a level of the first path: the splitter queue
+    starts from ``seeds`` (the one class at level 0, then the
     individualized singleton: every other class starts settled, in the
     sense of ``_descend``), takes the parts of each split by the module's
     queue rule, and each pop is appended to ``trace`` as
     ``(splitter, {key: group size}, moved keys)`` over the pop's
-    ``_splitter_hits``.  Without, this refines a right side against that
-    ``trace``: it pops the recorded splitters in order and returns -1 on
-    the first pop whose hits differ from the recorded ones in key set or
-    group sizes.  The queue depends only on those keys and on class sizes,
-    which then agree pop by pop, so a replay needs no queue and pops
-    exactly as often as the recording.  ``col`` must have the class sizes
-    of the coloring the trace was recorded from.
-
-    A replayed pop that moved nothing on the left is checked by
-    ``_uniform`` on the splitter's ``_counts`` alone; any other pop groups
-    its hits by ``_splitter_hits``, which takes the digit masks or visits
-    the reached vertices, whichever the coloring makes cheaper.
+    ``_splitter_hits``.  A pop that reaches each class whole at one count
+    splits nothing and skips the sort and the queue rule.  Without, this
+    refines a right side against that ``trace``: it pops the recorded
+    splitters in order, checks each pop by ``_replayed`` and returns -1 on
+    the first whose groups differ from the recorded ones in key set or
+    sizes.  The queue depends only on those keys and on class sizes, which
+    then agree pop by pop, so a replay needs no queue and pops exactly as
+    often as the recording.  ``cells`` must have the class sizes of the
+    coloring the trace was recorded from.
     """
     n = len(adj)
     stride = n + 1
-    # member mask of every class, built once per call; a class's size is
-    # the popcount of its mask
-    cells = [0] * n
-    for v, c in enumerate(col):
-        cells[c] |= 1 << v
     if seeds is None:
         for s, want, moves in trace:
-            if not moves:
-                if not _uniform(_counts(adj, cells[s]), cells, want, stride):
-                    return -1
-                continue
-            hits = _splitter_hits(adj, cells[s], cells, ncolors, col, stride)
-            if len(hits) != len(want):
+            ncolors = _replayed(_counts(adj, cells[s]), cells, ncolors, want, moves, stride)
+            if ncolors < 0:
                 return -1
-            for key, size in want.items():
-                other = hits.get(key)
-                if other is None or other.bit_count() != size:
-                    return -1
-            ncolors = _split(cells, col, ncolors, hits, moves, stride)
         return ncolors
     in_queue = bytearray(n + 1)
     queue = deque()
@@ -105,6 +101,13 @@ def _refine(adj, col, ncolors, trace, seeds=None):
         in_queue[s] = 0
         hits = _splitter_hits(adj, cells[s], cells, ncolors, col, stride)
         sizes = {key: mask.bit_count() for key, mask in hits.items()}
+        for key, mask in hits.items():
+            if mask != cells[key // stride]:
+                break
+        else:
+            # each class reached whole at one count: nothing splits
+            trace.append((s, sizes, []))
+            continue
         # keys sort by class, then count: the allocation order of new ids
         keys = sorted(sizes)
         moves = []
@@ -135,7 +138,11 @@ def _refine(adj, col, ncolors, trace, seeds=None):
             for x in queued:
                 in_queue[x] = 1
                 queue.append(x)
-        ncolors = _split(cells, col, ncolors, hits, moves, stride)
+        first = ncolors
+        ncolors = _split(cells, ncolors, hits, moves, stride)
+        for c in range(first, ncolors):  # only moved vertices change class
+            for v in _members(cells[c]):
+                col[v] = c
         trace.append((s, sizes, moves))
     return ncolors
 
@@ -171,7 +178,8 @@ def _splitter_hits(adj, splitter, cells, ncolors, col, stride):
     With no more classes than reached vertices, the reached set is split
     by count along the splitter's ``_counts`` digits, and each count group
     by class through the ``cells`` masks; otherwise each reached vertex is
-    visited and its count taken as a popcount."""
+    visited, its count taken as a popcount (1 for a one-member splitter)
+    and its class read from the color lookup ``col``."""
     reach = 0
     rest = splitter
     while rest:
@@ -204,29 +212,36 @@ def _splitter_hits(adj, splitter, cells, ncolors, col, stride):
                     if not rest:
                         break
         return hits
+    single = not splitter & (splitter - 1)  # then every count is 1
     while reach:
         low = reach & -reach
         v = low.bit_length() - 1
         reach ^= low
-        key = col[v] * stride + (adj[v] & splitter).bit_count()
+        key = col[v] * stride + (1 if single else (adj[v] & splitter).bit_count())
         hits[key] = hits.get(key, 0) | low
     return hits
 
 
-def _uniform(digits, cells, want, stride):
-    """Whether a pop that split nothing on the left splits nothing here
-    either, with the same hits: each recorded class lies wholly inside
-    its count's digit pattern (in ``digits``, the pop's ``_counts``), and
-    the reached set is the union of those classes.  With class sizes equal
-    on both sides, this holds exactly when ``_splitter_hits`` would give
-    the recorded keys and group sizes."""
+def _replayed(digits, cells, ncolors, want, moves, stride):
+    """Replay one recorded pop on the right side: the new color count, or
+    -1 if its hits differ from the recorded ones.  ``digits`` are the
+    splitter's ``_counts`` and ``want`` the recorded ``{key: group size}``.
+
+    Each recorded (class c, count) group is ``cells[c]`` and'ed with the
+    count's digit pattern and must have the recorded size.  The groups are
+    disjoint and lie in the reached set, so they cover it exactly when the
+    recorded sizes add up to its size.  Then every reached vertex is in a
+    recorded group and every recorded group is non-empty, so the pop's
+    ``_splitter_hits`` has the recorded keys and sizes.  The groups of the
+    moved keys are then split off (``cells`` is left as it was on -1)."""
     reach = 0
     for d in digits:
         reach |= d
+    if sum(want.values()) != reach.bit_count():
+        return -1
     top = len(digits)
     patterns = {}
-    union = 0
-    for key in want:
+    for key, size in want.items():
         c, count = divmod(key, stride)
         pattern = patterns.get(count)
         if pattern is None:
@@ -234,79 +249,90 @@ def _uniform(digits, cells, want, stride):
             for i, d in enumerate(digits):
                 pattern &= d if count >> i & 1 else ~d
             patterns[count] = pattern
-        members = cells[c]
-        if members & pattern != members:
-            return False
-        union |= members
-    return union == reach
+        if (cells[c] & pattern).bit_count() != size:
+            return -1
+    hits = {key: cells[key // stride] & patterns[key % stride] for key in moves}
+    return _split(cells, ncolors, hits, moves, stride)
 
 
-def _split(cells, col, ncolors, hits, moves, stride):
-    """Give each moved key's members the next new id; only vertices that
-    change class are recolored.  Returns the new color count."""
+def _split(cells, ncolors, hits, moves, stride):
+    """Give each moved key's members the next new id, moving their bits out
+    of their old class mask.  Returns the new color count."""
     for key in moves:
         moved = hits[key]
         cells[key // stride] ^= moved
         cells[ncolors] = moved
-        while moved:
-            low = moved & -moved
-            col[low.bit_length() - 1] = ncolors
-            moved ^= low
         ncolors += 1
     return ncolors
 
 
-_Level = namedtuple("_Level", "col ncolors cell vertex trace")
+_Level = namedtuple("_Level", "cells ncolors cell vertex trace")
 
 
 def _first_path(adj):
     """The whole first path, one ``_Level`` per level down to a discrete
     coloring: the coloring, its color count, the target cell (smallest
-    non-singleton class, ties to the lowest id) and its least member,
-    individualized in the next level (both -1 at the discrete level), and
-    the trace that refined the coloring."""
-    col = [0] * len(adj)
+    non-singleton class, ties to the lowest id) and its least member, the
+    low bit of its mask, individualized in the next level (both -1 at the
+    discrete level), and the trace that refined the coloring."""
+    n = len(adj)
+    cells = [0] * n
+    cells[0] = (1 << n) - 1
+    col = [0] * n
     trace = []
-    ncolors = _refine(adj, col, 1, trace, (0,))
+    ncolors = _refine(adj, cells, 1, trace, (0,), col)
     path = []
     while True:
-        sizes = [0] * ncolors
-        for c in col:
-            sizes[c] += 1
-        cells = [c for c in range(ncolors) if sizes[c] >= 2]
-        cell = min(cells, key=sizes.__getitem__) if cells else -1
-        vertex = col.index(cell) if cells else -1
-        path.append(_Level(col, ncolors, cell, vertex, trace))
-        if not cells:
+        cell, vertex, best = -1, -1, n + 1
+        for c in range(ncolors):
+            size = cells[c].bit_count()
+            if 1 < size < best:
+                cell, best = c, size
+        if cell >= 0:
+            vertex = (cells[cell] & -cells[cell]).bit_length() - 1
+        path.append(_Level(cells, ncolors, cell, vertex, trace))
+        if cell < 0:
             return path
-        col = col.copy()
+        cells = _individualized(cells, cell, vertex, ncolors)
         col[vertex] = ncolors
         trace = []
-        ncolors = _refine(adj, col, ncolors + 1, trace, (ncolors,))
+        ncolors = _refine(adj, cells, ncolors + 1, trace, (ncolors,), col)
 
 
-def _extract(col_l, col_r, n):
+def _individualized(cells, c, v, ncolors):
+    """A copy of ``cells`` with vertex ``v`` of class ``c`` moved to the new
+    class ``ncolors``."""
+    cells = cells.copy()
+    cells[c] ^= 1 << v
+    cells[ncolors] = 1 << v
+    return cells
+
+
+def _extract(cells_l, cells_r, n):
     """Read the bijection off two discrete aligned colorings."""
-    where = [0] * n
-    for u in range(n):
-        where[col_r[u]] = u
-    return tuple(where[col_l[v]] for v in range(n))
+    images = [0] * n
+    for c in range(n):
+        images[cells_l[c].bit_length() - 1] = cells_r[c].bit_length() - 1
+    return tuple(images)
 
 
-def _members(col, c, n):
-    return [v for v in range(n) if col[v] == c]
+def _members(mask):
+    """The vertices of ``mask``, ascending, read lazily."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _children(adj_r, path, depth, col_r, members):
+def _children(adj_r, path, depth, cells_r, members):
     """The one individualize-and-replay step: for each u of ``members``,
-    read lazily, the right side ``col_r`` (aligned with level ``depth``)
+    read lazily, the right side ``cells_r`` (aligned with level ``depth``)
     with u individualized, yielded when level ``depth + 1``'s trace
     replays on it."""
-    nc = path[depth].ncolors
+    _, nc, c, _, _ = path[depth]
     trace = path[depth + 1].trace
     for u in members:
-        cr = col_r.copy()
-        cr[u] = nc
+        cr = _individualized(cells_r, c, u, nc)
         if _refine(adj_r, cr, nc + 1, trace) >= 0:
             yield cr
 
@@ -321,14 +347,15 @@ def isomorphism_witness(adj1, adj2):
     if n == 0:
         return ()
     path = _first_path(adj1)
-    col = [0] * n
-    if _refine(adj2, col, 1, path[0].trace) < 0:
+    cells = [0] * n
+    cells[0] = (1 << n) - 1
+    if _refine(adj2, cells, 1, path[0].trace) < 0:
         return None
-    return _descend(path, 0, adj2, col)
+    return _descend(path, 0, adj2, cells)
 
 
-def _descend(path, depth, adj_r, col_r):
-    """First bijection below a right side ``col_r`` aligned with the first
+def _descend(path, depth, adj_r, cells_r):
+    """First bijection below a right side ``cells_r`` aligned with the first
     path's level ``depth``: each member of the target cell on the right is
     individualized against the first path's vertex, in order, by one
     ``_children`` generator per level on a stack, so no depth recurses.
@@ -340,8 +367,10 @@ def _descend(path, depth, adj_r, col_r):
 
     - Each class of the previous level's coloring starts a ``_refine``
       call settled: that coloring is equitable, and its replay matched.
-    - A popped splitter is settled by its pop: the replay matched its
-      keys, which are the per-class counts, and the group sizes.
+    - A popped splitter is settled by its pop: ``_replayed`` matched its
+      keys, which are the per-class counts, and the group sizes.  This
+      covers every replayed pop alike, whether the left split a class at
+      it (its moved groups then split off on both sides) or not.
     - The part left out of a split of a settled class has the class's
       counts minus its siblings' counts, so it is settled once those
       siblings are popped.
@@ -357,14 +386,15 @@ def _descend(path, depth, adj_r, col_r):
     in color order, so mapping each vertex to the right vertex of its
     color preserves adjacency both ways.
     """
-    n = len(col_r)
+    n = len(cells_r)
     stack = []
     while True:
         level = depth + len(stack)
         if level == len(path) - 1:
-            return _extract(path[level].col, col_r, n)
-        stack.append(_children(adj_r, path, level, col_r, _members(col_r, path[level].cell, n)))
-        while (col_r := next(stack[-1], None)) is None:
+            return _extract(path[level].cells, cells_r, n)
+        members = _members(cells_r[path[level].cell])
+        stack.append(_children(adj_r, path, level, cells_r, members))
+        while (cells_r := next(stack[-1], None)) is None:
             stack.pop()
             if not stack:
                 return None
@@ -407,9 +437,9 @@ def automorphism_generators(adj):
     parent = list(range(n))  # orbit partition under ``gens``, as a forest
     path = _first_path(adj)
     for depth in reversed(range(len(path) - 1)):
-        col, _, c, v, _ = path[depth]
-        siblings = (u for u in _members(col, c, n) if _root(parent, u) != _root(parent, v))
-        for cr in _children(adj, path, depth, col, siblings):
+        cells, _, c, v, _ = path[depth]
+        siblings = (u for u in _members(cells[c]) if _root(parent, u) != _root(parent, v))
+        for cr in _children(adj, path, depth, cells, siblings):
             found = _descend(path, depth + 1, adj, cr)
             if found is not None:
                 gens.append((found, v))

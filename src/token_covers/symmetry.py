@@ -96,9 +96,13 @@ class AutGroup:
         breadth-first orbit discovery order (the identity first)."""
         identity = tuple(range(self.degree))
         gens = [g.images for g in self.generators]
+        # each generator's first moved base point: it lies in the level-i
+        # group (fixes base[:i]) exactly when that index is i or more
+        moved = [next((i for i, b in enumerate(self.base) if g[b] != b), len(self.base))
+                 for g in gens]
         levels = []
         for i, b in enumerate(self.base):
-            strong = [g for g in gens if all(g[x] == x for x in self.base[:i])]
+            strong = [g for g, j in zip(gens, moved) if j >= i]
             trans = {b: identity}
             queue = [b]
             for y in queue:

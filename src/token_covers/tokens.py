@@ -1,8 +1,9 @@
 """Token graphs and the comparison families they are matched against.
 
-k-subsets are plain sorted tuples throughout; vertex order of every
-construction is the lexicographic order of ``itertools.combinations``, so
-vertex ids are reproducible without carrying subset objects around.  No
+k-subsets are plain sorted tuples throughout (``token_graph`` indexes
+them by bitmask); vertex order of every construction is the lexicographic
+order of ``itertools.combinations``, so vertex ids are reproducible
+without carrying subset objects around.  No
 construction takes a vertex cap: ``check_vertex_cap`` is the one cap check,
 which a command makes before it builds anything.
 """
@@ -64,17 +65,19 @@ def token_graph(X: SimpleGraph, k: int) -> SimpleGraph:
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range 1..{n - 1}")
     subs = ksubsets(n, k)
-    index = {s: i for i, s in enumerate(subs)}
-    nbrs = [X.neighbors(u) for u in range(n)]
+    masks = [sum(1 << u for u in sub) for sub in subs]
+    index = {m: i for i, m in enumerate(masks)}
+    # trading u for a larger v gives a lexicographically later subset, so
+    # each edge is emitted once, from its earlier end
+    higher = [[v for v in X.neighbors(u) if v > u] for u in range(n)]
     edges = []
     for i, sub in enumerate(subs):
-        inside = set(sub)
+        m = masks[i]
         for u in sub:
-            for v in nbrs[u]:
-                # trading u for a larger v gives a lexicographically later
-                # subset, so each edge is emitted once, from its earlier end
-                if v > u and v not in inside:
-                    edges.append((i, index[tuple(sorted(inside ^ {u, v}))]))
+            rest = m ^ 1 << u
+            for v in higher[u]:
+                if not m >> v & 1:
+                    edges.append((i, index[rest | 1 << v]))
     return SimpleGraph._trusted(len(subs), edges, [subset_label(s) for s in subs])
 
 
