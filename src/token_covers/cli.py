@@ -9,6 +9,8 @@ cap and range is checked before anything is built, and a range (or a
 ``build``) builds every report (or graph) before it writes the first.
 ``--max-vertices`` is the one vertex cap, checked by
 ``tokens.check_vertex_cap``: ``<name>: <count> vertices exceed the cap <cap>``.
+The argument parser is built once per process, on the first ``main`` call,
+and each later call parses with it again: parsing keeps no state in it.
 """
 
 from __future__ import annotations
@@ -305,10 +307,16 @@ def build_parser():
     return parser
 
 
+# built by the first ``main`` call, not at import, and reused by later calls
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

@@ -4,8 +4,13 @@
 edges, stores each edge once as ``(min, max)``, checks the vertex count,
 edge ranges and labels, and carries voltage base graphs and covering
 lifts.  ``SimpleGraph`` is a multigraph with no loops or parallel edges,
-its edges sorted and its adjacency also held as bitmasks, for token graphs
-and everything downstream of them; the two are never equal.
+for token graphs and everything downstream of them; the two are never
+equal.  A simple graph is stored as one adjacency bitmask per vertex, the
+form the search kernel reads.  Its sorted edge tuples are built from the
+masks only when a caller reads ``edges`` (``zz``'s edge orbits and
+``maps_edges_into`` do; the F_2(K_n) that Theorem 1 is checked against
+never does), so a construction that knows its output is simple builds the
+masks alone (``SimpleGraph._from_masks``).
 
 Graphs are immutable after construction; every function in this module
 is pure.
@@ -79,15 +84,16 @@ class Multigraph:
         return hash((self._n, self._edges))
 
     def __repr__(self):
-        return f"{type(self).__name__}({self._n} vertices, {len(self._edges)} edges)"
+        return f"{type(self).__name__}({self._n} vertices, {self.edge_count} edges)"
 
 
 class SimpleGraph(Multigraph):
     """Finite undirected simple graph on vertices ``0..n-1``: a multigraph
     with no loops or parallel edges, its edges sorted.
 
-    Adjacency is additionally exposed as per-vertex integer bitmasks
-    (``adjacency_masks``), the representation the search kernels consume.
+    Stored as per-vertex integer bitmasks (``adjacency_masks``), the
+    representation the search kernels consume; ``edges`` is read off them
+    on first use.
     """
 
     __slots__ = ("_adj",)
@@ -96,34 +102,55 @@ class SimpleGraph(Multigraph):
                  labels: Optional[Sequence[str]] = None):
         super().__init__(vertex_count, edges, labels)
         seen = set()
+        adj = [0] * vertex_count
         for e in self._edges:
-            if e[0] == e[1]:
-                raise ValueError(f"loop at {e[0]} not allowed in a simple graph")
+            u, v = e
+            if u == v:
+                raise ValueError(f"loop at {u} not allowed in a simple graph")
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
-        self._set_edges(seen)
-
-    @classmethod
-    def _trusted(cls, vertex_count: int, edges, labels) -> "SimpleGraph":
-        """Wrap edges already known to be ``(u, v)`` pairs with
-        ``0 <= u < v < vertex_count``, each once (a construction's own
-        output), skipping the checks of ``__init__``; they are still
-        sorted.  ``labels`` are None or ``vertex_count`` strings."""
-        g = object.__new__(cls)
-        g._n = vertex_count
-        g._labels = None if labels is None else tuple(labels)
-        g._set_edges(edges)
-        return g
-
-    def _set_edges(self, edges):
-        """Store ``edges`` sorted and build the adjacency masks."""
-        self._edges = tuple(sorted(edges))
-        adj = [0] * self._n
-        for u, v in self._edges:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self._adj = tuple(adj)
+        self._edges = None
+
+    @classmethod
+    def _from_masks(cls, vertex_count: int, adj, labels) -> "SimpleGraph":
+        """Wrap ``vertex_count`` adjacency masks already known to be those
+        of a simple graph (a construction's own output: bit v of ``adj[u]``
+        set exactly when bit u of ``adj[v]`` is, and no bit ``u`` of
+        ``adj[u]``), skipping the checks of ``__init__``.  ``labels`` are
+        None or ``vertex_count`` strings."""
+        g = object.__new__(cls)
+        g._n = vertex_count
+        g._labels = None if labels is None else tuple(labels)
+        g._adj = tuple(adj)
+        g._edges = None
+        return g
+
+    @property
+    def edges(self) -> tuple:
+        """Each edge once as ``(u, v)`` with u < v, sorted: the bits of each
+        vertex's mask above the vertex, in vertex order.  Built on first
+        read and kept."""
+        if self._edges is None:
+            # one int object per vertex, shared by all its edges
+            ids = list(range(self._n))
+            self._edges = tuple((ids[u], ids[v]) for u, mask in enumerate(self._adj)
+                                for v in _bits(mask >> u + 1 << u + 1))
+        return self._edges
+
+    @property
+    def edge_count(self) -> int:
+        return sum(m.bit_count() for m in self._adj) // 2
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and self._n == other._n and self._adj == other._adj)
+
+    def __hash__(self):
+        return hash((self._n, self._adj))
 
     @property
     def adjacency_masks(self) -> tuple:
@@ -133,19 +160,23 @@ class SimpleGraph(Multigraph):
         return bool(self._adj[u] >> v & 1)
 
     def neighbors(self, v: int):
-        mask = self._adj[v]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        return _bits(self._adj[v])
 
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
 
     def degrees(self):
         return [m.bit_count() for m in self._adj]
+
+
+def _bits(mask: int) -> list:
+    """Positions of the set bits of ``mask``, increasing."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +257,14 @@ def family_size(name: str, *params: int) -> tuple:
 
 
 def underlying_simple(G: Multigraph) -> SimpleGraph:
-    """Simple reduction: loops dropped, parallel classes collapsed."""
-    # Multigraph edges are in range and stored as (min, max)
-    return SimpleGraph._trusted(G.vertex_count, {e for e in G.edges if e[0] != e[1]},
-                                G.labels)
+    """Simple reduction: loops dropped, parallel classes collapsed (into
+    the same mask bits)."""
+    adj = [0] * G.vertex_count
+    for u, v in G.edges:
+        if u != v:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return SimpleGraph._from_masks(G.vertex_count, adj, G.labels)
 
 
 def components(count: int, neighbours):

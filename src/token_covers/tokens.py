@@ -1,11 +1,12 @@
 """Token graphs and the comparison families they are matched against.
 
 k-subsets are plain sorted tuples throughout (``token_graph`` indexes
-them by bitmask); vertex order of every construction is the lexicographic
-order of ``itertools.combinations``, so vertex ids are reproducible
-without carrying subset objects around.  No
-construction takes a vertex cap: ``check_vertex_cap`` is the one cap check,
-which a command makes before it builds anything.
+them by bitmask, and builds its graph's adjacency masks directly, with no
+edge list); vertex order of every construction is the lexicographic order
+of ``itertools.combinations``, so vertex ids are reproducible without
+carrying subset objects around.  No construction takes a vertex cap:
+``check_vertex_cap`` is the one cap check, which a command makes before it
+builds anything.
 """
 
 from __future__ import annotations
@@ -68,22 +69,29 @@ def token_graph(X: SimpleGraph, k: int) -> SimpleGraph:
     masks = [sum(1 << u for u in sub) for sub in subs]
     index = {m: i for i, m in enumerate(masks)}
     # trading u for a larger v gives a lexicographically later subset, so
-    # each edge is emitted once, from its earlier end
+    # each edge is found once, from its earlier end, and set in both masks
     higher = [[v for v in X.neighbors(u) if v > u] for u in range(n)]
-    edges = []
+    adj = [0] * len(subs)
     for i, sub in enumerate(subs):
         m = masks[i]
+        bit = 1 << i
+        row = adj[i]
         for u in sub:
             rest = m ^ 1 << u
             for v in higher[u]:
                 if not m >> v & 1:
-                    edges.append((i, index[rest | 1 << v]))
-    return SimpleGraph._trusted(len(subs), edges, [subset_label(s) for s in subs])
+                    j = index[rest | 1 << v]
+                    row |= 1 << j
+                    adj[j] |= bit
+        adj[i] = row
+    return SimpleGraph._from_masks(len(subs), adj, [subset_label(s) for s in subs])
 
 
 def johnson(n: int, k: int) -> SimpleGraph:
     """Johnson graph J(n, k): k-subsets adjacent when they intersect in
     exactly k - 1 elements."""
+    if n < 1:
+        raise ValueError(f"n={n} out of range: need n >= 1")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
     subs = ksubsets(n, k)

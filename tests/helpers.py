@@ -184,6 +184,38 @@ def disjoint_union(A: SimpleGraph, B: SimpleGraph) -> SimpleGraph:
     return SimpleGraph(off + B.vertex_count, edges)
 
 
+def assert_mask_built(G: SimpleGraph, n: int, edges, labels=None):
+    """A graph built from masks alone (``token_graph``, ``underlying_simple``)
+    against ``edges``, the brute-force edge list of the graph it must be:
+    the same as the validating constructor's graph (``==`` and ``hash``),
+    and its ``edges``, ``edge_count`` and masks those read off ``edges``
+    here, not through ``SimpleGraph``."""
+    expected = tuple(sorted({(min(u, v), max(u, v)) for u, v in edges}))
+    assert len(expected) == len(edges), "the oracle lists each edge once"
+    masks = [0] * n
+    for u, v in expected:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    checked = SimpleGraph(n, edges, labels)
+    assert G == checked and checked == G and hash(G) == hash(checked)
+    assert G.vertex_count == n
+    assert G.edges == expected
+    assert G.edge_count == len(expected)
+    assert G.adjacency_masks == tuple(masks)
+    assert G.labels == (None if labels is None else tuple(labels)) == checked.labels
+
+
+def brute_force_token_graph(X: SimpleGraph, k: int):
+    """(edges, labels) of F_k(X) by its definition: the k-subsets in
+    lexicographic order, two adjacent when their symmetric difference is
+    an edge of X, each edge once as (earlier, later)."""
+    subs = list(combinations(range(X.vertex_count), k))
+    sets = [set(s) for s in subs]
+    edges = [(i, j) for i, j in combinations(range(len(subs)), 2)
+             if len(diff := sets[i] ^ sets[j]) == 2 and X.has_edge(*diff)]
+    return edges, ["{" + ",".join(map(str, s)) + "}" for s in subs]
+
+
 def token_degree_oracle(X: SimpleGraph, subset) -> int:
     """Degree of a token-graph vertex: edges with one endpoint inside."""
     inside = set(subset)

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
@@ -121,6 +124,13 @@ def test_build_requires_a_target(tmp_path):
 def test_build_token_and_k_come_together(tmp_path, capsys, argv, message):
     assert run("build", *argv, "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_build_johnson_names_a_bad_n(tmp_path, capsys):
+    """A bad n is named before k is checked against it."""
+    assert run("build", "--johnson", "-1", "2", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: n=-1 out of range: need n >= 1\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -494,6 +504,51 @@ def test_byte_identical_reruns(tmp_path):
                  "token_star4_k2.json", "token_star4_k2.dot",
                  "conjecture1_n3.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# (argv, exit code); each writes into ./out when it writes anything
+REUSED_PARSER_CALLS = [
+    (("zz", "--family", "star:6", "--k", "1..5", "--out", "out"), 0),
+    (("build", "--token", "complete:4", "--k", "2", "--format", "xml", "--out", "out"), 2),
+    (("--help",), 0),
+    (("verify-theorem1", "--n", "4..8", "--out", "out"), 0),
+    (("conjecture", "1", "--n", "7", "--budget", "1000", "--out", "out"), 3),
+    (("zz", "--family", "star:6", "--k", "1..5", "--out", "out"), 0),
+]
+
+
+def _written(directory: Path) -> dict:
+    return {p.relative_to(directory).as_posix(): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_reused_parser_leaks_no_state(tmp_path, monkeypatch):
+    """``main`` builds its parser on the first call and reuses it: a usage
+    error, ``--help`` and every command run in one process give the exit
+    code, stdout, stderr and files the same call gives in a fresh
+    interpreter, and the parser is built once."""
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    monkeypatch.setattr(cli, "_parser", None)
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": src}
+    fresh_main = "import sys; from token_covers.cli import main; sys.exit(main(sys.argv[1:]))"
+    for i, (argv, code) in enumerate(REUSED_PARSER_CALLS):
+        here, fresh = tmp_path / "reused" / str(i), tmp_path / "fresh" / str(i)
+        here.mkdir(parents=True)
+        fresh.mkdir(parents=True)
+        monkeypatch.chdir(here)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            got = main(list(argv))
+        ran = subprocess.run([sys.executable, "-c", fresh_main, *argv], cwd=fresh, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert got == ran.returncode == code, argv
+        assert (out.getvalue(), err.getvalue()) == (ran.stdout, ran.stderr), argv
+        assert _written(here) == _written(fresh), argv
+    assert built == [1]
 
 
 def test_config_file_and_flag_precedence(tmp_path):

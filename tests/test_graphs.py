@@ -25,7 +25,14 @@ from token_covers.graphs import (
 )
 from token_covers.tokens import token_graph
 
-from helpers import brute_force_biregular, disjoint_union, graph_unions, relabel, simple_graphs
+from helpers import (
+    assert_mask_built,
+    brute_force_biregular,
+    disjoint_union,
+    graph_unions,
+    relabel,
+    simple_graphs,
+)
 
 
 def test_complete_4():
@@ -135,7 +142,7 @@ def test_a_simple_graph_is_a_multigraph_but_never_equal_to_one():
     simple, multi = SimpleGraph(2, [(0, 1)]), Multigraph(2, [(0, 1)])
     assert isinstance(SimpleGraph(1), Multigraph)
     assert simple != multi and multi != simple
-    for same in (SimpleGraph(2, [(1, 0)]), SimpleGraph._trusted(2, [(0, 1)], None)):
+    for same in (SimpleGraph(2, [(1, 0)]), SimpleGraph._from_masks(2, [2, 1], None)):
         assert simple == same and hash(simple) == hash(same)
     same = Multigraph(2, [(1, 0)])
     assert multi == same and hash(multi) == hash(same)
@@ -166,6 +173,19 @@ def test_underlying_simple_examples():
     assert underlying_simple(lonely_loop).edge_count == 0
     doubled = Multigraph(2, [(0, 1), (0, 1)])
     assert underlying_simple(doubled).edges == ((0, 1),)
+
+
+@given(st.integers(0, 9), st.data())
+@settings(max_examples=200, deadline=None)
+def test_underlying_simple_matches_validated_construction(n, data):
+    """Loops dropped and parallel edges collapsed, in either orientation and
+    any order: the mask-built reduction is the simple graph of the distinct
+    non-loop pairs, with the multigraph's labels."""
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=30 if n else 0))
+    labels = data.draw(st.one_of(st.none(), st.just([f"v{v}" for v in range(n)])))
+    simple = {(min(u, v), max(u, v)) for u, v in edges if u != v}
+    assert_mask_built(underlying_simple(Multigraph(n, edges, labels)), n, sorted(simple), labels)
 
 
 @given(st.integers(1, 6), st.data())

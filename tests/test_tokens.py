@@ -21,6 +21,8 @@ from token_covers.tokens import (
 )
 
 from helpers import (
+    assert_mask_built,
+    brute_force_token_graph,
     complement,
     from_cycles,
     kneser,
@@ -49,11 +51,37 @@ def test_token_graph_equals_validated_construction(family):
             (checked, checked.edges, checked.adjacency_masks, checked.labels)
 
 
+def test_token_graph_matches_brute_force_on_the_atlas():
+    """Every connected graph on up to 7 vertices in networkx's atlas and
+    every k in 1..n-1: the mask-built token graph against the brute-force
+    edges (k-subsets whose symmetric difference is an edge) through the
+    validating constructor."""
+    nx = pytest.importorskip("networkx")
+    count = 0
+    for A in nx.graph_atlas_g():
+        n = A.number_of_nodes()
+        if n < 2 or not nx.is_connected(A):
+            continue
+        X = SimpleGraph(n, A.edges())
+        for k in range(1, n):
+            edges, labels = brute_force_token_graph(X, k)
+            assert_mask_built(token_graph(X, k), len(labels), edges, labels)
+            count += 1
+    assert count == 5785
+
+
 def test_token_k_range():
     with pytest.raises(ValueError):
         token_graph(complete(4), 0)
     with pytest.raises(ValueError):
         token_graph(complete(4), 4)
+
+
+@pytest.mark.parametrize("n, k", [(-1, 2), (0, 1), (0, 0), (-3, -3)])
+def test_johnson_names_a_bad_n_before_k(n, k):
+    with pytest.raises(ValueError) as info:
+        johnson(n, k)
+    assert str(info.value) == f"n={n} out of range: need n >= 1"
 
 
 def test_one_token_graph_is_the_graph():
@@ -177,16 +205,9 @@ def test_token_degree_formula(n, rng):
 def test_token_graph_matches_definition(X):
     """Every k: k-subsets adjacent exactly when their symmetric difference
     is an edge of X; vertices and labels in lexicographic subset order."""
-    n = X.vertex_count
-    for k in range(1, n):
-        subs = list(combinations(range(n), k))
-        edges = [(i, j) for i, j in combinations(range(len(subs)), 2)
-                 if len(diff := set(subs[i]) ^ set(subs[j])) == 2
-                 and X.has_edge(*diff)]
-        F = token_graph(X, k)
-        assert F.vertex_count == len(subs)
-        assert F.edges == tuple(edges)
-        assert F.labels == tuple("{" + ",".join(map(str, s)) + "}" for s in subs)
+    for k in range(1, X.vertex_count):
+        edges, labels = brute_force_token_graph(X, k)
+        assert_mask_built(token_graph(X, k), len(labels), edges, labels)
 
 
 def test_induced_token_permutation():
