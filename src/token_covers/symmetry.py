@@ -23,7 +23,8 @@ from .algebra import Permutation
 from .graphs import (SimpleGraph, components, family_size, is_biregular, is_connected,
                      make_family)
 from .report import Evidence, VerificationReport
-from .tokens import binomial, check_vertex_cap, shown_count, token_graph
+from .tokens import (binomial, check_vertex_cap, induced_token_permutation, shown_count,
+                     token_graph)
 
 DEFAULT_VERTEX_CAP = 200
 DEFAULT_GROUP_CAP = 10**6
@@ -368,16 +369,39 @@ def _reversed(generators, degree: int):
             for g in generators]
 
 
+def _token_action(generators, n: int, k: int, F: SimpleGraph) -> list:
+    """Generators of the group Aut(X) induces on F = F_k(X), for X on n
+    vertices with ``generators`` generating Aut(X): each acting on the
+    k-subsets, and, when 2k = n, complementation, which reverses F's vertex
+    order (see ``zz_checks``).  Each is re-checked on F (a failure raises
+    KernelResultError).  Their group lies in Aut(F), so every Aut(F)-orbit
+    on edges is a union of theirs, and one orbit of theirs is exact."""
+    action = [induced_token_permutation(g, k) for g in generators]
+    if 2 * k == n:
+        action.append(Permutation._trusted(tuple(range(F.vertex_count - 1, -1, -1))))
+    if not all(is_automorphism(F, h) for h in action):
+        raise KernelResultError("an automorphism of the base graph does not act on "
+                                "the token graph as one")
+    return action
+
+
 def zz_checks(family: str, params, ks, *,
               max_vertices: int = DEFAULT_VERTEX_CAP) -> list[VerificationReport]:
     """One ``zz_check`` report per k of ``ks``, in order, from one base
-    graph X and at most one automorphism search per pair {k, |V| - k}.
+    graph X, one automorphism search on X, and one per pair {k, |V| - k}
+    whose F_k the certificate below leaves with several edge orbits.
 
     The family's parameters, every k's range (1..|V|-1) and every token-graph
     size (C(|V|, k), through ``tokens.check_vertex_cap``) are checked before
     X is built, so a failing range raises its ValueError having built nothing.
     The prediction is read off X (``_classification_family``); the tag only
-    names the reports.
+    names the reports, and no edge orbit is computed from the prediction.
+
+    For 2 <= k <= |V| - 2 the certificate comes first: the group X's
+    automorphisms induce on F_k, with complementation when 2k = |V|
+    (``_token_action``, each generator re-checked on F_k).  It lies in
+    Aut(F_k), so when it leaves one edge orbit F_k is edge-transitive and
+    that orbit is the report's; otherwise Aut(F_k) is searched.
 
     Complementation, S to V minus S, is an isomorphism F_k(X) -> F_{|V|-k}(X),
     and under the lexicographic order of ``token_graph``'s vertices it
@@ -391,7 +415,9 @@ def zz_checks(family: str, params, ks, *,
     generators serve the prediction for k = 1 and k = |V| - 1 and the
     edge orbits of F_1 and F_{|V|-1} alike.  Conjugate generators generate
     the whole group, and ``edge_orbits`` orders its orbits canonically, so
-    the reports are those of a search on every F_k.
+    the reports are those of a search on every F_k.  F_k and F_{|V|-k} are
+    certified together or not at all, as complementation carries one
+    induced group onto the other.
     """
     n_x, _ = family_size(family, *params)
     family_tag = ":".join([family, *map(str, params)])
@@ -419,14 +445,17 @@ def zz_checks(family: str, params, ks, *,
 
     reports = []
     for k in ks:
+        F = token_graph(X, k)
         if k == 1 or k == n_x - 1:
             predicted = len(edge_orbits(X, generators(1, X))) <= 1
             rule = "k reduces the token graph to the base graph"
+            orbits = edge_orbits(F, generators(k, F))
         else:
             predicted = _in_classification(name, norm, k)
             rule = f"classification case for {name}{norm}" if predicted else "no classification case matches"
-        F = token_graph(X, k)
-        orbits = edge_orbits(F, generators(k, F))
+            orbits = edge_orbits(F, _token_action(generators(1, X), n_x, k, F))
+            if len(orbits) > 1:
+                orbits = edge_orbits(F, generators(k, F))
         computed = len(orbits) <= 1
         passed = computed == predicted
         evidence = [

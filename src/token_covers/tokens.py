@@ -1,9 +1,10 @@
 """Token graphs and the comparison families they are matched against.
 
-k-subsets are plain sorted tuples throughout (``token_graph`` indexes
-them by bitmask, and builds its graph's adjacency masks directly, with no
-edge list); vertex order of every construction is the lexicographic order
-of ``itertools.combinations``, so vertex ids are reproducible without
+k-subsets are plain sorted tuples throughout (``token_graph`` and
+``induced_token_permutation`` index them by bitmask, and ``token_graph``
+builds its graph's adjacency masks directly, with no edge list); vertex
+order of every construction is the lexicographic order of
+``itertools.combinations``, so vertex ids are reproducible without
 carrying subset objects around.  No construction takes a vertex cap:
 ``check_vertex_cap`` is the one cap check, which a command makes before it
 builds anything.
@@ -11,6 +12,7 @@ builds anything.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .algebra import Permutation
@@ -153,8 +155,18 @@ def inclusion_bigraph(n: int, a: int, b: int) -> SimpleGraph:
     return SimpleGraph(offset + len(highs), edges, labels=labels)
 
 
+@lru_cache(maxsize=1)
+def _subset_index(n: int, k: int) -> tuple[tuple, dict]:
+    """The k-subsets of ``ksubsets(n, k)`` and each one's index by bitmask,
+    kept for the run of calls on one (n, k) that ``zz_checks`` makes, one
+    per generator; read only."""
+    subs = tuple(combinations(range(n), k))
+    return subs, {sum(1 << u for u in s): i for i, s in enumerate(subs)}
+
+
 def induced_token_permutation(p: Permutation, k: int) -> Permutation:
-    """Action of a base-vertex permutation on the k-subset vertices."""
-    subs = ksubsets(p.degree, k)
-    index = {s: i for i, s in enumerate(subs)}
-    return Permutation(tuple(index[tuple(sorted(p(v) for v in s))] for s in subs))
+    """Action of a base-vertex permutation on the k-subset vertices: the
+    image of a subset is found by its bitmask, with no sort."""
+    subs, index = _subset_index(p.degree, k)
+    bits = [1 << v for v in p.images]
+    return Permutation(tuple(index[sum([bits[u] for u in s])] for s in subs))

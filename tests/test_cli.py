@@ -98,12 +98,18 @@ def test_conjecture_reports_are_pinned(tmp_path, capsys, name, argv, code):
     ("path_3", "path:3", "1..2"),
     ("star_6", "star:6", "1..5"),
     ("path_6", "path:6", "1..5"),
+    ("complete_6", "complete:6", "1..5"),
+    ("complete_bipartite_3_3", "complete_bipartite:3:3", "1..5"),
+    ("complete_8", "complete:8", "2..4"),
+    ("star_8", "star:8", "2..7"),
+    ("cycle_6", "cycle:6", "1..5"),
 ])
 def test_zz_reports_are_pinned(tmp_path, capsys, name, family, ks):
     """``zz`` writes these exact reports and stdout: K_{2,6}, a star, two
     tags that name a classification graph under another family's name
-    (``cycle:4`` is K_{2,2}, ``path:3`` is K_{1,2}) and the negative
-    control ``path:6``."""
+    (``cycle:4`` is K_{2,2}, ``path:3`` is K_{1,2}), the negative
+    control ``path:6``, and the rest of the ``symmetry`` benchmark's ranges
+    (``complete:8 2..4`` and ``star:8 2..7`` leave out k = 1)."""
     golden = GOLDEN / "zz" / name
     assert run("zz", "--family", family, "--k", ks, "--out", str(tmp_path)) == 0
     assert capsys.readouterr().out == (golden / "stdout.txt").read_text()

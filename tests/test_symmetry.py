@@ -33,7 +33,7 @@ from token_covers.symmetry import (
     zz_check,
     zz_checks,
 )
-from token_covers.tokens import token_graph
+from token_covers.tokens import induced_token_permutation, token_graph
 
 from helpers import (
     automorphisms_by_matching,
@@ -367,9 +367,14 @@ def test_classification_matches_the_atlas():
     """Every connected graph of networkx's atlas (Read & Wilson, *An Atlas
     of Graphs*, 1998) on 2..7 vertices, 995 graphs: its family is the one
     networkx's isomorphism test finds among K_n and K_{a,b}, and for every
-    k, 5,785 pairs, ``zz``'s prediction is whether F_k is edge-transitive."""
+    k, 5,785 pairs, ``zz``'s prediction is whether F_k is edge-transitive.
+    On the 3,796 pairs with 2 <= k <= |V| - 2, the group Aut(X) induces
+    (``zz``'s certificate) has one edge orbit exactly when Aut(F_k) does:
+    all 24 edge-transitive F_k are certified, and ``zz`` searches the other
+    3,772.  On 2 of those (C_6 with a long chord, k = 2 and 4) the induced
+    group has more orbits than Aut(F_k), so its count would be wrong there."""
     nx = pytest.importorskip("networkx")
-    graphs = pairs = 0
+    graphs = pairs = middle = certified = coarser = 0
     disagreements = []
     for G in nx.graph_atlas_g():
         n = G.number_of_nodes()
@@ -387,14 +392,31 @@ def test_classification_matches_the_atlas():
         family = symmetry._classification_family(X)
         if classified_as(X) != expected:
             disagreements.append((sorted(G.edges()), family, expected))
-        base = is_edge_transitive(X)
+        base = automorphisms(X).generators
         for k in range(1, n):
             pairs += 1
-            predicted = base if k in (1, n - 1) else symmetry._in_classification(*family, k)
-            if predicted != is_edge_transitive(token_graph(X, k)):
+            F = token_graph(X, k)
+            orbits = len(edge_orbits(F))
+            predicted = (len(edge_orbits(X, base)) <= 1 if k in (1, n - 1)
+                         else symmetry._in_classification(*family, k))
+            if predicted != (orbits <= 1):
                 disagreements.append((sorted(G.edges()), k, predicted))
+            if 2 <= k <= n - 2:
+                middle += 1
+                induced = len(edge_orbits(F, symmetry._token_action(base, n, k, F)))
+                if (induced <= 1) != (orbits <= 1):
+                    disagreements.append((sorted(G.edges()), k, "certificate", induced))
+                certified += induced <= 1
+                coarser += induced > orbits
     assert (graphs, pairs) == (995, 5785)
     assert disagreements == []
+    assert (middle, certified, coarser) == (3796, 24, 2)
+    # F_3(K_{2,4}) needs complementation: Aut(K_{2,4}) alone leaves two orbits
+    X = complete_bipartite(2, 4)
+    F = token_graph(X, 3)
+    base = automorphisms(X).generators
+    assert len(edge_orbits(F, [induced_token_permutation(g, 3) for g in base])) == 2
+    assert len(edge_orbits(F, symmetry._token_action(base, 6, 3, F))) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -435,7 +457,9 @@ ZZ_RANGES = [
 @pytest.mark.parametrize("family, params, ks", ZZ_RANGES)
 def test_zz_checks_match_one_search_per_k(family, params, ks, monkeypatch):
     """A range's reports are those of a search on every F_k, from one
-    search per pair {k, |V| - k} (the base graph is F_1)."""
+    search on the base graph X (F_1), first, and one per pair {k, |V| - k},
+    2 <= k <= |V| - 2, whose F_k has several edge orbits: an edge-transitive
+    F_k is certified by the group Aut(X) induces on it, with no search."""
     calls = []
     kernel = search.automorphism_generators
 
@@ -446,7 +470,10 @@ def test_zz_checks_match_one_search_per_k(family, params, ks, monkeypatch):
     monkeypatch.setattr(search, "automorphism_generators", counted)
     reports = zz_checks(family, params, ks)
     n_x, _ = family_size(family, *params)
-    assert len(calls) == len({min(k, n_x - k) for k in ks})
+    searched = {min(k, n_x - k) for k, r in zip(ks, reports)
+                if 2 <= k <= n_x - 2 and r.find("edge_orbit_count") > 1}
+    assert calls[:1] == [n_x]
+    assert len(calls) == 1 + len(searched)
     assert [r.to_json() for r in reports] == [zz_reference(family, params, k).to_json()
                                              for k in ks]
 
@@ -469,26 +496,46 @@ def test_zz_checks_disagreement_witnesses_match(family, params, ks, monkeypatch)
                                              for k in ks]
 
 
-def test_zz_checks_rejects_a_broken_reversal(tmp_path, monkeypatch, capsys):
-    """A reversed generator that is not an automorphism ends the check with
-    KernelResultError, and the command with exit 1 and nothing written.
-    Swapping the first and last vertex of F_k(K_{1,8}) (one holds the
-    centre, the other not: degrees 9 - k and k) breaks every generator."""
-    reverse = symmetry._reversed
-
-    def broken(generators, degree):
-        return [Permutation((h.images[-1], *h.images[1:-1], h.images[0]))
-                for h in reverse(generators, degree)]
-
-    monkeypatch.setattr(symmetry, "_reversed", broken)
+def assert_zz_fails_on_a_broken_generator(family, params, ks, tmp_path, capsys):
+    """``zz_checks`` raises KernelResultError, and ``zz`` exits 1 with
+    nothing written."""
     with pytest.raises(KernelResultError):
-        zz_checks("star", (8,), range(2, 8))
+        zz_checks(family, params, ks)
     out = tmp_path / "out"
-    assert main(["zz", "--family", "star:8", "--k", "2..7", "--out", str(out)]) == 1
+    tag = ":".join([family, *map(str, params)])
+    assert main(["zz", "--family", tag, "--k", f"{ks[0]}..{ks[-1]}", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert not out.exists()
+
+
+def swap_first_and_last(h):
+    return Permutation((h.images[-1], *h.images[1:-1], h.images[0]))
+
+
+def test_zz_checks_rejects_a_broken_reversal(tmp_path, monkeypatch, capsys):
+    """A reversed generator that is not an automorphism ends the check.
+    K_{2,6} at k = 5, 6 is not edge-transitive, so F_5 and F_6 take F_3's
+    and F_2's searched generators reversed; swapping the first and last
+    vertex of F_k (degrees 6 and 10 at k = 5, 4 and 12 at k = 6) breaks
+    every one."""
+    reverse = symmetry._reversed
+    monkeypatch.setattr(symmetry, "_reversed", lambda generators, degree: [
+        swap_first_and_last(h) for h in reverse(generators, degree)])
+    assert_zz_fails_on_a_broken_generator("complete_bipartite", (2, 6), range(2, 7),
+                                          tmp_path, capsys)
+
+
+def test_zz_checks_rejects_a_broken_induced_generator(tmp_path, monkeypatch, capsys):
+    """An automorphism of X whose action on F_k is not an automorphism of
+    F_k ends the check.  Swapping the first and last vertex of F_k(K_{1,8})
+    (one holds the centre, the other not: degrees 9 - k and k) breaks every
+    induced generator."""
+    induced = symmetry.induced_token_permutation
+    monkeypatch.setattr(symmetry, "induced_token_permutation",
+                        lambda p, k: swap_first_and_last(induced(p, k)))
+    assert_zz_fails_on_a_broken_generator("star", (8,), range(2, 8), tmp_path, capsys)
 
 
 @pytest.mark.parametrize("family, params", [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from token_covers.algebra import Permutation
 from token_covers.graphs import SimpleGraph, complete, complete_bipartite, cycle, path, star
 from token_covers.symmetry import is_automorphism, is_isomorphic
 from token_covers.tokens import (
@@ -220,6 +221,24 @@ def test_induced_token_permutation():
     h = from_cycles(4, [(0, 1)])
     P = path(4)
     assert not is_automorphism(token_graph(P, 2), induced_token_permutation(h, 2))
+
+
+def sorted_tuple_induced_permutation(p, k):
+    """The reference action: each k-subset's image sorted and looked up."""
+    subs = ksubsets(p.degree, k)
+    index = {s: i for i, s in enumerate(subs)}
+    return tuple(index[tuple(sorted(p(v) for v in s))] for s in subs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.integers(0, n + 1))))
+def test_induced_token_permutation_matches_sorted_tuples(case):
+    """The bitmask lookup gives the sorted-tuple action for every k, 0 and
+    past n included (one subset, and none)."""
+    images, k = case
+    p = Permutation(tuple(images))
+    assert induced_token_permutation(p, k).images == sorted_tuple_induced_permutation(p, k)
 
 
 def test_binomial_is_exact_until_past_the_cap_and_printable_size():
