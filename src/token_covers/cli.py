@@ -250,13 +250,16 @@ def cmd_conjecture(args) -> int:
     report = voltage.conjecture_search(family, args.n, budget=budget,
                                        max_vertices=max_vertices)
     write_file(out_dir, f"conjecture{args.which}_n{args.n}.json", report.to_json())
+    head = f"conjecture {args.which} n={args.n}: {report.status.upper()}, "
+    if report.status == STATUS_BUDGET_EXHAUSTED:
+        print(f"{head}{report.find('aut_order')} automorphisms exceed the budget {budget}")
+        return EXIT_BUDGET
     found = report.find("verified_candidates")
-    print(f"conjecture {args.which} n={args.n}: {report.status.upper()}, "
-          f"{len(found)} of {report.find('order_m_classes')} class(es) verified")
+    print(f"{head}{len(found)} of {report.find('order_m_classes')} class(es) verified")
     for cand in found:
         print(f"  class of {cand['class_elements']}: base {cand['base_vertices']} vertices "
               f"(free={cand['free']}, stabilizers={cand['stabilizer_sizes']})")
-    return EXIT_BUDGET if report.status == STATUS_BUDGET_EXHAUSTED else EXIT_OK
+    return EXIT_OK
 
 
 def add_common(parser):
@@ -300,7 +303,9 @@ def build_parser():
     p = sub.add_parser("conjecture", help="search for cyclic quotient bases")
     p.add_argument("which", type=int, choices=(1, 2))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, help="group elements walked at most")
+    p.add_argument("--budget", type=int,
+                   help="largest automorphism group order searched (default 10^6); "
+                        "a larger group ends the run with exit 3")
     add_common(p)
     p.set_defaults(func=cmd_conjecture)
 

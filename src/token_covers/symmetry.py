@@ -14,7 +14,7 @@ before it builds anything (``zz_checks`` checks every k).
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 from operator import itemgetter
 from typing import Iterator
 
@@ -80,9 +80,11 @@ class AutGroup:
     Algorithms*, 2003, ch. 4).
 
     No generator fixes every base point, so the pointwise stabilizer of the
-    base is trivial: only the identity fixes every base point.  Two elements
-    with the same base images are then equal (g^-1 h fixes the base), so
-    ``base_images`` names an element.
+    base is trivial: only the identity fixes every base point, and two
+    elements with the same base images are equal (g^-1 h fixes the base).
+
+    ``elements`` and ``closure`` walk the group element by element; no
+    command does, as the order alone is read off the chain.
     """
 
     def __init__(self, degree: int, generators, base):
@@ -125,11 +127,6 @@ class AutGroup:
         """(order, True): the order is exact, the product of the basic orbit
         lengths; the flag is kept for callers that unpack it."""
         return prod(self.orbit_lengths), True
-
-    def base_images(self, g: Permutation) -> tuple:
-        """g's images of the base points, which determine g in the group."""
-        images = g.images
-        return tuple(images[b] for b in self.base)
 
     _tail = cached_property(lambda self: self._build_tail())
 
@@ -191,48 +188,6 @@ class AutGroup:
         runs, whole = self._walk(cap)
         trusted = Permutation._trusted
         return (trusted(_compose(prefix, t)) for prefix, factors in runs for t in factors), whole
-
-    def of_order(self, m: int, cap: int = DEFAULT_GROUP_CAP) -> tuple[list, bool]:
-        """The elements of order m among the first ``cap`` of the walk, in
-        walk order (u_0 * ... * u_{k-1}, level 0 slowest, as ``_walk``
-        lists them), and whether those ``cap`` are the whole group (as
-        ``closure`` says).
-
-        g^t is the identity exactly when it fixes every base point, since
-        only the identity fixes the whole base, so the order of g is the lcm
-        of the lengths of the g-cycles through the base points alone.  Each
-        run's tail factor t is applied lazily, g(x) = prefix[t[x]], and only
-        those cycles are traced, dropping g once one is longer than m or of
-        a length not dividing m; only a kept element's image tuple is built.
-        The identity alone has order 1, and it is the walk's first element,
-        so m = 1 keeps it and m <= 0 keeps nothing, walking nothing.
-        """
-        if m < 2:
-            whole = self._whole(cap)
-            return ([Permutation._trusted(tuple(range(self.degree)))] if m == 1 else []), whole
-        runs, whole = self._walk(cap)
-        base = self.base
-        steps = range(1, m + 1)
-        trusted = Permutation._trusted
-        kept = []
-        for prefix, factors in runs:
-            for t in factors:
-                order = 1
-                for b in base:
-                    x = b
-                    for length in steps:
-                        x = prefix[t[x]]
-                        if x == b:
-                            break
-                    else:
-                        break  # the cycle through b is longer than m
-                    if m % length:
-                        break
-                    order = lcm(order, length)
-                else:
-                    if order == m:
-                        kept.append(trusted(_compose(prefix, t)))
-        return kept, whole
 
     def __repr__(self):
         return f"AutGroup(degree={self.degree}, generators={len(self.generators)})"

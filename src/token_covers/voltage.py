@@ -23,12 +23,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from math import comb, gcd
+from math import comb, factorial, gcd, lcm, prod
 from typing import NamedTuple, Optional
 
 from .algebra import Permutation, Subgroup
-from .graphs import (Multigraph, SimpleGraph, complete, components, star, to_dot, to_json,
-                     underlying_simple)
+from .graphs import Multigraph, SimpleGraph, complete, star, to_dot, to_json, underlying_simple
 from .report import (
     STATUS_BUDGET_EXHAUSTED,
     STATUS_COMPLETED,
@@ -38,7 +37,8 @@ from .report import (
 from .symmetry import (
     DEFAULT_GROUP_CAP,
     DEFAULT_VERTEX_CAP,
-    AutGroup,
+    KernelResultError,
+    _token_action,
     acts_freely,
     automorphisms,
     edge_orbits,
@@ -46,7 +46,7 @@ from .symmetry import (
     is_isomorphic,
     maps_edges_into,
 )
-from .tokens import binomial, check_vertex_cap, ksubsets, token_graph
+from .tokens import binomial, check_vertex_cap, induced_token_permutation, ksubsets, token_graph
 
 
 @dataclass(frozen=True)
@@ -350,65 +350,40 @@ def quotient_cyclic(X: SimpleGraph, g: Permutation):
 CONJECTURE_FAMILIES = ("star_half", "star_two")
 
 
-def cyclic_subgroup_classes(elements, group: AutGroup, m: int):
-    """Partition order-m ``elements`` of ``group`` into classes under
-    g ~ s g^j s^-1, with s in the group and gcd(j, m) = 1: the conjugacy
-    classes of the cyclic subgroups the elements generate.
+def _leaf_permutation(n: int, cycle_type) -> Permutation:
+    """The permutation of K_{1,n}'s vertices (centre 0, leaves 1..n) whose
+    cycles have the lengths of ``cycle_type``, in order, each over
+    consecutive leaves, the first from leaf 1; leaves past them are fixed."""
+    images = list(range(n + 1))
+    start = 1
+    for length in cycle_type:
+        end = start + length - 1
+        images[start:end] = range(start + 1, end + 1)
+        images[end] = start
+        start = end + 1
+    return Permutation(tuple(images))
 
-    The walk is over nodes, not elements.  A node is the part of
-    ``elements`` inside one cyclic subgroup H: the first element not yet
-    placed and those of its coprime powers listed, all found from one trace
-    of its base cycles.  Under
-    a generator s, a node leads to the node holding s g s^-1 for its first
-    member g whose conjugate is listed; s g^j s^-1 = (s g s^-1)^j, so every
-    listed conjugate of a node's members lies in that one node, and the
-    members of a node reach each other by coprime powers.  So the classes
-    are those of a walk over the elements that conjugates by the generators
-    and takes coprime powers, passing only through ``elements``: when they
-    are every order-m element of the group each class is exact, otherwise a
-    class may split.  Classes come in the order of their first listed
-    member, each listed in input order.  An element is known by its base
-    images (``AutGroup.base_images``), so each conjugate and power is
-    computed on the base points alone.
-    """
-    position = {group.base_images(p): i for i, p in enumerate(elements)}
-    # (s g s^-1)(b) = s(g(s^-1(b))) for each base point b
-    conjugators = [(s.images, [s.inverse()(b) for b in group.base]) for s in group.generators]
-    coprime = [j for j in range(2, m) if gcd(j, m) == 1]
-    node_of = [None] * len(elements)
-    nodes = []
-    for i, p in enumerate(elements):
-        if node_of[i] is not None:
-            continue
-        g = p.images
-        # g^j(b) lies j steps along the g-cycle through b
-        cycles = []
-        for b in group.base:
-            cycle, x = [b], g[b]
-            while x != b:
-                cycle.append(x)
-                x = g[x]
-            cycles.append(cycle)
-        powers = (position.get(tuple(c[j % len(c)] for c in cycles)) for j in coprime)
-        members = [i, *(k for k in powers if k is not None)]
-        n = len(nodes)
-        for k in members:
-            node_of[k] = n
-        nodes.append(members)
 
-    def conjugate_nodes(n):
-        found = []
-        for s, preimages in conjugators:
-            for i in nodes[n]:
-                g = elements[i].images
-                k = position.get(tuple(s[g[x]] for x in preimages))
-                if k is not None:
-                    found.append(node_of[k])
-                    break
-        return found
+def _partitions(n: int, parts):
+    """The partitions of n into members of ``parts``, which must list
+    distinct parts in decreasing order, 1 last: each a tuple of parts in
+    non-increasing order, in reverse lexicographic order."""
+    first, rest = parts[0], parts[1:]
+    if not rest:
+        yield (first,) * n
+        return
+    for count in range(n // first, -1, -1):
+        for tail in _partitions(n - count * first, rest):
+            yield (first,) * count + tail
 
-    return [[elements[i] for i in sorted(i for n in component for i in nodes[n])]
-            for component in components(len(nodes), conjugate_nodes)]
+
+def _centralizer_order(cycle_type) -> int:
+    """z_λ = ∏ i^{a_i} a_i! for the partition λ = ``cycle_type`` with a_i
+    parts equal to i: the order of the centralizer in Sym(n) of a
+    permutation of cycle type λ, so n!/z_λ permutations have that type
+    (Sagan, *The Symmetric Group*, 2001, Prop. 1.1.1)."""
+    return prod(i ** cycle_type.count(i) * factorial(cycle_type.count(i))
+                for i in set(cycle_type))
 
 
 def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
@@ -416,31 +391,54 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
                       max_vertices: int = DEFAULT_VERTEX_CAP) -> VerificationReport:
     """Search for a cyclic quotient base of a star token graph.
 
-    ``star_half`` targets F_{(n+1)/2}(K_{1,n}) over Z_{2n} (n odd);
-    ``star_two`` targets F_2(K_{1,n}) over Z_n (n dividing C(n+1, 2)).
-    The order-m automorphisms among the first ``budget`` elements of the
-    group's walk (``AutGroup.of_order``: level 0 of the stabilizer chain
-    slowest, each order read off the base points' cycles, only the order-m
-    elements built) are split into conjugacy classes of the cyclic
-    subgroups they generate (``cyclic_subgroup_classes``, a walk over one
-    node per subgroup, so a budget that cuts the walk can split a class but
-    never join two), free classes first, and each class's first member is
-    quotiented and verified.  Verifying one member verifies its class:
-    <g^j> = <g> for gcd(j, m) = 1, so g^j has the same orbits, and its
-    voltages are those of g under the automorphism t -> j^-1 t of Z_m; an
-    automorphism s of X carries the orbits of <g> onto those of
-    <s g s^-1> and X onto itself, so that quotient is the same base graph
-    with a different transversal, that is a voltage switching (Gross &
-    Tucker, *Topological Graph Theory*).  Either way the lift is the same
-    graph up to isomorphism, with the same base size and stabilizers.
-    Every class whose lift verifies is listed with its size and its base
-    size compared to the conjectured count(s).  A search that finds
-    nothing still completes; only exhausting the enumeration budget is
-    reported separately.  A ``group_order`` below 1 is rejected before
-    anything is built.
+    ``star_half`` targets F = F_{(n+1)/2}(K_{1,n}) over Z_{2n} (n odd);
+    ``star_two`` targets F = F_2(K_{1,n}) over Z_n (n dividing C(n+1, 2)).
+    The classes of cyclic subgroups of order m are read off cycle types, and
+    no group element is enumerated.
+
+    The certificate.  Let H be the group Sym(leaves) induces on F, with
+    complementation when 2k = n + 1 (``symmetry._token_action`` on a leaf
+    transposition and a leaf n-cycle, each generator re-checked on F).  The
+    action on the k-subsets of n + 1 >= 4 points is faithful, and
+    complementation commutes with it without being induced, so
+    |H| = n! * (2 if complemented).  H lies in Aut(F), so H = Aut(F) exactly
+    when the search's exact order of Aut(F) equals |H|; a mismatch raises
+    KernelResultError, and nothing is reported.
+
+    The classes.  In H = Sym(n) x Z_2^c an element (s, c) has order
+    lcm(s's cycle lengths, 2^c), and its coprime powers (s^j, c) keep both s's
+    cycle type and c (j is odd when m is even, and c = 0 when m is odd).  All
+    permutations of one type are conjugate, so the classes of order-m cyclic
+    subgroups are the pairs (λ, c), λ a partition of n into divisors of m
+    with lcm(λ, 2^c) = m, and each class has n!/z_λ generators of order m
+    (``_centralizer_order``).  A class's representative is the leaf
+    permutation with cycles of type λ over consecutive leaves
+    (``_leaf_permutation``), carried to F by ``induced_token_permutation``
+    and composed with complementation when c = 1; it tells whether the
+    whole class acts freely (``acts_freely``).  Classes come free first,
+    then by λ in reverse lexicographic order (parts largest first), c = 0
+    before c = 1.
+
+    Verifying one member verifies its class: <g^j> = <g> for gcd(j, m) = 1,
+    so g^j has the same orbits, and its voltages are those of g under the
+    automorphism t -> j^-1 t of Z_m; an automorphism s of F carries the
+    orbits of <g> onto those of <s g s^-1> and F onto itself, so that
+    quotient is the same base graph with a different transversal, that is a
+    voltage switching (Gross & Tucker, *Topological Graph Theory*).  Either
+    way the lift is the same graph up to isomorphism, with the same base
+    size and stabilizers.  Every class whose representative's quotient
+    verifies (``quotient_cyclic``) is listed with its cycle type, its size
+    and its base size compared to the conjectured count(s).
+
+    A search that finds nothing still completes.  When |Aut(F)| exceeds
+    ``budget`` the report is ``budget_exhausted``: it gives the order and
+    examines no class.  A ``group_order`` or ``budget`` below 1 is rejected
+    before anything is built.
     """
     if group_order is not None and group_order < 1:
         raise ValueError("group_order must be positive")
+    if budget < 1:
+        raise ValueError("budget must be positive")
     if family == "star_half":
         if n < 3 or n % 2 == 0:
             raise ValueError("star_half requires odd n >= 3")
@@ -463,23 +461,51 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
         size_readings = {"n-2": n - 2, "(n-1)/2": (n - 1) // 2}
 
     X = token_graph(star(n), k)
-    aut = automorphisms(X)
-    of_order, complete_search = aut.of_order(m, budget)
-    aut_order, aut_order_exact = aut.order()
-    of_order.sort(key=lambda p: p.images)
-    # conjugates and coprime powers keep the cycle type, so one member tells
-    # whether its whole class acts freely; the free classes come first
-    classes = sorted(((acts_freely(members[0], m), members)
-                      for members in cyclic_subgroup_classes(of_order, aut, m)),
-                     key=lambda c: not c[0])
+    aut_order, aut_order_exact = automorphisms(X).order()
+    evidence = [
+        Evidence("family", family),
+        Evidence("n", n),
+        Evidence("k", k),
+        Evidence("group_modulus", m),
+        Evidence("token_vertices", X.vertex_count),
+        Evidence("aut_order", aut_order),
+        Evidence("aut_order_exact", aut_order_exact),
+    ]
+    conjectured = Evidence("conjectured_base_sizes", dict(size_readings))
+    if aut_order > budget:
+        evidence += [conjectured, Evidence("verified_candidates", []),
+                     Evidence("note", "the automorphism group is larger than the budget, "
+                                      "so no class was examined", kind="note")]
+        return VerificationReport(name, False, STATUS_BUDGET_EXHAUSTED, tuple(evidence))
+
+    leaves = [_leaf_permutation(n, (2,) + (1,) * (n - 2)), _leaf_permutation(n, (n,))]
+    action = _token_action(leaves, n + 1, k, X)
+    # _token_action appends complementation, the reversal of F's vertex order
+    complemented = len(action) > len(leaves)
+    if aut_order != factorial(n) * (2 if complemented else 1):
+        raise KernelResultError(f"|Aut(F)| = {aut_order} is not the order of the group "
+                                "the leaf permutations induce")
+    classes = []
+    divisors = [d for d in range(min(m, n), 0, -1) if m % d == 0]
+    for cycle_type in _partitions(n, divisors):
+        order = lcm(*cycle_type)
+        for c in (False, True) if complemented else (False,):
+            if lcm(order, 2 if c else 1) == m:
+                g = induced_token_permutation(_leaf_permutation(n, cycle_type), k)
+                if c:
+                    g = action[-1] * g
+                size = factorial(n) // _centralizer_order(cycle_type)
+                classes.append((acts_freely(g, m), cycle_type, c, size, g))
+    classes.sort(key=lambda cls: not cls[0])
     candidates = []
-    for is_free, members in classes:
-        p = members[0]
-        cvg, rep = quotient_cyclic(X, p)
+    for is_free, cycle_type, c, size, g in classes:
+        cvg, rep = quotient_cyclic(X, g)
         if rep.passed:
             candidates.append({
-                "automorphism": p.cycle_string(),
-                "class_elements": len(members),
+                "automorphism": g.cycle_string(),
+                "cycle_type": list(cycle_type),
+                "complemented": c,
+                "class_elements": size,
                 "free": is_free,
                 "base_vertices": cvg.base.vertex_count,
                 "base_edges": cvg.base.edge_count,
@@ -490,25 +516,14 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
                 },
             })
 
-    status = STATUS_COMPLETED if complete_search else STATUS_BUDGET_EXHAUSTED
-    evidence = [
-        Evidence("family", family),
-        Evidence("n", n),
-        Evidence("k", k),
-        Evidence("group_modulus", m),
-        Evidence("token_vertices", X.vertex_count),
-        Evidence("aut_order", aut_order),
-        Evidence("aut_order_exact", aut_order_exact),
-        Evidence("order_m_elements", len(of_order)),
-        Evidence("free_actions", sum(len(members) for is_free, members in classes if is_free)),
+    evidence += [
+        Evidence("order_m_elements", sum(size for _, _, _, size, _ in classes)),
+        Evidence("free_actions", sum(size for free, _, _, size, _ in classes if free)),
         Evidence("order_m_classes", len(classes)),
-        Evidence("conjectured_base_sizes",
-                 {lbl: val for lbl, val in size_readings.items()}),
-        Evidence("verified_candidates", candidates,
-                 kind="witness" if candidates else "info"),
+        conjectured,
+        Evidence("verified_candidates", candidates, kind="witness" if candidates else "info"),
     ]
     if not candidates:
         evidence.append(Evidence(
-            "note", "no verifying candidate found within the enumerated actions",
-            kind="note"))
-    return VerificationReport(name, complete_search, status, tuple(evidence))
+            "note", "no class of order-m automorphisms has a verifying quotient", kind="note"))
+    return VerificationReport(name, True, STATUS_COMPLETED, tuple(evidence))

@@ -4,12 +4,12 @@ except where a docstring says otherwise."""
 import random
 from collections import deque
 from itertools import accumulate, combinations, permutations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import strategies as st
 
-from token_covers import symmetry
+from token_covers import symmetry, voltage
 from token_covers.algebra import Permutation, Subgroup
 from token_covers.graphs import (
     Multigraph,
@@ -637,12 +637,12 @@ def _lockstep_in_orbit(v, u, gens, prefix):
 
 
 def cyclic_subgroup_classes_by_elements(elements, group, m: int):
-    """The lockstep reference for ``voltage.cyclic_subgroup_classes``: one
+    """The lockstep reference for ``cyclic_subgroup_classes``: one
     ``components`` walk over the elements themselves, each joined to its
     conjugate by every generator and to each coprime power, whichever of
     them are listed, with every conjugate and power computed afresh on the
-    base points."""
-    position = {group.base_images(p): i for i, p in enumerate(elements)}
+    base points, by which an element is known."""
+    position = {tuple(p.images[b] for b in group.base): i for i, p in enumerate(elements)}
     conjugators = [(s.images, [s.inverse()(b) for b in group.base]) for s in group.generators]
     coprime = [j for j in range(2, m) if gcd(j, m) == 1]
 
@@ -661,3 +661,142 @@ def cyclic_subgroup_classes_by_elements(elements, group, m: int):
 
     return [[elements[i] for i in members]
             for members in components(len(elements), related)]
+
+
+# ---------------------------------------------------------------------------
+# the group walk the conjecture search once ran, kept as its oracle
+
+
+def base_images(group, g: Permutation) -> tuple:
+    """g's images of ``group``'s base points, which determine g in the group
+    (only the identity fixes the whole base)."""
+    images = g.images
+    return tuple(images[b] for b in group.base)
+
+
+def of_order(group, m: int, cap: int = symmetry.DEFAULT_GROUP_CAP) -> tuple[list, bool]:
+    """The elements of order m among the first ``cap`` of ``group``'s walk,
+    in walk order (u_0 * ... * u_{k-1}, level 0 slowest, as
+    ``AutGroup._walk`` lists them), and whether those ``cap`` are the whole
+    group (as ``closure`` says).
+
+    g^t is the identity exactly when it fixes every base point, since only
+    the identity fixes the whole base, so the order of g is the lcm of the
+    lengths of the g-cycles through the base points alone.  Each run's tail
+    factor t is applied lazily, g(x) = prefix[t[x]], and only those cycles
+    are traced, dropping g once one is longer than m or of a length not
+    dividing m; only a kept element's image tuple is built.  The identity
+    alone has order 1, and it is the walk's first element, so m = 1 keeps it
+    and m <= 0 keeps nothing, walking nothing.
+    """
+    if m < 2:
+        whole = group._whole(cap)
+        return ([Permutation._trusted(tuple(range(group.degree)))] if m == 1 else []), whole
+    runs, whole = group._walk(cap)
+    base = group.base
+    steps = range(1, m + 1)
+    kept = []
+    for prefix, factors in runs:
+        for t in factors:
+            order = 1
+            for b in base:
+                x = b
+                for length in steps:
+                    x = prefix[t[x]]
+                    if x == b:
+                        break
+                else:
+                    break  # the cycle through b is longer than m
+                if m % length:
+                    break
+                order = lcm(order, length)
+            else:
+                if order == m:
+                    kept.append(Permutation._trusted(symmetry._compose(prefix, t)))
+    return kept, whole
+
+
+def cyclic_subgroup_classes(elements, group, m: int):
+    """Partition order-m ``elements`` of ``group`` into classes under
+    g ~ s g^j s^-1, with s in the group and gcd(j, m) = 1: the conjugacy
+    classes of the cyclic subgroups the elements generate.
+
+    The walk is over nodes, not elements.  A node is the part of
+    ``elements`` inside one cyclic subgroup H: the first element not yet
+    placed and those of its coprime powers listed, all found from one trace
+    of its base cycles.  Under a generator s, a node leads to the node
+    holding s g s^-1 for its first member g whose conjugate is listed;
+    s g^j s^-1 = (s g s^-1)^j, so every listed conjugate of a node's members
+    lies in that one node, and the members of a node reach each other by
+    coprime powers.  So the classes are those of a walk over the elements
+    that conjugates by the generators and takes coprime powers, passing only
+    through ``elements``: when they are every order-m element of the group
+    each class is exact, otherwise a class may split.  Classes come in the
+    order of their first listed member, each listed in input order.  An
+    element is known by its base images, so each conjugate and power is
+    computed on the base points alone.
+    """
+    position = {base_images(group, p): i for i, p in enumerate(elements)}
+    # (s g s^-1)(b) = s(g(s^-1(b))) for each base point b
+    conjugators = [(s.images, [s.inverse()(b) for b in group.base]) for s in group.generators]
+    coprime = [j for j in range(2, m) if gcd(j, m) == 1]
+    node_of = [None] * len(elements)
+    nodes = []
+    for i, p in enumerate(elements):
+        if node_of[i] is not None:
+            continue
+        g = p.images
+        # g^j(b) lies j steps along the g-cycle through b
+        cycles = []
+        for b in group.base:
+            cycle, x = [b], g[b]
+            while x != b:
+                cycle.append(x)
+                x = g[x]
+            cycles.append(cycle)
+        powers = (position.get(tuple(c[j % len(c)] for c in cycles)) for j in coprime)
+        members = [i, *(k for k in powers if k is not None)]
+        n = len(nodes)
+        for k in members:
+            node_of[k] = n
+        nodes.append(members)
+
+    def conjugate_nodes(n):
+        found = []
+        for s, preimages in conjugators:
+            for i in nodes[n]:
+                g = elements[i].images
+                k = position.get(tuple(s[g[x]] for x in preimages))
+                if k is not None:
+                    found.append(node_of[k])
+                    break
+        return found
+
+    return [[elements[i] for i in sorted(i for n in component for i in nodes[n])]
+            for component in components(len(nodes), conjugate_nodes)]
+
+
+def from_cycle_string(n: int, text: str) -> Permutation:
+    """The permutation of 0..n-1 that ``Permutation.cycle_string`` wrote
+    as ``text``."""
+    cycles = [tuple(map(int, c.split())) for c in text.strip("()").split(")(") if c]
+    return from_cycles(n, cycles)
+
+
+def walked_conjecture_classes(X, m: int):
+    """The conjecture search's classes as the group walk found them: every
+    order-m element of Aut(X) from ``of_order``, split by
+    ``cyclic_subgroup_classes``, each class with its element set, whether it
+    acts freely, and the quotient row (lift verified, base vertices, base
+    edges, sorted stabilizer sizes) of its first member."""
+    aut = automorphisms(X)
+    elements, whole = of_order(aut, m)
+    assert whole
+    elements.sort(key=lambda p: p.images)
+    rows = []
+    for members in cyclic_subgroup_classes(elements, aut, m):
+        cvg, rep = voltage.quotient_cyclic(X, members[0])
+        rows.append(({p.images for p in members}, acts_freely(members[0], m),
+                     (rep.passed, cvg.base.vertex_count, cvg.base.edge_count,
+                      sorted(s.size for s in cvg.vertex_groups))))
+    return rows

@@ -78,6 +78,8 @@ def test_build_theorem1_files_are_pinned(tmp_path, capsys):
     ("conjecture2_n5", ("conjecture", "2", "--n", "5"), 0),
     ("conjecture2_n7", ("conjecture", "2", "--n", "7"), 0),
     ("conjecture1_n7_budget1000", ("conjecture", "1", "--n", "7", "--budget", "1000"), 3),
+    ("conjecture1_n11", ("conjecture", "1", "--n", "11", "--budget", "100000000",
+                         "--max-vertices", "1000"), 0),
 ])
 def test_conjecture_reports_are_pinned(tmp_path, capsys, name, argv, code):
     """``conjecture`` writes these exact reports and stdout, with its exit
@@ -452,6 +454,20 @@ def test_conjecture_2_divisibility(tmp_path):
 def test_conjecture_budget_exit_code(tmp_path):
     assert run("conjecture", "1", "--n", "3", "--budget", "3",
                "--out", str(tmp_path)) == 3
+
+
+def test_conjecture_failed_certificate_exits_1_writing_nothing(tmp_path, monkeypatch, capsys):
+    """When the search's |Aut(F)| is not the order expected of the group the
+    leaf permutations induce, that group is not all of Aut(F), and the run
+    ends with exit 1 and no report."""
+    real = voltage.factorial
+    monkeypatch.setattr(voltage, "factorial", lambda n: 2 * real(n))
+    assert run("conjecture", "2", "--n", "5", "--out", str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: |Aut(F)| = 120 is not the order of the group "
+                            "the leaf permutations induce\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_invalid_kernel_generator_exits_1(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,5 @@
 import random
-from math import comb, gcd
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +22,6 @@ from token_covers.voltage import (
     CombinedVoltageGraph,
     conjecture_search,
     cover_token,
-    cyclic_subgroup_classes,
     lift,
     quotient_cyclic,
     quotient_free,
@@ -32,16 +31,20 @@ from token_covers.voltage import (
 
 from helpers import (
     cosets,
+    cyclic_subgroup_classes,
     cyclic_subgroup_classes_by_elements,
     disjoint_union,
     fiber_offsets,
     free_actions,
+    from_cycle_string,
     from_cycles,
     identity,
     intersects,
+    of_order,
     random_multigraph,
     subgroups,
     translate,
+    walked_conjecture_classes,
 )
 
 
@@ -645,7 +648,11 @@ def test_conjecture_classes_match_exhaustive_verification(family, n, m):
     assert sum(c["class_elements"] for c in listed) == len(of_order)
     assert {(True, c["base_vertices"], c["base_edges"], tuple(c["stabilizer_sizes"]))
             for c in listed} == rows
-    assert [c["automorphism"] for c in listed] == [c[0].cycle_string() for c in classes]
+    # each listed representative lies in its own class, of the listed size
+    where = {p.images: i for i, members in enumerate(classes) for p in members}
+    hit = [where[from_cycle_string(X.vertex_count, c["automorphism"]).images] for c in listed]
+    assert sorted(hit) == list(range(len(classes)))
+    assert [c["class_elements"] for c in listed] == [len(classes[i]) for i in hit]
 
 
 def test_cyclic_subgroup_classes_split_only_when_elements_are_missing():
@@ -673,11 +680,115 @@ def test_cyclic_subgroup_classes_match_the_element_walk(n, k, m):
     element of it and seeded random subsets, each sorted by images, so the
     partial inputs split classes as a budget would."""
     aut = automorphisms(token_graph(star(n), k))
-    of_order = sorted(aut.of_order(m)[0], key=lambda p: p.images)
+    order_m = sorted(of_order(aut, m)[0], key=lambda p: p.images)
     rng = random.Random(1000 * n + 10 * k + m)
-    inputs = [of_order, *(of_order[::r] for r in (2, 3, 5))]
-    inputs += [sorted(rng.sample(of_order, rng.randint(0, len(of_order))),
+    inputs = [order_m, *(order_m[::r] for r in (2, 3, 5))]
+    inputs += [sorted(rng.sample(order_m, rng.randint(0, len(order_m))),
                       key=lambda p: p.images) for _ in range(4)]
     for elements in inputs:
         assert (cyclic_subgroup_classes(elements, aut, m)
                 == cyclic_subgroup_classes_by_elements(elements, aut, m))
+
+
+# the cases the walk oracle covers: every star token graph of the two
+# families at n = 3, 5, 7, for every group order m in 2..14
+CONJECTURE_GRAPHS = [(family, n) for family in ("star_half", "star_two") for n in (3, 5, 7)]
+
+
+@pytest.mark.parametrize("m", range(2, 15))
+@pytest.mark.parametrize("family, n", CONJECTURE_GRAPHS)
+def test_conjecture_cycle_types_match_the_group_walk(family, n, m):
+    """The classes read off cycle types are those the walk over every
+    order-m element of Aut(F) finds: the same element, class and free
+    counts, and each listed representative lies in its own walked class,
+    with that class's size, freeness and quotient row; the unlisted classes
+    are exactly those whose quotient does not verify.  Listed classes come
+    free first, then by cycle type in reverse lexicographic order,
+    uncomplemented first, each type of order m."""
+    k = (n + 1) // 2 if family == "star_half" else 2
+    X = token_graph(star(n), k)
+    walked = walked_conjecture_classes(X, m)
+    report = conjecture_search(family, n, group_order=m)
+    assert report.status == "completed" and report.passed
+    assert report.find("order_m_elements") == sum(len(e) for e, _, _ in walked)
+    assert report.find("free_actions") == sum(len(e) for e, free, _ in walked if free)
+    assert report.find("order_m_classes") == len(walked)
+    listed = report.find("verified_candidates")
+    hit = []
+    for c in listed:
+        images = from_cycle_string(X.vertex_count, c["automorphism"]).images
+        (i,) = [i for i, (elements, _, _) in enumerate(walked) if images in elements]
+        hit.append(i)
+        elements, free, (passed, base_vertices, base_edges, stabilizers) = walked[i]
+        assert (c["class_elements"], c["free"], c["base_vertices"], c["base_edges"],
+                c["stabilizer_sizes"]) == (len(elements), free, base_vertices, base_edges,
+                                           stabilizers)
+        assert sum(c["cycle_type"]) == n and c["cycle_type"] == sorted(c["cycle_type"])[::-1]
+        assert lcm(*c["cycle_type"], 2 if c["complemented"] else 1) == m
+        assert c["complemented"] is False or 2 * k == n + 1
+    assert sorted(hit) == [i for i, (_, _, row) in enumerate(walked) if row[0]]
+    assert listed == sorted(listed, key=lambda c: (not c["free"], [-x for x in c["cycle_type"]],
+                                                   c["complemented"]))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cycle_type_class_sizes_match_sympy(n):
+    """``_partitions`` lists every partition of n once, in reverse
+    lexicographic order, and n!/z_λ is the number of permutations of
+    cycle type λ in sympy's enumeration of Sym(n)."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    counts = {}
+    for p in combinatorics.SymmetricGroup(n).generate():
+        cycle_type = tuple(sorted((len(c) for c in p.full_cyclic_form), reverse=True))
+        counts[cycle_type] = counts.get(cycle_type, 0) + 1
+    found = list(voltage._partitions(n, list(range(n, 0, -1))))
+    assert found == sorted(counts, reverse=True)
+    for cycle_type in found:
+        assert factorial(n) // voltage._centralizer_order(cycle_type) == counts[cycle_type]
+
+
+def test_partitions_into_divisors_keep_only_those_parts():
+    assert list(voltage._partitions(6, [4, 2, 1])) == [
+        (4, 2), (4, 1, 1), (2, 2, 2), (2, 2, 1, 1), (2, 1, 1, 1, 1), (1,) * 6]
+    assert list(voltage._partitions(0, [3, 1])) == [()]
+
+
+def test_leaf_permutation_runs_each_cycle_over_consecutive_leaves():
+    assert voltage._leaf_permutation(6, (3, 2, 1)).cycle_string() == "(1 2 3)(4 5)"
+    assert voltage._leaf_permutation(4, (1, 1, 1, 1)).cycle_string() == "()"
+    assert voltage._leaf_permutation(4, (4,)).images == (0, 2, 3, 4, 1)
+
+
+def test_conjecture_certificate_needs_complementation(monkeypatch):
+    """At 2k = n + 1 Aut(F) is twice the group the leaves induce: without
+    complementation the certificate fails, and the search raises."""
+    real = voltage._token_action
+
+    def leaves_only(generators, n, k, F):
+        return real(generators, n, k, F)[:len(generators)]
+
+    monkeypatch.setattr(voltage, "_token_action", leaves_only)
+    with pytest.raises(symmetry.KernelResultError, match="leaf permutations induce"):
+        conjecture_search("star_half", 5)
+    # at 2k != n + 1 there is no complementation to drop
+    assert conjecture_search("star_two", 5).status == "completed"
+
+
+def test_conjecture_budget_is_checked_before_the_certificate(monkeypatch):
+    """A group over the budget is reported without building the induced
+    group or any class; a budget below 1 is rejected before anything."""
+    def never(*args):
+        raise AssertionError("nothing past the order may run over the budget")
+
+    monkeypatch.setattr(voltage, "_token_action", never)
+    monkeypatch.setattr(voltage, "quotient_cyclic", never)
+    report = conjecture_search("star_half", 7, budget=10079)
+    assert report.status == "budget_exhausted" and not report.passed
+    assert report.find("aut_order") == 10080
+    assert report.find("verified_candidates") == []
+    labels = [e.label for e in report.evidence]
+    assert "order_m_classes" not in labels and "order_m_elements" not in labels
+    monkeypatch.setattr(voltage, "token_graph", never)
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="^budget must be positive$"):
+            conjecture_search("star_half", 3, budget=budget)
