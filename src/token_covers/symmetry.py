@@ -1,11 +1,15 @@
 """Automorphism groups, orbits, transitivity predicates, isomorphism
-testing, the free-action test, and the edge-transitive token-graph
-classification checker.
+testing, the free-action test, colour refinement, and the
+edge-transitive token-graph classification checker.
 
 The heavy lifting (equitable refinement + backtracking) lives in the
 search kernel, which checks no edge itself; everything returned by it is
 re-verified here by ``maps_edges_into``, the program's one
-adjacency-preservation check, independent of the search path.  The
+adjacency-preservation check, independent of the search path.
+``edge_colour_pairs``, a colour refinement, is a label-free invariant kept
+outside the kernel: ``zz_checks`` reads an F_k's edge orbits off the group
+X's automorphisms induce on it when its edge colour pairs are as many as
+that group's edge orbits, and searches Aut(F_k) only when they are not.  The
 searches take no vertex cap: a command compares its graph's size with its
 one cap once, from its parameters, through ``tokens.check_vertex_cap``,
 before it builds anything (``zz_checks`` checks every k).
@@ -244,6 +248,32 @@ def edge_orbits(X: SimpleGraph, generators=None):
     return [[edges[i] for i in orbit] for orbit in components(len(edges), images)]
 
 
+def edge_colour_pairs(X: SimpleGraph) -> int:
+    """The number of unordered colour pairs over X's edges, with vertices
+    coloured by colour refinement, outside the search kernel: degrees
+    first, then, round by round, a vertex's colour with the sorted multiset
+    of its neighbours' colours, until the class count stops growing.  Each
+    round numbers its signatures in sorted order, so no vertex label enters
+    a colour, and an isomorphism sends each vertex to one of the same
+    colour: every automorphism fixes each class, a cell of the coarsest
+    equitable partition finer than the degrees (McKay & Piperno 2014), and
+    keeps each edge's colour pair.  So the count is at most the number of
+    Aut(X)-orbits on edges."""
+    colours = X.degrees()
+    count = len(set(colours))
+    while True:
+        around = [[] for _ in colours]
+        for u, v in X.edges:
+            around[u].append(colours[v])
+            around[v].append(colours[u])
+        signatures = [(c, tuple(sorted(a))) for c, a in zip(colours, around)]
+        ids = {s: i for i, s in enumerate(sorted(set(signatures)))}
+        if len(ids) == count:
+            break
+        colours, count = [ids[s] for s in signatures], len(ids)
+    return len({(min(colours[u], colours[v]), max(colours[u], colours[v])) for u, v in X.edges})
+
+
 def is_vertex_transitive(X: SimpleGraph) -> bool:
     return len(vertex_orbits(X)) <= 1
 
@@ -344,7 +374,7 @@ def zz_checks(family: str, params, ks, *,
               max_vertices: int = DEFAULT_VERTEX_CAP) -> list[VerificationReport]:
     """One ``zz_check`` report per k of ``ks``, in order, from one base
     graph X, one automorphism search on X, and one per pair {k, |V| - k}
-    whose F_k the certificate below leaves with several edge orbits.
+    whose F_k neither the certificate nor colour refinement settles.
 
     The family's parameters, every k's range (1..|V|-1) and every token-graph
     size (C(|V|, k), through ``tokens.check_vertex_cap``) are checked before
@@ -352,11 +382,24 @@ def zz_checks(family: str, params, ks, *,
     The prediction is read off X (``_classification_family``); the tag only
     names the reports, and no edge orbit is computed from the prediction.
 
-    For 2 <= k <= |V| - 2 the certificate comes first: the group X's
-    automorphisms induce on F_k, with complementation when 2k = |V|
-    (``_token_action``, each generator re-checked on F_k).  It lies in
-    Aut(F_k), so when it leaves one edge orbit F_k is edge-transitive and
-    that orbit is the report's; otherwise Aut(F_k) is searched.
+    Each k takes one of four routes:
+
+    - k = 1 and k = |V| - 1: X's own generators (see below).
+    - 2 <= k <= |V| - 2, *certified*: H, the group X's automorphisms
+      induce on F_k, with complementation when 2k = |V| (``_token_action``,
+      each generator re-checked on F_k), lies in Aut(F_k), so when it
+      leaves one edge orbit F_k is edge-transitive and that orbit is the
+      report's.
+    - *separated*: H leaves several edge orbits, and ``edge_colour_pairs``
+      counts as many.  Every automorphism keeps each edge's colour pair
+      and every Aut(F_k)-orbit is a union of H-orbits, so (colour pairs)
+      <= (Aut(F_k)-orbits) <= (H-orbits); with the outer two equal, H's
+      orbits are Aut(F_k)'s, and ``edge_orbits`` orders them canonically,
+      so the report is a search's.  This rests only on re-checked
+      automorphisms and a label-free invariant, not on X's generators
+      generating all of Aut(X).
+    - *searched*: otherwise Aut(F_k) is searched, once per pair
+      {k, |V| - k}: F_{|V|-k} takes F_k's generators reversed.
 
     Complementation, S to V minus S, is an isomorphism F_k(X) -> F_{|V|-k}(X),
     and under the lexicographic order of ``token_graph``'s vertices it
@@ -371,8 +414,9 @@ def zz_checks(family: str, params, ks, *,
     edge orbits of F_1 and F_{|V|-1} alike.  Conjugate generators generate
     the whole group, and ``edge_orbits`` orders its orbits canonically, so
     the reports are those of a search on every F_k.  F_k and F_{|V|-k} are
-    certified together or not at all, as complementation carries one
-    induced group onto the other.
+    certified, or separated, together or not at all, as complementation
+    carries one induced group onto the other and colour refinement is an
+    isomorphism invariant.
     """
     n_x, _ = family_size(family, *params)
     family_tag = ":".join([family, *map(str, params)])
@@ -409,7 +453,7 @@ def zz_checks(family: str, params, ks, *,
             predicted = _in_classification(name, norm, k)
             rule = f"classification case for {name}{norm}" if predicted else "no classification case matches"
             orbits = edge_orbits(F, _token_action(generators(1, X), n_x, k, F))
-            if len(orbits) > 1:
+            if len(orbits) > 1 and edge_colour_pairs(F) != len(orbits):
                 orbits = edge_orbits(F, generators(k, F))
         computed = len(orbits) <= 1
         passed = computed == predicted

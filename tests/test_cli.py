@@ -105,13 +105,17 @@ def test_conjecture_reports_are_pinned(tmp_path, capsys, name, argv, code):
     ("complete_8", "complete:8", "2..4"),
     ("star_8", "star:8", "2..7"),
     ("cycle_6", "cycle:6", "1..5"),
+    ("cycle_9", "cycle:9", "1..8"),
 ])
 def test_zz_reports_are_pinned(tmp_path, capsys, name, family, ks):
     """``zz`` writes these exact reports and stdout: K_{2,6}, a star, two
     tags that name a classification graph under another family's name
     (``cycle:4`` is K_{2,2}, ``path:3`` is K_{1,2}), the negative
-    control ``path:6``, and the rest of the ``symmetry`` benchmark's ranges
-    (``complete:8 2..4`` and ``star:8 2..7`` leave out k = 1)."""
+    control ``path:6``, the rest of the ``symmetry`` benchmark's ranges
+    (``complete:8 2..4`` and ``star:8 2..7`` leave out k = 1), and
+    ``cycle:9``, which takes every route: F_1 and F_8 from X's
+    generators, k = 2, 4, 5, 7 separated by colour refinement, k = 3
+    searched and k = 6 from k = 3's generators reversed."""
     golden = GOLDEN / "zz" / name
     assert run("zz", "--family", family, "--k", ks, "--out", str(tmp_path)) == 0
     assert capsys.readouterr().out == (golden / "stdout.txt").read_text()

@@ -370,11 +370,15 @@ def test_classification_matches_the_atlas():
     k, 5,785 pairs, ``zz``'s prediction is whether F_k is edge-transitive.
     On the 3,796 pairs with 2 <= k <= |V| - 2, the group Aut(X) induces
     (``zz``'s certificate) has one edge orbit exactly when Aut(F_k) does:
-    all 24 edge-transitive F_k are certified, and ``zz`` searches the other
-    3,772.  On 2 of those (C_6 with a long chord, k = 2 and 4) the induced
-    group has more orbits than Aut(F_k), so its count would be wrong there."""
+    all 24 edge-transitive F_k are certified.  Of the other 3,772, colour
+    refinement separates 2,915: its edge colour pairs, never more than a
+    search's edge orbits, are as many as the induced group's orbits, so
+    those are Aut(F_k)'s.  ``zz`` searches the remaining 857, among them
+    the 2 (C_6 with a long chord, k = 2 and 4) where the induced group has
+    more orbits than Aut(F_k), so its count would be wrong there."""
     nx = pytest.importorskip("networkx")
-    graphs = pairs = middle = certified = coarser = 0
+    graphs = pairs = middle = certified = separated = 0
+    searched, coarser = set(), set()
     disagreements = []
     for G in nx.graph_atlas_g():
         n = G.number_of_nodes()
@@ -404,13 +408,24 @@ def test_classification_matches_the_atlas():
             if 2 <= k <= n - 2:
                 middle += 1
                 induced = len(edge_orbits(F, symmetry._token_action(base, n, k, F)))
-                if (induced <= 1) != (orbits <= 1):
-                    disagreements.append((sorted(G.edges()), k, "certificate", induced))
-                certified += induced <= 1
-                coarser += induced > orbits
+                colour_pairs = symmetry.edge_colour_pairs(F)
+                case = (tuple(sorted(G.edges())), k)
+                if (induced <= 1) != (orbits <= 1) or colour_pairs > orbits:
+                    disagreements.append((*case, "certificate", induced, colour_pairs))
+                if induced <= 1:
+                    certified += 1
+                elif colour_pairs == induced:
+                    separated += 1
+                    if colour_pairs != orbits:
+                        disagreements.append((*case, "separated", colour_pairs, orbits))
+                else:
+                    searched.add(case)
+                if induced > orbits:
+                    coarser.add(case)
     assert (graphs, pairs) == (995, 5785)
     assert disagreements == []
-    assert (middle, certified, coarser) == (3796, 24, 2)
+    assert (middle, certified, separated, len(searched)) == (3796, 24, 2915, 857)
+    assert len(coarser) == 2 and coarser <= searched
     # F_3(K_{2,4}) needs complementation: Aut(K_{2,4}) alone leaves two orbits
     X = complete_bipartite(2, 4)
     F = token_graph(X, 3)
@@ -438,7 +453,7 @@ def test_complementation_reverses_token_vertex_order(X):
         assert edge_orbits(G, carried) == edge_orbits(G)
 
 
-# the ``symmetry`` benchmark ranges and three more with their mirrors
+# the ``symmetry`` benchmark ranges and four more with their mirrors
 ZZ_RANGES = [
     ("complete", (6,), range(1, 6)),
     ("star", (6,), range(1, 6)),
@@ -451,15 +466,23 @@ ZZ_RANGES = [
     ("complete_bipartite", (3, 5), range(1, 8)),
     ("path", (7,), range(1, 7)),
     ("cycle", (8,), range(1, 8)),
+    ("cycle", (9,), range(1, 9)),
 ]
+
+# the F_k, by vertex count, that a range searches after X, one per pair
+# {k, |V| - k} neither certified nor separated: only F_3(C_9), whose mirror
+# F_6 takes its generators reversed
+SEARCHED_TOKEN_GRAPHS = {("cycle", (9,)): [84]}
 
 
 @pytest.mark.parametrize("family, params, ks", ZZ_RANGES)
 def test_zz_checks_match_one_search_per_k(family, params, ks, monkeypatch):
     """A range's reports are those of a search on every F_k, from one
     search on the base graph X (F_1), first, and one per pair {k, |V| - k},
-    2 <= k <= |V| - 2, whose F_k has several edge orbits: an edge-transitive
-    F_k is certified by the group Aut(X) induces on it, with no search."""
+    2 <= k <= |V| - 2, that is neither certified nor separated: an
+    edge-transitive F_k is certified by the group Aut(X) induces on it, and
+    an F_k whose edge colour pairs are as many as that group's edge orbits
+    is separated, both with no search."""
     calls = []
     kernel = search.automorphism_generators
 
@@ -470,10 +493,7 @@ def test_zz_checks_match_one_search_per_k(family, params, ks, monkeypatch):
     monkeypatch.setattr(search, "automorphism_generators", counted)
     reports = zz_checks(family, params, ks)
     n_x, _ = family_size(family, *params)
-    searched = {min(k, n_x - k) for k, r in zip(ks, reports)
-                if 2 <= k <= n_x - 2 and r.find("edge_orbit_count") > 1}
-    assert calls[:1] == [n_x]
-    assert len(calls) == 1 + len(searched)
+    assert calls == [n_x, *SEARCHED_TOKEN_GRAPHS.get((family, params), [])]
     assert [r.to_json() for r in reports] == [zz_reference(family, params, k).to_json()
                                              for k in ks]
 
@@ -481,15 +501,17 @@ def test_zz_checks_match_one_search_per_k(family, params, ks, monkeypatch):
 @pytest.mark.parametrize("family, params, ks", [
     ("path", (7,), range(1, 7)),
     ("complete_bipartite", (2, 6), range(1, 8)),
+    ("cycle", (9,), range(1, 9)),
 ])
 def test_zz_checks_disagreement_witnesses_match(family, params, ks, monkeypatch):
     """With the classification negated, the failing reports name the least
-    edges of the first two edge orbits, on reversed generators too."""
+    edges of the first two edge orbits, on separated pairs and on reversed
+    generators (F_6(C_9)) too."""
     rule = symmetry._in_classification
     monkeypatch.setattr(symmetry, "_in_classification", lambda *args: not rule(*args))
     reports = zz_checks(family, params, ks)
     n_x, _ = family_size(family, *params)
-    # k > |V| - k: F_k's generators are F_{|V|-k}'s reversed
+    # k > |V| - k: F_k is separated, or takes F_{|V|-k}'s generators reversed
     assert any(e.label == "disagreement" and isinstance(e.value, list)
                for k, r in zip(ks, reports) if n_x - k < k for e in r.evidence)
     assert [r.to_json() for r in reports] == [zz_reference(family, params, k).to_json()
@@ -516,15 +538,14 @@ def swap_first_and_last(h):
 
 def test_zz_checks_rejects_a_broken_reversal(tmp_path, monkeypatch, capsys):
     """A reversed generator that is not an automorphism ends the check.
-    K_{2,6} at k = 5, 6 is not edge-transitive, so F_5 and F_6 take F_3's
-    and F_2's searched generators reversed; swapping the first and last
-    vertex of F_k (degrees 6 and 10 at k = 5, 4 and 12 at k = 6) breaks
+    Colour refinement does not separate F_3(C_9), so F_3 is searched and
+    F_6 takes its generators reversed; swapping the first and last vertex
+    of F_6, the arcs {0..5} and {3..8}, whose neighbourhoods differ, breaks
     every one."""
     reverse = symmetry._reversed
     monkeypatch.setattr(symmetry, "_reversed", lambda generators, degree: [
         swap_first_and_last(h) for h in reverse(generators, degree)])
-    assert_zz_fails_on_a_broken_generator("complete_bipartite", (2, 6), range(2, 7),
-                                          tmp_path, capsys)
+    assert_zz_fails_on_a_broken_generator("cycle", (9,), range(3, 7), tmp_path, capsys)
 
 
 def test_zz_checks_rejects_a_broken_induced_generator(tmp_path, monkeypatch, capsys):
@@ -536,6 +557,20 @@ def test_zz_checks_rejects_a_broken_induced_generator(tmp_path, monkeypatch, cap
     monkeypatch.setattr(symmetry, "induced_token_permutation",
                         lambda p, k: swap_first_and_last(induced(p, k)))
     assert_zz_fails_on_a_broken_generator("star", (8,), range(2, 8), tmp_path, capsys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(simple_graphs(min_vertices=2, max_vertices=6).filter(is_connected), st.data())
+def test_edge_colour_pairs_are_label_free_and_bound_the_edge_orbits(X, data):
+    """On a connected X and a token graph F_k of it (at most 20 vertices):
+    relabelling F_k at random keeps its edge colour-pair count, and the
+    count never exceeds the edge orbits of Aut(F_k), which networkx's
+    matcher lists whole, independent of the search kernel."""
+    F = token_graph(X, data.draw(st.integers(1, X.vertex_count - 1)))
+    pairs = symmetry.edge_colour_pairs(F)
+    images = data.draw(st.permutations(range(F.vertex_count)))
+    assert symmetry.edge_colour_pairs(relabel(F, images)) == pairs
+    assert pairs <= edge_orbit_count(F, automorphisms_by_matching(F))
 
 
 @pytest.mark.parametrize("family, params", [
