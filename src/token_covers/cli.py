@@ -1,13 +1,13 @@
 """Command-line front end for reproducible verification runs.
 
 Exit codes: 0 success/completed, 1 verification failure, 2 usage or
-precondition error, 3 search budget exhausted, 130 interrupted (Ctrl-C;
-the interrupted command writes no further report).  Identical invocations
-write byte-identical files (reports carry no timestamps and all orderings
-are canonical).  A command that exits 2 writes nothing: every value's
-cap and range is checked before anything is built, and a range (or a
-``build``) builds every report (or graph) before it writes the first.
-``--max-vertices`` is the one vertex cap, checked by
+precondition error, 130 interrupted (Ctrl-C; the interrupted command
+writes no further report).  Identical invocations write byte-identical
+files (reports carry no timestamps and all orderings are canonical).  A
+command that exits 2 writes nothing: every value's cap and range is
+checked before anything is built, and a range (or a ``build``) builds
+every report (or graph) before it writes the first.  ``--max-vertices``
+is the one vertex cap and the one bound on a run's size, checked by
 ``tokens.check_vertex_cap``: ``<name>: <count> vertices exceed the cap <cap>``.
 The argument parser is built once per process, on the first ``main`` call,
 and each later call parses with it again: parsing keeps no state in it.
@@ -22,23 +22,16 @@ from pathlib import Path
 
 from . import voltage
 from .graphs import family_size, make_family, to_dot, to_json
-from .report import STATUS_BUDGET_EXHAUSTED
-from .symmetry import (
-    DEFAULT_GROUP_CAP,
-    DEFAULT_VERTEX_CAP,
-    KernelResultError,
-    zz_checks,
-)
+from .symmetry import DEFAULT_VERTEX_CAP, KernelResultError, zz_checks
 from .tokens import (binomial, check_vertex_cap, inclusion_bigraph, johnson, line_graph,
                      subdivision, token_graph)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
-EXIT_BUDGET = 3
 EXIT_INTERRUPTED = 130
 
-CONFIG_KEYS = ("out_dir", "max_vertices", "budget")
+CONFIG_KEYS = ("out_dir", "max_vertices")
 
 
 def parse_family(text: str):
@@ -110,20 +103,16 @@ def _pick(flag_value, cfg, key, default):
 
 
 def resolve_settings(args):
-    """Flags win over config file values, which win over defaults.  Only
-    ``conjecture`` takes ``--budget``: for the other commands the budget is
-    None, and a config file's ``budget`` is not read."""
+    """Flags win over config file values, which win over defaults."""
     cfg = read_config(args.config) if args.config else {}
     out_dir = (args.out
                or cfg.get("out_dir", ("",))[0]
                or os.environ.get("TOKEN_COVER_OUT")
                or "out")
     max_vertices = _pick(args.max_vertices, cfg, "max_vertices", DEFAULT_VERTEX_CAP)
-    budget = (_pick(args.budget, cfg, "budget", DEFAULT_GROUP_CAP)
-              if hasattr(args, "budget") else None)
-    if max_vertices < 1 or (budget is not None and budget < 1):
+    if max_vertices < 1:
         raise ValueError("caps must be positive")
-    return Path(out_dir), max_vertices, budget
+    return Path(out_dir), max_vertices
 
 
 def write_file(directory: Path, name: str, content: str) -> Path:
@@ -134,7 +123,7 @@ def write_file(directory: Path, name: str, content: str) -> Path:
 
 
 def cmd_build(args) -> int:
-    out_dir, max_vertices, _ = resolve_settings(args)
+    out_dir, max_vertices = resolve_settings(args)
     jobs = []
 
     def add(stem, vertices, build):
@@ -206,7 +195,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify_theorem1(args) -> int:
-    out_dir, max_vertices, _ = resolve_settings(args)
+    out_dir, max_vertices = resolve_settings(args)
     values = parse_range(args.n)
     # a single value, tested without len(), which a range past sys.maxsize lacks
     if values[0] == values[-1] and values[0] % 2 != 0:
@@ -230,7 +219,7 @@ def cmd_verify_theorem1(args) -> int:
 
 
 def cmd_zz(args) -> int:
-    out_dir, max_vertices, _ = resolve_settings(args)
+    out_dir, max_vertices = resolve_settings(args)
     name, params = parse_family(args.family)
     stem_family = f"{name}{'_'.join(map(str, params))}"
     ks = parse_range(args.k)
@@ -245,17 +234,13 @@ def cmd_zz(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    out_dir, max_vertices, budget = resolve_settings(args)
+    out_dir, max_vertices = resolve_settings(args)
     family = {1: "star_half", 2: "star_two"}[args.which]
-    report = voltage.conjecture_search(family, args.n, budget=budget,
-                                       max_vertices=max_vertices)
+    report = voltage.conjecture_search(family, args.n, max_vertices=max_vertices)
     write_file(out_dir, f"conjecture{args.which}_n{args.n}.json", report.to_json())
-    head = f"conjecture {args.which} n={args.n}: {report.status.upper()}, "
-    if report.status == STATUS_BUDGET_EXHAUSTED:
-        print(f"{head}{report.find('aut_order')} automorphisms exceed the budget {budget}")
-        return EXIT_BUDGET
     found = report.find("verified_candidates")
-    print(f"{head}{len(found)} of {report.find('order_m_classes')} class(es) verified")
+    print(f"conjecture {args.which} n={args.n}: {report.status.upper()}, "
+          f"{len(found)} of {report.find('order_m_classes')} class(es) verified")
     for cand in found:
         print(f"  class of {cand['class_elements']}: base {cand['base_vertices']} vertices "
               f"(free={cand['free']}, stabilizers={cand['stabilizer_sizes']})")
@@ -303,9 +288,6 @@ def build_parser():
     p = sub.add_parser("conjecture", help="search for cyclic quotient bases")
     p.add_argument("which", type=int, choices=(1, 2))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int,
-                   help="largest automorphism group order searched (default 10^6); "
-                        "a larger group ends the run with exit 3")
     add_common(p)
     p.set_defaults(func=cmd_conjecture)
 

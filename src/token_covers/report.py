@@ -11,7 +11,6 @@ SCHEMA_VERSION = 1
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_COMPLETED = "completed"
-STATUS_BUDGET_EXHAUSTED = "budget_exhausted"
 
 
 @dataclass(frozen=True)

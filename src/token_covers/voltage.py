@@ -28,14 +28,8 @@ from typing import NamedTuple, Optional
 
 from .algebra import Permutation, Subgroup
 from .graphs import Multigraph, SimpleGraph, complete, star, to_dot, to_json, underlying_simple
-from .report import (
-    STATUS_BUDGET_EXHAUSTED,
-    STATUS_COMPLETED,
-    Evidence,
-    VerificationReport,
-)
+from .report import STATUS_COMPLETED, Evidence, VerificationReport
 from .symmetry import (
-    DEFAULT_GROUP_CAP,
     DEFAULT_VERTEX_CAP,
     KernelResultError,
     _token_action,
@@ -387,7 +381,6 @@ def _centralizer_order(cycle_type) -> int:
 
 
 def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
-                      budget: int = DEFAULT_GROUP_CAP,
                       max_vertices: int = DEFAULT_VERTEX_CAP) -> VerificationReport:
     """Search for a cyclic quotient base of a star token graph.
 
@@ -430,15 +423,13 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     verifies (``quotient_cyclic``) is listed with its cycle type, its size
     and its base size compared to the conjectured count(s).
 
-    A search that finds nothing still completes.  When |Aut(F)| exceeds
-    ``budget`` the report is ``budget_exhausted``: it gives the order and
-    examines no class.  A ``group_order`` or ``budget`` below 1 is rejected
-    before anything is built.
+    A search that finds nothing still completes.  No group element is
+    walked, so ``max_vertices``, checked before anything is built, bounds
+    the run's time and memory whatever |Aut(F)| is.  A ``group_order``
+    below 1 is rejected before anything is built.
     """
     if group_order is not None and group_order < 1:
         raise ValueError("group_order must be positive")
-    if budget < 1:
-        raise ValueError("budget must be positive")
     if family == "star_half":
         if n < 3 or n % 2 == 0:
             raise ValueError("star_half requires odd n >= 3")
@@ -471,13 +462,6 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
         Evidence("aut_order", aut_order),
         Evidence("aut_order_exact", aut_order_exact),
     ]
-    conjectured = Evidence("conjectured_base_sizes", dict(size_readings))
-    if aut_order > budget:
-        evidence += [conjectured, Evidence("verified_candidates", []),
-                     Evidence("note", "the automorphism group is larger than the budget, "
-                                      "so no class was examined", kind="note")]
-        return VerificationReport(name, False, STATUS_BUDGET_EXHAUSTED, tuple(evidence))
-
     leaves = [_leaf_permutation(n, (2,) + (1,) * (n - 2)), _leaf_permutation(n, (n,))]
     action = _token_action(leaves, n + 1, k, X)
     # _token_action appends complementation, the reversal of F's vertex order
@@ -520,7 +504,7 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
         Evidence("order_m_elements", sum(size for _, _, _, size, _ in classes)),
         Evidence("free_actions", sum(size for free, _, _, size, _ in classes if free)),
         Evidence("order_m_classes", len(classes)),
-        conjectured,
+        Evidence("conjectured_base_sizes", size_readings),
         Evidence("verified_candidates", candidates, kind="witness" if candidates else "info"),
     ]
     if not candidates:

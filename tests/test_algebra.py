@@ -176,7 +176,7 @@ def test_closure_empty_and_overflow():
     elements, whole = automorphisms(complete(4)).closure(10)
     assert not whole
     assert len(list(elements)) == 10
-    # a budget below |Aut(C_6)| = 12 stops the walk and says so
+    # a cap below |Aut(C_6)| = 12 stops the walk and says so
     elements, whole = automorphisms(cycle(6)).closure(3)
     assert not whole
     assert len(list(elements)) == 3

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -77,14 +77,15 @@ def test_build_theorem1_files_are_pinned(tmp_path, capsys):
     ("conjecture1_n7", ("conjecture", "1", "--n", "7"), 0),
     ("conjecture2_n5", ("conjecture", "2", "--n", "5"), 0),
     ("conjecture2_n7", ("conjecture", "2", "--n", "7"), 0),
-    ("conjecture1_n7_budget1000", ("conjecture", "1", "--n", "7", "--budget", "1000"), 3),
-    ("conjecture1_n11", ("conjecture", "1", "--n", "11", "--budget", "100000000",
-                         "--max-vertices", "1000"), 0),
+    ("conjecture2_n11", ("conjecture", "2", "--n", "11"), 0),
+    ("conjecture1_n11", ("conjecture", "1", "--n", "11", "--max-vertices", "1000"), 0),
 ])
 def test_conjecture_reports_are_pinned(tmp_path, capsys, name, argv, code):
     """``conjecture`` writes these exact reports and stdout, with its exit
-    code: the class counts, each class's first member and the budget's
-    partial walk, whatever walk and class partition produce them."""
+    code: the class counts and each class's first member, whatever walk and
+    class partition produce them.  ``conjecture2_n11`` and
+    ``conjecture1_n11`` have 11! and 2*11! automorphisms: only the vertex
+    cap bounds a run, however large its group."""
     golden = GOLDEN / "conjecture" / name
     assert run(*argv, "--out", str(tmp_path)) == code
     assert capsys.readouterr().out == (golden / "stdout.txt").read_text()
@@ -270,20 +271,18 @@ def test_k_range_of_a_base_too_large_to_print_is_named(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("budget", ["0", "-1", "x"])
-def test_config_budget_is_read_by_conjecture_alone(tmp_path, capsys, budget):
-    """Only ``conjecture`` reads a config file's ``budget``: a bad one ends
-    it with exit 2 and nothing written, and the other commands run."""
+def test_config_budget_is_an_unknown_key(tmp_path, capsys, budget):
+    """No command reads a config file's ``budget``: whatever its value, the
+    line is an unknown key, named by file and line, and every command ends
+    with exit 2 and nothing written."""
     cfg = tmp_path / "caps.conf"
     cfg.write_text(f"budget={budget}\n")
     out = tmp_path / "out"
-    assert run("conjecture", "1", "--n", "3", "--config", str(cfg), "--out", str(out)) == 2
-    assert "error: " in capsys.readouterr().err
-    assert not out.exists()
-    assert run("zz", "--family", "complete:4", "--k", "2", "--config", str(cfg),
-               "--out", str(out)) == 0
-    assert (out / "zz_complete4_k2.json").exists()
-    assert run("verify-theorem1", "--n", "4", "--config", str(cfg), "--out", str(out)) == 0
-    assert run("build", "--family", "cycle:3", "--config", str(cfg), "--out", str(out)) == 0
+    for argv in (("conjecture", "1", "--n", "3"), ("zz", "--family", "complete:4", "--k", "2"),
+                 ("verify-theorem1", "--n", "4"), ("build", "--family", "cycle:3")):
+        assert run(*argv, "--config", str(cfg), "--out", str(out)) == 2, argv
+        assert capsys.readouterr().err == f"error: {cfg}:1: unknown key 'budget'\n", argv
+        assert not out.exists(), argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -455,9 +454,31 @@ def test_conjecture_2_divisibility(tmp_path):
     assert run("conjecture", "2", "--n", "4", "--out", str(tmp_path)) == 2
 
 
-def test_conjecture_budget_exit_code(tmp_path):
-    assert run("conjecture", "1", "--n", "3", "--budget", "3",
-               "--out", str(tmp_path)) == 3
+def test_conjecture_budget_exit_code(tmp_path, capsys):
+    """``conjecture`` takes no ``--budget``: the vertex cap is the one bound
+    on a run, so the flag is a usage error that writes nothing."""
+    assert run("conjecture", "1", "--n", "5", "--budget", "5",
+               "--out", str(tmp_path)) == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("n", [11, 13, 15, 17, 19])
+def test_conjecture_2_completes_for_odd_n_under_the_default_cap(tmp_path, n):
+    """F_2(K_{1,n}) for odd n in 11..19 has at most 190 vertices and n!
+    automorphisms: the run completes with the one class of (n-1)! free
+    order-n actions, the leaf n-cycles, whose base has (n+1)/2 vertices
+    (n = 15 also verifies four classes of non-free actions)."""
+    assert run("conjecture", "2", "--n", str(n), "--out", str(tmp_path)) == 0
+    payload = json.loads((tmp_path / f"conjecture2_n{n}.json").read_text())
+    found = {e["label"]: e["value"] for e in payload["evidence"]}
+    assert payload["status"] == "completed" and payload["passed"] is True
+    assert found["aut_order"] == factorial(n)
+    assert found["free_actions"] == factorial(n - 1)
+    free = [(c["cycle_type"], c["class_elements"], c["base_vertices"])
+            for c in found["verified_candidates"] if c["free"]]
+    assert free == [([n], factorial(n - 1), (n + 1) // 2)]
+    assert len(found["verified_candidates"]) == (5 if n == 15 else 1)
 
 
 def test_conjecture_failed_certificate_exits_1_writing_nothing(tmp_path, monkeypatch, capsys):
@@ -538,7 +559,7 @@ REUSED_PARSER_CALLS = [
     (("build", "--token", "complete:4", "--k", "2", "--format", "xml", "--out", "out"), 2),
     (("--help",), 0),
     (("verify-theorem1", "--n", "4..8", "--out", "out"), 0),
-    (("conjecture", "1", "--n", "7", "--budget", "1000", "--out", "out"), 3),
+    (("conjecture", "2", "--n", "11", "--out", "out"), 0),
     (("zz", "--family", "star:6", "--k", "1..5", "--out", "out"), 0),
 ]
 
@@ -598,14 +619,17 @@ def test_bad_config_rejected(tmp_path):
     (b"# caps\nmax_vertices=abc\n", ("zz", "--family", "complete:4", "--k", "2"),
      "{cfg}:2: bad value for max_vertices: 'abc'"),
     (b"budget=" + b"9" * 4400 + b"\n", ("conjecture", "1", "--n", "3"),
-     "{cfg}:1: bad value for budget: '" + "9" * 4400 + "'"),
+     "{cfg}:1: unknown key 'budget'"),
     (b"max_vertices=5\n\xff=1\n", ("zz", "--family", "complete:4", "--k", "2"),
      "{cfg}: not UTF-8 text (byte 15)"),
+    (b"max_vertices=" + b"9" * 4400 + b"\n", ("conjecture", "1", "--n", "3"),
+     "{cfg}:1: bad value for max_vertices: '" + "9" * 4400 + "'"),
 ])
 def test_bad_config_value_is_named_by_file_and_line(tmp_path, capsys, content, argv, message):
     """A config value ``int`` rejects (one past its digit limit among them)
     and a file that is not UTF-8 are named by the file (and line), not by
-    Python's own error text."""
+    Python's own error text.  A key no command reads, such as ``budget``, is
+    named as unknown before its value is read."""
     cfg = tmp_path / "caps.conf"
     cfg.write_bytes(content)
     out = tmp_path / "out"
@@ -705,8 +729,7 @@ def cli_argv(draw):
         argv = ["verify-theorem1", "--n", draw(values)]
     elif command == "conjecture":
         n = draw(st.one_of(numbers, huge))
-        argv = ["conjecture", draw(st.sampled_from("12")), "--n", str(n),
-                "--budget", draw(caps)]
+        argv = ["conjecture", draw(st.sampled_from("12")), "--n", str(n)]
     else:
         argv = ["build"]
         if draw(st.booleans()):
@@ -759,7 +782,7 @@ def test_fuzzed_arguments_keep_the_exit_code_contract(argv, config, cap_flag):
         printed = io.StringIO()
         with redirect_stdout(printed), redirect_stderr(printed):
             code = main([*argv, "--out", str(out)])
-        assert code in (0, 1, 2, 3)
+        assert code in (0, 1, 2)
         assert "Traceback" not in printed.getvalue()
         if code == 2:
             assert not out.exists() or not any(out.iterdir())
