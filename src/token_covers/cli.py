@@ -90,14 +90,15 @@ def read_config(path):
 
 def _pick(flag_value, cfg, key, default):
     """The flag's value, else the config file's ``key`` as an int, else
-    ``default``."""
+    ``default``; with the name an error about the value gives it: the
+    flag, or ``<path>:<line>: <key>``."""
     if flag_value is not None:
-        return flag_value
+        return flag_value, "--" + key.replace("_", "-")
     if key not in cfg:
-        return default
+        return default, key
     text, where = cfg[key]
     try:
-        return int(text)
+        return int(text), f"{where}: {key}"
     except ValueError:
         raise ValueError(f"{where}: bad value for {key}: {text!r}") from None
 
@@ -109,9 +110,9 @@ def resolve_settings(args):
                or cfg.get("out_dir", ("",))[0]
                or os.environ.get("TOKEN_COVER_OUT")
                or "out")
-    max_vertices = _pick(args.max_vertices, cfg, "max_vertices", DEFAULT_VERTEX_CAP)
+    max_vertices, source = _pick(args.max_vertices, cfg, "max_vertices", DEFAULT_VERTEX_CAP)
     if max_vertices < 1:
-        raise ValueError("caps must be positive")
+        raise ValueError(f"{source} must be positive")
     return Path(out_dir), max_vertices
 
 

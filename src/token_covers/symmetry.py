@@ -346,7 +346,7 @@ def _in_classification(name, params, k):
 
 
 def _reversed(generators, degree: int):
-    """The generators of Aut(F_{n-k}) carried to F_k by complementation,
+    """Generators acting on F_{n-k} carried to F_k by complementation,
     which sends vertex i of one to vertex ``degree - 1 - i`` of the other:
     each g becomes j -> degree - 1 - g(degree - 1 - j)."""
     last = degree - 1
@@ -382,41 +382,39 @@ def zz_checks(family: str, params, ks, *,
     The prediction is read off X (``_classification_family``); the tag only
     names the reports, and no edge orbit is computed from the prediction.
 
-    Each k takes one of four routes:
+    The edge orbits come from one table, ``found``, taking k to generators
+    whose edge orbits on F_k are Aut(F_k)'s.  It starts with X's own
+    generators, for k = 1 (F_1(X) is X: vertex i is {i}, with the same
+    edges), and each k of the range takes the first route that applies:
 
-    - k = 1 and k = |V| - 1: X's own generators (see below).
-    - 2 <= k <= |V| - 2, *certified*: H, the group X's automorphisms
-      induce on F_k, with complementation when 2k = |V| (``_token_action``,
-      each generator re-checked on F_k), lies in Aut(F_k), so when it
-      leaves one edge orbit F_k is edge-transitive and that orbit is the
-      report's.
-    - *separated*: H leaves several edge orbits, and ``edge_colour_pairs``
-      counts as many.  Every automorphism keeps each edge's colour pair
-      and every Aut(F_k)-orbit is a union of H-orbits, so (colour pairs)
-      <= (Aut(F_k)-orbits) <= (H-orbits); with the outer two equal, H's
-      orbits are Aut(F_k)'s, and ``edge_orbits`` orders them canonically,
-      so the report is a search's.  This rests only on re-checked
-      automorphisms and a label-free invariant, not on X's generators
-      generating all of Aut(X).
-    - *searched*: otherwise Aut(F_k) is searched, once per pair
-      {k, |V| - k}: F_{|V|-k} takes F_k's generators reversed.
+    - k is in the table (k = 1, or a k met before).
+    - |V| - k is in the table: F_k takes its generators reversed
+      (``_reversed``), each re-checked on F_k (a failure raises
+      KernelResultError).  This covers k = |V| - 1 and the mirror of every
+      pair met before, however its generators were found.
+    - Otherwise H, the group X's automorphisms induce on F_k, with
+      complementation when 2k = |V| (``_token_action``, each generator
+      re-checked on F_k), lies in Aut(F_k), so every Aut(F_k)-orbit on
+      edges is a union of H-orbits.  F_k is *certified* when H leaves one
+      edge orbit, and *separated* when ``edge_colour_pairs`` counts as many
+      as H's: every automorphism keeps each edge's colour pair, so
+      (colour pairs) <= (Aut(F_k)-orbits) <= (H-orbits), and with the
+      outer two equal H's orbits are Aut(F_k)'s.  This rests only on
+      re-checked automorphisms and a label-free invariant, not on X's
+      generators generating all of Aut(X).  Otherwise Aut(F_k) is
+      *searched*.
 
     Complementation, S to V minus S, is an isomorphism F_k(X) -> F_{|V|-k}(X),
     and under the lexicographic order of ``token_graph``'s vertices it
     reverses the order: for k-subsets A, B, A < B exactly when the least
     element of A ^ B lies in A, and complementing both keeps A ^ B but
     moves that element to the other side.  So vertex i of F_k is the
-    complement of vertex C(|V|, k) - 1 - i of F_{|V|-k}, and once either
-    graph's generators are known the other's are the reversed ones, each
-    re-checked on its own graph (a failure raises KernelResultError).
-    F_1(X) is X itself (vertex i is {i}, with the same edges), so X's
-    generators serve the prediction for k = 1 and k = |V| - 1 and the
-    edge orbits of F_1 and F_{|V|-1} alike.  Conjugate generators generate
-    the whole group, and ``edge_orbits`` orders its orbits canonically, so
-    the reports are those of a search on every F_k.  F_k and F_{|V|-k} are
-    certified, or separated, together or not at all, as complementation
-    carries one induced group onto the other and colour refinement is an
-    isomorphism invariant.
+    complement of vertex C(|V|, k) - 1 - i of F_{|V|-k}, and generators
+    with Aut(F_{|V|-k})'s edge orbits, reversed, have Aut(F_k)'s.  H for
+    F_k reversed is H for F_{|V|-k}, permutation for permutation, as g
+    sends V minus A to V minus g(A).  ``edge_orbits`` orders its orbits
+    canonically, so whatever route a k takes, and in whatever order ``ks``
+    lists it, its report is that of a search on F_k.
     """
     n_x, _ = family_size(family, *params)
     family_tag = ":".join([family, *map(str, params)])
@@ -428,33 +426,29 @@ def zz_checks(family: str, params, ks, *,
     if not is_connected(X):
         raise ValueError("classification check requires a connected graph")
     name, norm = _classification_family(X)
-    found = {}  # k -> generators of Aut(F_k)
-
-    def generators(k, F):
-        if k not in found:
-            if n_x - k in found:
-                gens = _reversed(found[n_x - k], F.vertex_count)
-                if not all(is_automorphism(F, g) for g in gens):
-                    raise KernelResultError("a generator carried over by complementation "
-                                            "is not an automorphism")
-            else:
-                gens = automorphisms(F).generators
-            found[k] = gens
-        return found[k]
-
+    found = {1: automorphisms(X).generators}  # k -> generators with Aut(F_k)'s edge orbits
     reports = []
     for k in ks:
         F = token_graph(X, k)
+        if k not in found and n_x - k in found:
+            found[k] = _reversed(found[n_x - k], F.vertex_count)
+            if not all(is_automorphism(F, g) for g in found[k]):
+                raise KernelResultError("a generator carried over by complementation "
+                                        "is not an automorphism")
+        if k in found:
+            orbits = edge_orbits(F, found[k])
+        else:
+            found[k] = _token_action(found[1], n_x, k, F)
+            orbits = edge_orbits(F, found[k])
+            if len(orbits) > 1 and edge_colour_pairs(F) != len(orbits):
+                found[k] = automorphisms(F).generators
+                orbits = edge_orbits(F, found[k])
         if k == 1 or k == n_x - 1:
-            predicted = len(edge_orbits(X, generators(1, X))) <= 1
+            predicted = len(edge_orbits(X, found[1])) <= 1
             rule = "k reduces the token graph to the base graph"
-            orbits = edge_orbits(F, generators(k, F))
         else:
             predicted = _in_classification(name, norm, k)
             rule = f"classification case for {name}{norm}" if predicted else "no classification case matches"
-            orbits = edge_orbits(F, _token_action(generators(1, X), n_x, k, F))
-            if len(orbits) > 1 and edge_colour_pairs(F) != len(orbits):
-                orbits = edge_orbits(F, generators(k, F))
         computed = len(orbits) <= 1
         passed = computed == predicted
         evidence = [

@@ -1,7 +1,7 @@
 """Token graphs and the comparison families they are matched against.
 
 k-subsets are plain sorted tuples throughout (``token_graph`` and
-``induced_token_permutation`` index them by bitmask, and ``token_graph``
+``induced_token_permutation`` share one bitmask index, and ``token_graph``
 builds its graph's adjacency masks directly, with no edge list); vertex
 order of every construction is the lexicographic order of
 ``itertools.combinations``, so vertex ids are reproducible without
@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .algebra import Permutation
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, complete
 
 # a count from 10^PRINTED_DIGITS on has more digits than Python's default
 # limit for converting an int to text, so a cap message writes it as a bound
@@ -67,15 +67,12 @@ def token_graph(X: SimpleGraph, k: int) -> SimpleGraph:
     n = X.vertex_count
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range 1..{n - 1}")
-    subs = ksubsets(n, k)
-    masks = [sum(1 << u for u in sub) for sub in subs]
-    index = {m: i for i, m in enumerate(masks)}
+    subs, index = _subset_index(n, k)
     # trading u for a larger v gives a lexicographically later subset, so
     # each edge is found once, from its earlier end, and set in both masks
     higher = [[v for v in X.neighbors(u) if v > u] for u in range(n)]
     adj = [0] * len(subs)
-    for i, sub in enumerate(subs):
-        m = masks[i]
+    for i, (sub, m) in enumerate(zip(subs, index)):
         bit = 1 << i
         row = adj[i]
         for u in sub:
@@ -91,19 +88,15 @@ def token_graph(X: SimpleGraph, k: int) -> SimpleGraph:
 
 def johnson(n: int, k: int) -> SimpleGraph:
     """Johnson graph J(n, k): k-subsets adjacent when they intersect in
-    exactly k - 1 elements."""
+    exactly k - 1 elements, that is when their symmetric difference is a
+    pair, so for k < n it is the k-token graph of K_n."""
     if n < 1:
         raise ValueError(f"n={n} out of range: need n >= 1")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
-    subs = ksubsets(n, k)
-    edges = []
-    for i, a in enumerate(subs):
-        sa = set(a)
-        for j in range(i + 1, len(subs)):
-            if len(sa & set(subs[j])) == k - 1:
-                edges.append((i, j))
-    return SimpleGraph(len(subs), edges, labels=[subset_label(s) for s in subs])
+    if k == n:
+        return SimpleGraph(1, [], labels=[subset_label(range(n))])
+    return token_graph(complete(n), k)
 
 
 def line_graph(X: SimpleGraph) -> SimpleGraph:
@@ -158,8 +151,9 @@ def inclusion_bigraph(n: int, a: int, b: int) -> SimpleGraph:
 @lru_cache(maxsize=1)
 def _subset_index(n: int, k: int) -> tuple[tuple, dict]:
     """The k-subsets of ``ksubsets(n, k)`` and each one's index by bitmask,
-    kept for the run of calls on one (n, k) that ``zz_checks`` makes, one
-    per generator; read only."""
+    in subset order, kept for the run of calls on one (n, k) that a command
+    makes: ``token_graph``, then ``induced_token_permutation`` once per
+    generator; read only."""
     subs = tuple(combinations(range(n), k))
     return subs, {sum(1 << u for u in s): i for i, s in enumerate(subs)}
 

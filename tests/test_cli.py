@@ -638,6 +638,26 @@ def test_bad_config_value_is_named_by_file_and_line(tmp_path, capsys, content, a
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cap, content, message", [
+    ("0", None, "--max-vertices must be positive"),
+    ("-3", None, "--max-vertices must be positive"),
+    (None, "# cap\nmax_vertices=0\n", "{cfg}:2: max_vertices must be positive"),
+])
+def test_non_positive_cap_is_named_by_its_source(tmp_path, capsys, cap, content, message):
+    """A cap below 1 is named as the flag, or by the config file and line it
+    came from; the run exits 2 and writes nothing."""
+    cfg = tmp_path / "caps.conf"
+    argv = ["zz", "--family", "complete:4", "--k", "2", "--out", str(tmp_path / "out")]
+    if cap is not None:
+        argv += ["--max-vertices", cap]
+    if content is not None:
+        cfg.write_text(content)
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: " + message.format(cfg=cfg) + "\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_repeated_config_key_names_both_lines(tmp_path, capsys):
     """A key set twice ends the run naming both lines; the later line does
     not silently win (here it would lift the cap 5 to 300)."""

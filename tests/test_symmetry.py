@@ -453,6 +453,21 @@ def test_complementation_reverses_token_vertex_order(X):
         assert edge_orbits(G, carried) == edge_orbits(G)
 
 
+@settings(max_examples=40, deadline=None)
+@given(simple_graphs(min_vertices=4, max_vertices=7).filter(is_connected), st.data())
+def test_reversed_induced_action_is_the_mirror_induced_action(X, data):
+    """The group Aut(X) induces on F_k, reversed, is the one it induces on
+    F_{n-k}, generator for generator: g sends V minus A to V minus g(A),
+    and complementation reverses the vertex order.  So a mirror F_{n-k}
+    loses nothing by taking F_k's induced generators reversed."""
+    n = X.vertex_count
+    k = data.draw(st.integers(2, n - 2))
+    gens = automorphisms(X).generators
+    F, G = token_graph(X, k), token_graph(X, n - k)
+    assert (symmetry._reversed(symmetry._token_action(gens, n, k, F), F.vertex_count)
+            == symmetry._token_action(gens, n, n - k, G))
+
+
 # the ``symmetry`` benchmark ranges and four more with their mirrors
 ZZ_RANGES = [
     ("complete", (6,), range(1, 6)),
@@ -482,20 +497,39 @@ def test_zz_checks_match_one_search_per_k(family, params, ks, monkeypatch):
     2 <= k <= |V| - 2, that is neither certified nor separated: an
     edge-transitive F_k is certified by the group Aut(X) induces on it, and
     an F_k whose edge colour pairs are as many as that group's edge orbits
-    is separated, both with no search."""
-    calls = []
-    kernel = search.automorphism_generators
+    is separated, both with no search.  That group is built once per such
+    pair the range reaches: the mirror takes its generators reversed."""
+    calls, induced = [], []
+    kernel, token_action = search.automorphism_generators, symmetry._token_action
 
     def counted(adj):
         calls.append(len(adj))
         return kernel(adj)
 
+    def counted_action(generators, n, k, F):
+        induced.append(k)
+        return token_action(generators, n, k, F)
+
     monkeypatch.setattr(search, "automorphism_generators", counted)
+    monkeypatch.setattr(symmetry, "_token_action", counted_action)
     reports = zz_checks(family, params, ks)
     n_x, _ = family_size(family, *params)
     assert calls == [n_x, *SEARCHED_TOKEN_GRAPHS.get((family, params), [])]
+    assert sorted(min(k, n_x - k) for k in induced) == sorted(
+        {min(k, n_x - k) for k in ks if 2 <= k <= n_x - 2})
     assert [r.to_json() for r in reports] == [zz_reference(family, params, k).to_json()
                                              for k in ks]
+
+
+@pytest.mark.parametrize("family, params, ks", ZZ_RANGES)
+def test_zz_reports_do_not_depend_on_the_order_of_ks(family, params, ks):
+    """``ks`` in reverse, or one k at a time, gives the range's reports,
+    though each k may then take another route: in reverse, F_{|V|-1} takes
+    X's generators reversed and a pair's higher k is the one certified,
+    separated or searched; alone, no k finds its mirror in the table."""
+    expected = [r.to_json() for r in zz_checks(family, params, ks)]
+    assert [r.to_json() for r in zz_checks(family, params, ks[::-1])] == expected[::-1]
+    assert [zz_checks(family, params, [k])[0].to_json() for k in ks] == expected
 
 
 @pytest.mark.parametrize("family, params, ks", [
@@ -506,12 +540,12 @@ def test_zz_checks_match_one_search_per_k(family, params, ks, monkeypatch):
 def test_zz_checks_disagreement_witnesses_match(family, params, ks, monkeypatch):
     """With the classification negated, the failing reports name the least
     edges of the first two edge orbits, on separated pairs and on reversed
-    generators (F_6(C_9)) too."""
+    generators, induced (F_5(C_9)) or searched (F_6(C_9)), too."""
     rule = symmetry._in_classification
     monkeypatch.setattr(symmetry, "_in_classification", lambda *args: not rule(*args))
     reports = zz_checks(family, params, ks)
     n_x, _ = family_size(family, *params)
-    # k > |V| - k: F_k is separated, or takes F_{|V|-k}'s generators reversed
+    # k > |V| - k: F_k takes F_{|V|-k}'s generators reversed
     assert any(e.label == "disagreement" and isinstance(e.value, list)
                for k, r in zip(ks, reports) if n_x - k < k for e in r.evidence)
     assert [r.to_json() for r in reports] == [zz_reference(family, params, k).to_json()
@@ -537,14 +571,19 @@ def swap_first_and_last(h):
 
 
 def test_zz_checks_rejects_a_broken_reversal(tmp_path, monkeypatch, capsys):
-    """A reversed generator that is not an automorphism ends the check.
-    Colour refinement does not separate F_3(C_9), so F_3 is searched and
-    F_6 takes its generators reversed; swapping the first and last vertex
-    of F_6, the arcs {0..5} and {3..8}, whose neighbourhoods differ, breaks
-    every one."""
+    """A reversed generator that is not an automorphism ends the check,
+    whether it was searched or induced.  Colour refinement does not
+    separate F_3(C_9), so F_3 is searched and F_6 takes its generators
+    reversed; swapping the first and last vertex of F_6, the arcs {0..5}
+    and {3..8}, whose neighbourhoods differ, breaks every one.  F_4 is
+    separated, so in the range 3..6 F_5 first takes F_4's induced
+    generators reversed, and the same swap breaks them."""
     reverse = symmetry._reversed
     monkeypatch.setattr(symmetry, "_reversed", lambda generators, degree: [
         swap_first_and_last(h) for h in reverse(generators, degree)])
+    for ks in ([3, 6], [4, 5]):
+        with pytest.raises(KernelResultError):
+            zz_checks("cycle", (9,), ks)
     assert_zz_fails_on_a_broken_generator("cycle", (9,), range(3, 7), tmp_path, capsys)
 
 

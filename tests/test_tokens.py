@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from token_covers.algebra import Permutation
-from token_covers.graphs import SimpleGraph, complete, complete_bipartite, cycle, path, star
+from token_covers.graphs import (SimpleGraph, complete, complete_bipartite, cycle, path, star,
+                                 to_json)
 from token_covers.symmetry import is_automorphism, is_isomorphic
 from token_covers.tokens import (
     PRINTED_DIGITS,
@@ -18,6 +19,7 @@ from token_covers.tokens import (
     ksubsets,
     line_graph,
     subdivision,
+    subset_label,
     token_graph,
 )
 
@@ -109,9 +111,23 @@ def test_johnson_k1_complete(n):
     assert johnson(n, 1).edges == complete(n).edges
 
 
-@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 8) for k in range(1, n // 2 + 1)])
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 9) for k in range(1, n)])
 def test_johnson_is_token_complete(n, k):
-    assert is_isomorphic(johnson(n, k), token_graph(complete(n), k)) is not None
+    """J(n, k) is F_k(K_n), vertex for vertex and label for label, and its
+    edges are the pairs of k-subsets meeting in k - 1 elements."""
+    J = johnson(n, k)
+    assert J == token_graph(complete(n), k)
+    assert to_json(J) == to_json(token_graph(complete(n), k))
+    subs = ksubsets(n, k)
+    assert J.edges == tuple((i, j) for i, j in combinations(range(len(subs)), 2)
+                            if len(set(subs[i]) & set(subs[j])) == k - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_johnson_k_n_is_one_vertex(n):
+    J = johnson(n, n)
+    assert (J.vertex_count, J.edge_count) == (1, 0)
+    assert J.labels == (subset_label(range(n)),)
 
 
 def test_line_graph_triangle():
