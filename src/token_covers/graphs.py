@@ -7,10 +7,11 @@ lifts.  ``SimpleGraph`` is a multigraph with no loops or parallel edges,
 for token graphs and everything downstream of them; the two are never
 equal.  A simple graph is stored as one adjacency bitmask per vertex, the
 form the search kernel reads.  Its sorted edge tuples are built from the
-masks only when a caller reads ``edges`` (``zz``'s edge orbits and
-``maps_edges_into`` do; the F_2(K_n) that Theorem 1 is checked against
-never does), so a construction that knows its output is simple builds the
-masks alone (``SimpleGraph._from_masks``).
+masks only when a caller reads ``edges`` (edge orbits and
+``is_automorphism`` do; Theorem 1's cover and the F_2(K_n) it is checked
+against never do, nor does a quotient's lift), so a construction that
+knows its output is simple builds the masks alone
+(``SimpleGraph._from_masks``).
 
 Graphs are immutable after construction; every function in this module
 is pure.

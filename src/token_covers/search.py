@@ -8,8 +8,8 @@ II", 2014, with no per-vertex color array).  The two entry points are
 ``automorphism_generators`` (a strong generating set of the automorphism
 group relative to the first path's base, found by walking that path and
 harvesting one generator per new orbit point, each with the base point it
-moves) and ``isomorphism_witness`` (first color-preserving bijection
-found, or None).
+moves, after the automorphisms the caller already knows) and
+``isomorphism_witness`` (first color-preserving bijection found, or None).
 
 Refinement is the classic splitter-queue procedure: for a splitter class
 ``s``, every class is partitioned by the number of neighbors its members
@@ -400,7 +400,7 @@ def _descend(path, depth, adj_r, cells_r):
                 return None
 
 
-def automorphism_generators(adj):
+def automorphism_generators(adj, known=()):
     """Strong generating set of the automorphism group relative to the
     first path's base, deterministic order: a list of ``(generator, base
     point)`` pairs, deepest base point first.
@@ -412,22 +412,37 @@ def automorphism_generators(adj):
     of v_d under the known generators are pruned.  One orbit partition
     serves every level, each generator merged into it as it is found; the
     siblings are read lazily, so each is pruned against every generator
-    found before it.  Levels are visited deepest first, and a generator found at depth d
-    fixes v_0..v_{d-1} (singleton cells on both sides) and moves v_d, its
-    base point; so every generator known at level d lies in the pointwise
-    stabilizer G_d of v_0..v_{d-1}, whose orbits the pruning needs.
+    found before it.  Levels are visited deepest first, and a generator
+    found at depth d fixes v_0..v_{d-1} (singleton cells on both sides) and
+    moves v_d, its base point; so every generator known at level d lies in
+    the pointwise stabilizer G_d of v_0..v_{d-1}, whose orbits the pruning
+    needs.
+
+    ``known`` holds image tuples of automorphisms the caller has already
+    verified.  Each is placed at the first level d whose vertex v_d it
+    moves, so it fixes v_0..v_{d-1} and lies in G_d; an automorphism fixing
+    every path vertex fixes the discrete leaf's coloring, so it is the
+    identity, and such a seed is dropped.  At level d its seeds are merged
+    into the orbit partition before any sibling is read, and a seed joins
+    the result, as ``(seed, v_d)``, only when it merged two orbits: the
+    partition is then always the orbits of the returned generators, and a
+    seed that merges nothing changes no pruning.  Known automorphisms prune
+    as soundly as found ones (McKay & Piperno 2014).  A seed that is no
+    automorphism but merges orbits is returned, so the caller's re-check of
+    every returned generator catches it.
 
     The generators of depth >= d generate G_d (McKay & Piperno, "Practical
     graph isomorphism, II", 2014).  By induction from the discrete leaf,
     where G_d is trivial: those of depth > d generate G_{d+1}, the
     stabilizer of v_d in G_d, since refinement commutes with automorphisms
     and G_d is the group of the level-d coloring.  Every sibling u in the
-    G_d-orbit of v_d is either pruned, so already reached from v_d, or
-    searched, and the search finds a generator mapping v_d to u.  So the
-    group the depth >= d generators generate contains G_{d+1} and has the
-    orbit of v_d under G_d: it is G_d.  The pairs are therefore a base
-    (their base points, shallowest first) and a strong generating set, and
-    |Aut| is the product of the basic orbit lengths.
+    G_d-orbit of v_d is either pruned, so already reached from v_d by the
+    generators of depth >= d, seeds included, or searched, and the search
+    finds a generator mapping v_d to u.  So the group the depth >= d
+    generators generate contains G_{d+1} and has the orbit of v_d under
+    G_d: it is G_d.  The pairs are therefore a base (their base points,
+    shallowest first) and a strong generating set, and |Aut| is the product
+    of the basic orbit lengths.
     """
     adj = tuple(adj)
     n = len(adj)
@@ -436,18 +451,36 @@ def automorphism_generators(adj):
         return gens
     parent = list(range(n))  # orbit partition under ``gens``, as a forest
     path = _first_path(adj)
-    for depth in reversed(range(len(path) - 1)):
+    base = [level.vertex for level in path[:-1]]
+    seeds = [[] for _ in base]
+    for g in known:
+        d = next((d for d, v in enumerate(base) if g[v] != v), None)
+        if d is not None:
+            seeds[d].append(g)
+    for depth in reversed(range(len(base))):
         cells, _, c, v, _ = path[depth]
+        for g in seeds[depth]:
+            if _merged(parent, g):
+                gens.append((g, v))
         siblings = (u for u in _members(cells[c]) if _root(parent, u) != _root(parent, v))
         for cr in _children(adj, path, depth, cells, siblings):
             found = _descend(path, depth + 1, adj, cr)
             if found is not None:
                 gens.append((found, v))
-                for x, y in enumerate(found):
-                    x, y = _root(parent, x), _root(parent, y)
-                    if x != y:
-                        parent[y] = x
+                _merged(parent, found)
     return gens
+
+
+def _merged(parent, g):
+    """Merge the orbit forest's trees along the permutation ``g``; whether
+    any two trees merged."""
+    merged = False
+    for x, y in enumerate(g):
+        x, y = _root(parent, x), _root(parent, y)
+        if x != y:
+            parent[y] = x
+            merged = True
+    return merged
 
 
 def _root(parent, x):

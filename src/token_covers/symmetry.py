@@ -4,8 +4,8 @@ edge-transitive token-graph classification checker.
 
 The heavy lifting (equitable refinement + backtracking) lives in the
 search kernel, which checks no edge itself; everything returned by it is
-re-verified here by ``maps_edges_into``, the program's one
-adjacency-preservation check, independent of the search path.
+re-verified here by ``is_automorphism`` or ``maps_edges_into``, the
+program's adjacency-preservation checks, independent of the search path.
 ``edge_colour_pairs``, a colour refinement, is a label-free invariant kept
 outside the kernel: ``zz_checks`` reads an F_k's edge orbits off the group
 X's automorphisms induce on it when its edge colour pairs are as many as
@@ -39,15 +39,32 @@ def maps_edges_into(X: SimpleGraph, target_adj, images) -> bool:
     of the target graph, given by its ``adjacency_masks``.  Checked one way
     only: when ``images`` is a bijection onto the target's vertices and
     both graphs have as many edges, this holds exactly when the map is an
-    isomorphism, so the caller must have checked both."""
-    return all(target_adj[images[u]] >> images[v] & 1 for u, v in X.edges)
+    isomorphism, so the caller must have checked both.
+
+    Each edge u-v, u < v, is read as bit v of u's mask, as ``X.edges``
+    lists them, but no edge tuple is built."""
+    for u, mask in enumerate(X.adjacency_masks):
+        row = target_adj[images[u]]
+        mask >>= u + 1  # bit i is now neighbour v = u + 1 + i
+        v = u
+        while mask:
+            step = (mask & -mask).bit_length()
+            v += step
+            if not row >> images[v] & 1:
+                return False
+            mask >>= step
+    return True
 
 
 def is_automorphism(X: SimpleGraph, p: Permutation) -> bool:
-    """Plain adjacency re-check, independent of the search kernel."""
+    """Plain adjacency re-check, independent of the search kernel.  Unlike
+    ``maps_edges_into`` it walks ``X.edges``, built on first read and kept:
+    a graph is re-checked against each generator of its group, and reading
+    kept tuples is about twice as fast as reading the masks' bits."""
     if p.degree != X.vertex_count:
         return False
-    return maps_edges_into(X, X.adjacency_masks, p.images)
+    adj, images = X.adjacency_masks, p.images
+    return all(adj[images[u]] >> images[v] & 1 for u, v in X.edges)
 
 
 class KernelResultError(RuntimeError):
@@ -69,9 +86,9 @@ def _products(prefixes, level):
 
 class AutGroup:
     """Aut(X) as ``automorphisms`` returns it: the search kernel's strong
-    generators, the base of its first path, and the transversals along that
-    base, built on first use (orbits need only the generators), so no
-    Schreier-Sims is run.
+    generators and the base of its first path, so no Schreier-Sims is run.
+    The order needs only the basic orbits (``orbit_lengths``); the
+    transversals along the base are built on first use, by the walk alone.
 
     ``generators`` are strong relative to ``base``: for each i, those fixing
     ``base[:i]`` pointwise generate the pointwise stabilizer of ``base[:i]``
@@ -96,20 +113,43 @@ class AutGroup:
         self.generators = tuple(generators)
         self.base = tuple(base)
 
+    def _levels(self) -> list:
+        """Per base point base[i], the pair (base[i], the image tuples of
+        the generators of the level-i group, those fixing base[:i])."""
+        gens = [g.images for g in self.generators]
+        # each generator's first moved base point: it lies in the level-i
+        # group (fixes base[:i]) exactly when that index is i or more
+        moved = [next((i for i, b in enumerate(self.base) if g[b] != b), len(self.base))
+                 for g in gens]
+        return [(b, [g for g, j in zip(gens, moved) if j >= i]) for i, b in enumerate(self.base)]
+
+    orbit_lengths = cached_property(lambda self: self._build_orbit_lengths())
+
+    def _build_orbit_lengths(self) -> tuple:
+        """Basic orbit lengths |orbit of base[i] under the level-i group|,
+        each by a breadth-first search over points: the Schreier-Sims orbit
+        step with no transversal kept, so no group element is built."""
+        lengths = []
+        for b, strong in self._levels():
+            orbit = {b}
+            queue = [b]
+            for y in queue:
+                for s in strong:
+                    z = s[y]
+                    if z not in orbit:
+                        orbit.add(z)
+                        queue.append(z)
+            lengths.append(len(orbit))
+        return tuple(lengths)
+
     _transversals = cached_property(lambda self: self._build_transversals())
 
     def _build_transversals(self) -> tuple:
         """Per base point, the representatives of its transversal, in
         breadth-first orbit discovery order (the identity first)."""
         identity = tuple(range(self.degree))
-        gens = [g.images for g in self.generators]
-        # each generator's first moved base point: it lies in the level-i
-        # group (fixes base[:i]) exactly when that index is i or more
-        moved = [next((i for i, b in enumerate(self.base) if g[b] != b), len(self.base))
-                 for g in gens]
         levels = []
-        for i, b in enumerate(self.base):
-            strong = [g for g, j in zip(gens, moved) if j >= i]
+        for b, strong in self._levels():
             trans = {b: identity}
             queue = [b]
             for y in queue:
@@ -121,11 +161,6 @@ class AutGroup:
                         queue.append(z)
             levels.append(tuple(trans.values()))
         return tuple(levels)
-
-    @property
-    def orbit_lengths(self) -> tuple:
-        """Basic orbit lengths |orbit of base[i] under the level-i group|."""
-        return tuple(len(t) for t in self._transversals)
 
     def order(self):
         """(order, True): the order is exact, the product of the basic orbit
@@ -197,16 +232,29 @@ class AutGroup:
         return f"AutGroup(degree={self.degree}, generators={len(self.generators)})"
 
 
-def automorphisms(X: SimpleGraph) -> AutGroup:
-    """Aut(X) from the search kernel, deterministic for a given graph, of
-    any size (a caller that caps its input checks the cap itself).
+def automorphisms(X: SimpleGraph, known=()) -> AutGroup:
+    """Aut(X) from the search kernel, deterministic for a given graph and
+    ``known``, of any size (a caller that caps its input checks the cap
+    itself).
+
+    ``known`` lists automorphisms of X the caller has verified, as
+    Permutations of X's vertices; the kernel prunes with them from the
+    start and returns those it needed among its generators
+    (``search.automorphism_generators``).  The group is Aut(X) whatever
+    they are, and with none the generators are the kernel's own.
 
     Each generator is re-checked against X, and against its base point:
     it must move that point and fix every shallower one, which is what
     makes the generators fixing a prefix of the base the ones
-    ``AutGroup``'s transversals take for that prefix's stabilizer.
+    ``AutGroup``'s orbits and transversals take for that prefix's
+    stabilizer.  So a ``known`` entry that is no automorphism raises
+    KernelResultError when it merges orbits in the kernel, as it then
+    could prune, and is ignored when it merges none.
     """
-    found = search.automorphism_generators(X.adjacency_masks)
+    known = [g.images for g in known]
+    if any(len(g) != X.vertex_count for g in known):
+        raise ValueError("known automorphisms must permute the graph's vertices")
+    found = search.automorphism_generators(X.adjacency_masks, known)
     # found deepest level first: the base is their points, shallowest first
     base = tuple(dict.fromkeys(b for _, b in reversed(found)))
     gens = []
@@ -402,7 +450,8 @@ def zz_checks(family: str, params, ks, *,
       outer two equal H's orbits are Aut(F_k)'s.  This rests only on
       re-checked automorphisms and a label-free invariant, not on X's
       generators generating all of Aut(X).  Otherwise Aut(F_k) is
-      *searched*.
+      *searched*, the search seeded with H's generators (``automorphisms``'
+      ``known``).
 
     Complementation, S to V minus S, is an isomorphism F_k(X) -> F_{|V|-k}(X),
     and under the lexicographic order of ``token_graph``'s vertices it
@@ -441,7 +490,7 @@ def zz_checks(family: str, params, ks, *,
             found[k] = _token_action(found[1], n_x, k, F)
             orbits = edge_orbits(F, found[k])
             if len(orbits) > 1 and edge_colour_pairs(F) != len(orbits):
-                found[k] = automorphisms(F).generators
+                found[k] = automorphisms(F, found[k]).generators
                 orbits = edge_orbits(F, found[k])
         if k == 1 or k == n_x - 1:
             predicted = len(edge_orbits(X, found[1])) <= 1

@@ -278,9 +278,15 @@ def quotient_cyclic(X: SimpleGraph, g: Permutation):
     a loop's the shorter way round its orbit.
     Rejects a g that is not an automorphism of X.  Returns the candidate
     base graph and a report stating whether its lift reconstructs X
-    (failure is reported, not raised), decided by an isomorphism search;
-    the lift has X's vertex count, so a caller that caps X has capped the
-    search too.
+    (failure is reported, not raised).  That is decided by the covering
+    projection, with no isomorphism search: cover vertex (A, r), coset r of
+    orbit A's stabilizer, goes to ``g.orbits()[A][r]``, the point r steps
+    round orbit A from its transversal point (Gross & Tucker, *Topological
+    Graph Theory*).  The lift has X's vertex count, that map is a bijection
+    onto X's vertices, and it proves the lift is X when the lift's
+    underlying simple graph has X's edge count and the map sends each of its
+    edges onto an edge of X (``maps_edges_into``); it is the report's
+    witness.
     """
     if not is_automorphism(X, g):
         raise ValueError("g is not an automorphism of X")
@@ -312,8 +318,9 @@ def quotient_cyclic(X: SimpleGraph, g: Permutation):
     cvg = CombinedVoltageGraph(base, m, tuple(volts), vertex_groups)
     cover = lift(cvg)
     simple = underlying_simple(cover.graph)
-    witness = is_isomorphic(simple, X)
-    passed = witness is not None
+    projection = tuple(orbits[A][r] for A, r in cover.vertices)
+    passed = (simple.edge_count == X.edge_count
+              and maps_edges_into(simple, X.adjacency_masks, projection))
     evidence = [
         Evidence("automorphism", g.cycle_string()),
         Evidence("group_modulus", m),
@@ -324,8 +331,9 @@ def quotient_cyclic(X: SimpleGraph, g: Permutation):
         Evidence("lift_simple_edges", simple.edge_count),
         Evidence("lift_matches", passed),
     ]
-    if witness is not None:
-        evidence.append(Evidence("witness", witness.cycle_string(), kind="witness"))
+    if passed:
+        evidence.append(Evidence("witness", Permutation(projection).cycle_string(),
+                                 kind="witness"))
     else:
         evidence.append(Evidence(
             "mismatch",
@@ -396,7 +404,14 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     complementation commutes with it without being induced, so
     |H| = n! * (2 if complemented).  H lies in Aut(F), so H = Aut(F) exactly
     when the search's exact order of Aut(F) equals |H|; a mismatch raises
-    KernelResultError, and nothing is reported.
+    KernelResultError, and nothing is reported.  The search starts from H:
+    it is seeded (``automorphisms``' ``known``) with those generators and
+    with the adjacent leaf transpositions (i i+1), 2 <= i <= n - 1, each the
+    conjugate of the one before by the n-cycle, so it prunes H's orbits at
+    every level of its path and has only to find that nothing lies outside
+    H.  A seed changes the search's generators, never the group it proves:
+    the order is still read off the basic orbits of what the search
+    returns, each generator re-checked on F.
 
     The classes.  In H = Sym(n) x Z_2^c an element (s, c) has order
     lcm(s's cycle lengths, 2^c), and its coprime powers (s^j, c) keep both s's
@@ -420,8 +435,9 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
     voltage switching (Gross & Tucker, *Topological Graph Theory*).  Either
     way the lift is the same graph up to isomorphism, with the same base
     size and stabilizers.  Every class whose representative's quotient
-    verifies (``quotient_cyclic``) is listed with its cycle type, its size
-    and its base size compared to the conjectured count(s).
+    verifies (``quotient_cyclic``, by its covering projection) is listed
+    with its cycle type, its size and its base size compared to the
+    conjectured count(s).
 
     A search that finds nothing still completes.  No group element is
     walked, so ``max_vertices``, checked before anything is built, bounds
@@ -452,7 +468,19 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
         size_readings = {"n-2": n - 2, "(n-1)/2": (n - 1) // 2}
 
     X = token_graph(star(n), k)
-    aut_order, aut_order_exact = automorphisms(X).order()
+    leaves = [_leaf_permutation(n, (2,) + (1,) * (n - 2)), _leaf_permutation(n, (n,))]
+    action = _token_action(leaves, n + 1, k, X)
+    # _token_action appends complementation, the reversal of F's vertex order
+    complemented = len(action) > len(leaves)
+    # the adjacent leaf transpositions (i i+1), i = 2..n-1, each c t c^-1 of
+    # the one before, t = (1 2) and c = (1 2 ... n) as they act on F
+    t, c = action[0], action[1]
+    c_inverse = c.inverse()
+    known = list(action)
+    for _ in range(n - 2):
+        t = c * t * c_inverse
+        known.append(t)
+    aut_order, aut_order_exact = automorphisms(X, known).order()
     evidence = [
         Evidence("family", family),
         Evidence("n", n),
@@ -462,10 +490,6 @@ def conjecture_search(family: str, n: int, *, group_order: Optional[int] = None,
         Evidence("aut_order", aut_order),
         Evidence("aut_order_exact", aut_order_exact),
     ]
-    leaves = [_leaf_permutation(n, (2,) + (1,) * (n - 2)), _leaf_permutation(n, (n,))]
-    action = _token_action(leaves, n + 1, k, X)
-    # _token_action appends complementation, the reversal of F's vertex order
-    complemented = len(action) > len(leaves)
     if aut_order != factorial(n) * (2 if complemented else 1):
         raise KernelResultError(f"|Aut(F)| = {aut_order} is not the order of the group "
                                 "the leaf permutations induce")

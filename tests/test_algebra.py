@@ -32,6 +32,7 @@ from helpers import (
     kneser,
     members,
     of_order,
+    reference_automorphism_generators,
     relabel,
     rook_4x4,
     shrikhande,
@@ -210,7 +211,8 @@ def test_closure_k33_automorphism_order():
 def test_closure_domain_mismatch(monkeypatch):
     """A kernel generator on another vertex set is rejected before any
     chain is built from it."""
-    monkeypatch.setattr(search, "automorphism_generators", lambda masks: [((1, 0, 2), 0)])
+    monkeypatch.setattr(search, "automorphism_generators",
+                        lambda masks, known=(): [((1, 0, 2), 0)])
     with pytest.raises(KernelResultError):
         automorphisms(complete(4))
 
@@ -458,7 +460,56 @@ def test_closure_elements_match_sympy(X):
     expected = {tuple(p.array_form) for p in _sympy_group(X.vertex_count, aut.generators).generate()}
     walked = [p.images for p in aut.elements()]
     assert len(walked) == aut.order()[0]
+    assert aut.orbit_lengths == tuple(len(level) for level in aut._transversals)
     assert set(walked) == expected
+
+
+def _seeded_graphs():
+    """Every fifth graph of networkx's atlas on 2..7 vertices (Read & Wilson,
+    *An Atlas of Graphs*, 1998), then token graphs with large groups."""
+    nx = pytest.importorskip("networkx")
+    graphs = [SimpleGraph(G.number_of_nodes(), G.edges())
+              for G in nx.graph_atlas_g()[2::5]]
+    graphs += [token_graph(X, k) for X, k in (
+        (complete(6), 2), (complete(6), 3), (cycle(8), 3), (star(5), 3), (star(7), 4),
+        (complete_bipartite(3, 3), 2), (path(6), 3))]
+    return graphs
+
+
+def test_seeded_search_proves_the_same_group():
+    """Seeded with random products of a graph's own verified generators, the
+    search proves the group it proves unseeded: the same order, which is
+    sympy's order of the seeded generators.  Unseeded (``known=()``), the
+    kernel's generators are the lockstep reference's.  Some seeds prune:
+    they are returned among the generators."""
+    used = 0
+    for i, X in enumerate(_seeded_graphs()):
+        adj = X.adjacency_masks
+        assert search.automorphism_generators(adj, ()) == reference_automorphism_generators(adj)
+        plain = automorphisms(X)
+        gens = plain.generators or (identity(X.vertex_count),)
+        rng = random.Random(i)
+        known = [reduce(Permutation.__mul__, rng.choices(gens, k=rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 4))]
+        seeded = automorphisms(X, known)
+        assert seeded.order() == plain.order()
+        assert _sympy_group(X.vertex_count, seeded.generators).order() == plain.order()[0]
+        used += any(g in known for g in seeded.generators)
+    assert used > 100
+
+
+def test_seeded_search_rechecks_its_seeds():
+    """P_4's first path individualizes vertex 0 alone.  A seed that is no
+    automorphism and moves 0 merges orbits, so it is returned and fails the
+    re-check; one that fixes 0 is dropped and changes nothing.  A seed on
+    another vertex set is rejected before the search."""
+    X = path(4)
+    with pytest.raises(KernelResultError, match="invalid generator"):
+        automorphisms(X, [from_cycles(4, [(0, 1)])])
+    seeded = automorphisms(X, [from_cycles(4, [(1, 2)])])
+    assert (seeded.generators, seeded.base) == (automorphisms(X).generators, (0,))
+    with pytest.raises(ValueError, match="permute the graph's vertices"):
+        automorphisms(X, [identity(5)])
 
 
 def test_closed_form_orders_past_the_old_closure():

@@ -498,7 +498,7 @@ def test_conjecture_failed_certificate_exits_1_writing_nothing(tmp_path, monkeyp
 def test_invalid_kernel_generator_exits_1(tmp_path, monkeypatch, capsys):
     # swapping the end vertex and its neighbour is not an automorphism of P_4
     monkeypatch.setattr(search, "automorphism_generators",
-                        lambda masks: [((1, 0) + tuple(range(2, len(masks))), 0)])
+                        lambda masks, known=(): [((1, 0) + tuple(range(2, len(masks))), 0)])
     assert run("zz", "--family", "path:4", "--k", "1", "--out", str(tmp_path)) == 1
     assert capsys.readouterr().err == "error: search kernel returned an invalid generator\n"
     assert not list(tmp_path.iterdir())
@@ -511,7 +511,7 @@ def test_invalid_kernel_generator_exits_1(tmp_path, monkeypatch, capsys):
     [((0, 2, 1, 3), 4)],  # its base point is no vertex
 ], ids=["fixed", "shallower-moved", "out-of-range"])
 def test_wrong_kernel_base_point_exits_1(tmp_path, monkeypatch, capsys, found):
-    monkeypatch.setattr(search, "automorphism_generators", lambda masks: found)
+    monkeypatch.setattr(search, "automorphism_generators", lambda masks, known=(): found)
     assert run("zz", "--family", "star:3", "--k", "1", "--out", str(tmp_path)) == 1
     assert (capsys.readouterr().err
             == "error: search kernel returned a generator off its base point\n")

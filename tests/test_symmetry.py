@@ -502,9 +502,9 @@ def test_zz_checks_match_one_search_per_k(family, params, ks, monkeypatch):
     calls, induced = [], []
     kernel, token_action = search.automorphism_generators, symmetry._token_action
 
-    def counted(adj):
+    def counted(adj, known=()):
         calls.append(len(adj))
-        return kernel(adj)
+        return kernel(adj, known)
 
     def counted_action(generators, n, k, F):
         induced.append(k)
