@@ -11,6 +11,7 @@ congruence on representatives, never by member sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 
@@ -86,7 +87,13 @@ class Permutation:
 
     def orbits(self):
         """All cycles including fixed points, each starting at its minimum
-        and listed in cycle order, sorted by minimum element."""
+        and listed in cycle order, sorted by minimum element.  The images
+        are walked once, on first use, for every method that reads cycles
+        (a permutation is immutable)."""
+        return list(self._orbits)
+
+    @cached_property
+    def _orbits(self) -> tuple:
         seen = [False] * len(self.images)
         out = []
         for start in range(len(self.images)):
@@ -100,11 +107,11 @@ class Permutation:
                 cyc.append(x)
                 x = self.images[x]
             out.append(tuple(cyc))
-        return out
+        return tuple(out)
 
     def cycles(self):
         """Nontrivial cycles only (fixed points omitted)."""
-        return [c for c in self.orbits() if len(c) > 1]
+        return [c for c in self._orbits if len(c) > 1]
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -114,7 +121,7 @@ class Permutation:
 
     def order(self) -> int:
         """Least t >= 1 with p^t = identity (lcm of cycle lengths)."""
-        return lcm(*(len(c) for c in self.orbits())) if self.images else 1
+        return lcm(*(len(c) for c in self._orbits)) if self.images else 1
 
     def fixed_points(self):
         return [i for i, x in enumerate(self.images) if i == x]

@@ -94,10 +94,10 @@ class SimpleGraph(Multigraph):
 
     Stored as per-vertex integer bitmasks (``adjacency_masks``), the
     representation the search kernels consume; ``edges`` is read off them
-    on first use.
+    on first use, and so is ``edge_count`` when the masks came alone.
     """
 
-    __slots__ = ("_adj",)
+    __slots__ = ("_adj", "_edge_count")
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence[int]] = (),
                  labels: Optional[Sequence[str]] = None):
@@ -114,6 +114,7 @@ class SimpleGraph(Multigraph):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self._adj = tuple(adj)
+        self._edge_count = len(self._edges)
         self._edges = None
 
     @classmethod
@@ -128,6 +129,7 @@ class SimpleGraph(Multigraph):
         g._labels = None if labels is None else tuple(labels)
         g._adj = tuple(adj)
         g._edges = None
+        g._edge_count = None
         return g
 
     @property
@@ -144,7 +146,10 @@ class SimpleGraph(Multigraph):
 
     @property
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self._adj) // 2
+        """Counted off the masks on first read and kept."""
+        if self._edge_count is None:
+            self._edge_count = sum(m.bit_count() for m in self._adj) // 2
+        return self._edge_count
 
     def __eq__(self, other):
         return (type(other) is type(self)

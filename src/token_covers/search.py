@@ -4,12 +4,14 @@ Adjacency comes in as a sequence of per-vertex integer bitmasks, and a
 coloring is a list ``cells`` of class member bitmasks, one entry per
 vertex: the first ``ncolors`` entries are the classes, the rest 0 (the
 cell-indexed partitions of McKay & Piperno, "Practical graph isomorphism,
-II", 2014, with no per-vertex color array).  The two entry points are
+II", 2014, with no per-vertex color array), and one entry more, last: the
+union of the classes of two or more members.  The two entry points are
 ``automorphism_generators`` (a strong generating set of the automorphism
 group relative to the first path's base, found by walking that path and
 harvesting one generator per new orbit point, each with the base point it
 moves, after the automorphisms the caller already knows) and
-``isomorphism_witness`` (first color-preserving bijection found, or None).
+``isomorphism_witness`` (first adjacency-preserving bijection found, or
+None).
 
 Refinement is the classic splitter-queue procedure: for a splitter class
 ``s``, every class is partitioned by the number of neighbors its members
@@ -23,7 +25,11 @@ part first, then the new ids in allocation order).  The counts are bit
 sliced: a pop adds the adjacency masks of the splitter's |s| members into
 a binary counter held as one mask per binary digit (``_counts``), so the
 vertices of one count are one pattern of those digits, and a (class,
-count) group is a class mask and'ed with that pattern.
+count) group is a class mask and'ed with that pattern.  A class of one
+member never splits, so a pop looks only at the reached vertices in the
+union of the other classes: a singleton has no key in any trace, and the
+cells, splits, queue order and color ids are those of a pop that looked at
+every class.
 
 Every branch of the search pairs the same left side with a different right
 side.  The left side is the *first path*: the initial refinement, then at
@@ -31,29 +37,31 @@ each level the least vertex of the target cell individualized and the
 coloring refined again, down to a discrete coloring.  ``_first_path``
 builds it whole, each level with its split trace: per splitter pop, the
 size of each (class, count) group and the keys that received new ids.
-Recording groups a pop's hits by ``_splitter_hits``: with no more classes
-than the pop reaches vertices, from the digit masks and the class masks
-with no vertex visited; otherwise by visiting each reached vertex once,
-its class read from a per-vertex color lookup.  That lookup is an index
-for recording alone: ``_first_path`` keeps one for the whole path and
-writes only the vertices that change class, since one built from the
-masks per level costs O(n) a level, O(n^2) on a star.  A recorded pop
-that reaches each class whole at a single count splits nothing (616 of
-the 714 pops on the first paths of F_2(K_n), even n in 4..20) and is
-appended with no sort.
+Recording groups a pop's hits by ``_splitter_hits``, which walks the
+reached classes through a per-vertex color lookup, one AND per class.
+That lookup is an index for recording alone: ``_first_path`` keeps one for
+the whole path and writes only the vertices that change class, since one
+built from the masks per level costs O(n) a level, O(n^2) on a star.  A
+recorded pop that reaches each class whole at a single count splits
+nothing and is appended with no sort.
 
 A right side is never refined on its own; ``_children``, the one
 individualize-and-replay step, replays the trace on its own graph, and
 each pop is checked one way, by ``_replayed``: each recorded group, read
 off the digit masks, must have its recorded size and the groups must
 cover the reached set, so no vertex is visited; the moved groups are then
-split off.  The first pop that fails proves that no color-preserving
-isomorphism extends the branch.  ``_descend`` walks an explicit stack of
-``_children`` generators, so no search recurses.  A matching replay
-allocates the same ids as the left, so the two colorings stay structurally
-aligned down to a discrete leaf, and the bijection read off that leaf is
-an isomorphism: the kernel checks no edge itself (the proof, which also
-shows the parts the queue leaves out need no pop, is in ``_descend``).
+split off.  The first pop that fails proves that no isomorphism extends
+the branch; a replay stops once every class is a singleton.
+``_descend`` walks an explicit stack of ``_children`` generators, so no
+search recurses.  A matching replay allocates the same ids as the left,
+so the two colorings stay aligned down to a discrete leaf.  Since no
+replay compares a singleton class, a matching replay proves nothing by
+itself: the kernel checks each leaf, accepting its bijection only when
+it sends every edge of the left graph onto an edge of the right, the two
+having as many edges.  The accepted leaves are exactly the isomorphisms
+that extend the first path (the proof is in ``_descend``), so the first
+one in search order is the one a replay of every class would accept; every
+generator and witness is still re-checked outside the kernel.
 """
 
 from __future__ import annotations
@@ -68,9 +76,10 @@ def _refine(adj, cells, ncolors, trace, seeds=None, col=None):
     With ``seeds`` (and ``col``, the coloring's color lookup, kept current
     here) this refines a level of the first path: the splitter queue
     starts from ``seeds`` (the one class at level 0, then the
-    individualized singleton: every other class starts settled, in the
-    sense of ``_descend``), takes the parts of each split by the module's
-    queue rule, and each pop is appended to ``trace`` as
+    individualized singleton: the previous level's coloring is equitable,
+    so the class the singleton left needs no pop, like any part the queue
+    rule leaves out), takes the parts of each split by the module's queue
+    rule, and each pop is appended to ``trace`` as
     ``(splitter, {key: group size}, moved keys)`` over the pop's
     ``_splitter_hits``.  A pop that reaches each class whole at one count
     splits nothing and skips the sort and the queue rule.  Without, this
@@ -78,15 +87,18 @@ def _refine(adj, cells, ncolors, trace, seeds=None, col=None):
     splitters in order, checks each pop by ``_replayed`` and returns -1 on
     the first whose groups differ from the recorded ones in key set or
     sizes.  The queue depends only on those keys and on class sizes, which
-    then agree pop by pop, so a replay needs no queue and pops exactly as
-    often as the recording.  ``cells`` must have the class sizes of the
-    coloring the trace was recorded from.
+    then agree pop by pop, so a replay needs no queue and pops at most as
+    often as the recording: once every class is a singleton, as on the
+    left, no pop has a key, and the replay stops.  ``cells`` must have the
+    class sizes of the coloring the trace was recorded from.
     """
     n = len(adj)
     stride = n + 1
     if seeds is None:
         for s, want, moves in trace:
-            ncolors = _replayed(_counts(adj, cells[s]), cells, ncolors, want, moves, stride)
+            if not cells[n]:
+                break
+            ncolors = _replayed(adj, cells[s], cells, ncolors, want, moves, stride)
             if ncolors < 0:
                 return -1
         return ncolors
@@ -99,7 +111,7 @@ def _refine(adj, cells, ncolors, trace, seeds=None, col=None):
     while queue:
         s = queue.popleft()
         in_queue[s] = 0
-        hits = _splitter_hits(adj, cells[s], cells, ncolors, col, stride)
+        hits = _splitter_hits(adj, cells[s], cells, col, stride)
         sizes = {key: mask.bit_count() for key, mask in hits.items()}
         for key, mask in hits.items():
             if mask != cells[key // stride]:
@@ -132,7 +144,7 @@ def _refine(adj, cells, ncolors, trace, seeds=None, col=None):
                 del queued[0]
             else:
                 # c is off the queue, so its first largest part (c's own
-                # first, then the new ids) needs no pop (see ``_descend``)
+                # first, then the new ids) needs no pop (McKay 1981)
                 parts.insert(0, size - sum(parts))
                 del queued[parts.index(max(parts))]
             for x in queued:
@@ -169,74 +181,91 @@ def _counts(adj, splitter):
     return digits
 
 
-def _splitter_hits(adj, splitter, cells, ncolors, col, stride):
-    """Group the neighbours of the ``splitter`` mask by class and by their
-    number of neighbours inside it: ``{class * stride + count: members}``,
-    member sets as bitmasks; ``cells`` holds the member mask of each of
-    the ``ncolors`` classes.
+def _splitter_hits(adj, splitter, cells, col, stride):
+    """Group the neighbours of the ``splitter`` mask that lie in classes of
+    two or more members by class and by their number of neighbours inside
+    it: ``{class * stride + count: members}``, member sets as bitmasks;
+    ``cells`` holds the member mask of each class and, last, the union of
+    those classes.  A singleton class never splits, so it has no key.
 
-    With no more classes than reached vertices, the reached set is split
-    by count along the splitter's ``_counts`` digits, and each count group
-    by class through the ``cells`` masks; otherwise each reached vertex is
-    visited, its count taken as a popcount (1 for a one-member splitter)
-    and its class read from the color lookup ``col``."""
-    reach = 0
-    rest = splitter
-    while rest:
-        low = rest & -rest
-        reach |= adj[low.bit_length() - 1]
-        rest ^= low
+    A one-member splitter gives every reached vertex count 1; otherwise
+    the reached set is split by count along the splitter's ``_counts``
+    digits.  The reached classes are then walked through the color lookup
+    ``col``: each is the class of the least reached vertex not yet
+    grouped, and one AND with the reached set (then with each count's
+    group) gives its hits, so no vertex is visited alone."""
+    live = cells[-1]
     hits = {}
-    if ncolors <= reach.bit_count():
-        digits = _counts(adj, splitter)
-        groups = [(0, reach)]
-        for i, d in enumerate(digits):
-            split = []
-            for count, members in groups:
-                high = members & d
-                if high:
-                    split.append((count | 1 << i, high))
-                if high != members:
-                    split.append((count, members ^ high))
-            groups = split
-        for c in range(ncolors):
-            rest = cells[c] & reach
-            if not rest:
-                continue
-            key = c * stride
-            for count, members in groups:
-                part = rest & members
-                if part:
-                    hits[key + count] = part
-                    rest ^= part
-                    if not rest:
-                        break
+    if not live:
         return hits
-    single = not splitter & (splitter - 1)  # then every count is 1
-    while reach:
-        low = reach & -reach
-        v = low.bit_length() - 1
-        reach ^= low
-        key = col[v] * stride + (1 if single else (adj[v] & splitter).bit_count())
-        hits[key] = hits.get(key, 0) | low
-    return hits
-
-
-def _replayed(digits, cells, ncolors, want, moves, stride):
-    """Replay one recorded pop on the right side: the new color count, or
-    -1 if its hits differ from the recorded ones.  ``digits`` are the
-    splitter's ``_counts`` and ``want`` the recorded ``{key: group size}``.
-
-    Each recorded (class c, count) group is ``cells[c]`` and'ed with the
-    count's digit pattern and must have the recorded size.  The groups are
-    disjoint and lie in the reached set, so they cover it exactly when the
-    recorded sizes add up to its size.  Then every reached vertex is in a
-    recorded group and every recorded group is non-empty, so the pop's
-    ``_splitter_hits`` has the recorded keys and sizes.  The groups of the
-    moved keys are then split off (``cells`` is left as it was on -1)."""
+    if not splitter & (splitter - 1):  # one member: every count is 1
+        reach = adj[splitter.bit_length() - 1] & live
+        while reach:
+            c = col[(reach & -reach).bit_length() - 1]
+            part = cells[c] & reach
+            hits[c * stride + 1] = part
+            reach ^= part
+        return hits
+    digits = _counts(adj, splitter)
     reach = 0
     for d in digits:
         reach |= d
+    reach &= live
+    groups = [(0, reach)]
+    for i, d in enumerate(digits):
+        split = []
+        for count, members in groups:
+            high = members & d
+            if high:
+                split.append((count | 1 << i, high))
+            if high != members:
+                split.append((count, members ^ high))
+        groups = split
+    while reach:
+        c = col[(reach & -reach).bit_length() - 1]
+        rest = cells[c] & reach
+        reach ^= rest
+        key = c * stride
+        for count, members in groups:
+            part = rest & members
+            if part:
+                hits[key + count] = part
+                rest ^= part
+                if not rest:
+                    break
+    return hits
+
+
+def _replayed(adj, splitter, cells, ncolors, want, moves, stride):
+    """Replay one recorded pop of the ``splitter`` mask on the right side:
+    the new color count, or -1 if its hits differ from the recorded ones,
+    ``want``, as ``{key: group size}``.
+
+    Each recorded (class c, count) group is ``cells[c]`` and'ed with the
+    reached set, in the classes of two or more members (``cells[-1]``),
+    and, for a splitter of several members, with the count's pattern of
+    its ``_counts`` digits; it must have the recorded size (a one-member
+    splitter reaches every vertex once, so its counts must be 1).  The
+    groups are disjoint and lie in the reached set, so they cover it
+    exactly when the recorded sizes add up to its size.  Then every
+    reached vertex is in a recorded group and every recorded group is
+    non-empty, so the pop's ``_splitter_hits`` has the recorded keys and
+    sizes.  The groups of the moved keys are then split off (``cells`` is
+    left as it was on -1)."""
+    if not splitter & (splitter - 1):
+        reach = adj[splitter.bit_length() - 1] & cells[-1]
+        if sum(want.values()) != reach.bit_count():
+            return -1
+        for key, size in want.items():
+            if key % stride != 1 or (cells[key // stride] & reach).bit_count() != size:
+                return -1
+        hits = {key: cells[key // stride] & reach for key in moves}
+        return _split(cells, ncolors, hits, moves, stride)
+    digits = _counts(adj, splitter)
+    reach = 0
+    for d in digits:
+        reach |= d
+    reach &= cells[-1]
     if sum(want.values()) != reach.bit_count():
         return -1
     top = len(digits)
@@ -257,12 +286,22 @@ def _replayed(digits, cells, ncolors, want, moves, stride):
 
 def _split(cells, ncolors, hits, moves, stride):
     """Give each moved key's members the next new id, moving their bits out
-    of their old class mask.  Returns the new color count."""
+    of their old class mask, and drop each part left with one member from
+    the union of non-singleton classes, ``cells[-1]``.  Returns the new
+    color count."""
+    live = cells[-1]
     for key in moves:
         moved = hits[key]
-        cells[key // stride] ^= moved
+        c = key // stride
+        rest = cells[c] ^ moved
+        cells[c] = rest
         cells[ncolors] = moved
         ncolors += 1
+        if not moved & (moved - 1):
+            live ^= moved
+        if not rest & (rest - 1):
+            live &= ~rest
+    cells[-1] = live
     return ncolors
 
 
@@ -276,17 +315,21 @@ def _first_path(adj):
     low bit of its mask, individualized in the next level (both -1 at the
     discrete level), and the trace that refined the coloring."""
     n = len(adj)
-    cells = [0] * n
-    cells[0] = (1 << n) - 1
+    cells = _unit(n)
     col = [0] * n
     trace = []
     ncolors = _refine(adj, cells, 1, trace, (0,), col)
     path = []
     while True:
+        # the classes of two or more members, each the class of the least
+        # vertex of their union not yet seen
         cell, vertex, best = -1, -1, n + 1
-        for c in range(ncolors):
+        rest = cells[n]
+        while rest:
+            c = col[(rest & -rest).bit_length() - 1]
+            rest ^= cells[c]
             size = cells[c].bit_count()
-            if 1 < size < best:
+            if size < best or size == best and c < cell:
                 cell, best = c, size
         if cell >= 0:
             vertex = (cells[cell] & -cells[cell]).bit_length() - 1
@@ -299,12 +342,24 @@ def _first_path(adj):
         ncolors = _refine(adj, cells, ncolors + 1, trace, (ncolors,), col)
 
 
+def _unit(n):
+    """The one-class coloring of ``n`` vertices, with the union of its
+    non-singleton classes last."""
+    cells = [0] * (n + 1)
+    cells[0] = (1 << n) - 1
+    cells[n] = cells[0] if n > 1 else 0
+    return cells
+
+
 def _individualized(cells, c, v, ncolors):
     """A copy of ``cells`` with vertex ``v`` of class ``c`` moved to the new
-    class ``ncolors``."""
+    class ``ncolors``, and dropped, with the rest of ``c`` if that is one
+    vertex, from the union of non-singleton classes."""
     cells = cells.copy()
-    cells[c] ^= 1 << v
+    rest = cells[c] ^ 1 << v
+    cells[c] = rest
     cells[ncolors] = 1 << v
+    cells[-1] ^= 1 << v if rest & (rest - 1) else 1 << v | rest
     return cells
 
 
@@ -342,62 +397,84 @@ def isomorphism_witness(adj1, adj2):
     adj1 = tuple(adj1)
     adj2 = tuple(adj2)
     n = len(adj1)
-    if len(adj2) != n:
+    if len(adj2) != n or sum(m.bit_count() for m in adj1) != sum(m.bit_count() for m in adj2):
         return None
     if n == 0:
         return ()
     path = _first_path(adj1)
-    cells = [0] * n
-    cells[0] = (1 << n) - 1
+    cells = _unit(n)
     if _refine(adj2, cells, 1, path[0].trace) < 0:
         return None
-    return _descend(path, 0, adj2, cells)
+    return _descend(adj1, path, 0, adj2, cells)
 
 
-def _descend(path, depth, adj_r, cells_r):
-    """First bijection below a right side ``cells_r`` aligned with the first
-    path's level ``depth``: each member of the target cell on the right is
-    individualized against the first path's vertex, in order, by one
-    ``_children`` generator per level on a stack, so no depth recurses.
+def _descend(adj_l, path, depth, adj_r, cells_r):
+    """First isomorphism below a right side ``cells_r`` aligned with the
+    first path's level ``depth``: each member of the target cell on the
+    right is individualized against the first path's vertex, in order, by
+    one ``_children`` generator per level on a stack, so no depth recurses.
 
-    The bijection extracted at a discrete leaf is an isomorphism, so no
-    edge is checked here.  Name vertex sets by class ids, so that one name
-    means a set on each side, and call such a set *settled* when every
-    class has one count of neighbours in it, the same on both sides:
+    Each discrete leaf is checked: the bijection read off it, each left
+    vertex to the right vertex of its color, is accepted when it sends
+    every edge of ``adj_l`` onto an edge of ``adj_r`` (``_keeps_edges``).
+    Both graphs have as many edges (one graph in ``automorphism_generators``;
+    counted once by ``isomorphism_witness``), so an accepted bijection is
+    an isomorphism.  A rejected leaf closes its branch like a failed
+    replay.  The check is needed: a replay compares no class of one
+    member, so a branch can match every pop and still end in a bijection
+    that is no isomorphism.
 
-    - Each class of the previous level's coloring starts a ``_refine``
-      call settled: that coloring is equitable, and its replay matched.
-    - A popped splitter is settled by its pop: ``_replayed`` matched its
-      keys, which are the per-class counts, and the group sizes.  This
-      covers every replayed pop alike, whether the left split a class at
-      it (its moved groups then split off on both sides) or not.
-    - The part left out of a split of a settled class has the class's
-      counts minus its siblings' counts, so it is settled once those
-      siblings are popped.
-    - Classes only get finer, so a settled set stays settled.
-    - So every class off the queue is a settled set less some disjoint
-      sets, each settled or a union of queued classes (the target cell
-      less its individualized vertex starts so, and a split off the
-      queue keeps it so), and when the queue empties, every class is
-      settled: the two colorings have equal quotient matrices (McKay,
-      "Practical graph isomorphism", 1981).
-
-    At a discrete leaf the quotient matrix is the adjacency matrix read
-    in color order, so mapping each vertex to the right vertex of its
-    color preserves adjacency both ways.
+    No isomorphism is lost on the way.  Let phi be one that extends a
+    branch: it sends the first path's individualized vertices to the
+    branch's, so it sends each left class onto the right class of the same
+    id.  A pop keeps this: the right's (class, count) groups are the
+    images of the left's, with the same keys and sizes, so ``_replayed``
+    matches and the moved groups split off alike on both sides; and
+    individualizing v_d on the left and phi(v_d) on the right keeps it.
+    So no replay on the way to the branch where each individualized u is
+    phi's image fails, and at its discrete leaf the bijection read off is
+    phi.  The accepted leaves are therefore exactly the isomorphisms that
+    extend the path, met in the order of the members on the stack, and
+    the first one is the same as when every replay also compared the
+    singleton classes.
     """
-    n = len(cells_r)
+    n = len(adj_r)
+    leaf = len(path) - 1
     stack = []
     while True:
         level = depth + len(stack)
-        if level == len(path) - 1:
-            return _extract(path[level].cells, cells_r, n)
-        members = _members(cells_r[path[level].cell])
-        stack.append(_children(adj_r, path, level, cells_r, members))
-        while (cells_r := next(stack[-1], None)) is None:
-            stack.pop()
+        if level < leaf:
+            members = _members(cells_r[path[level].cell])
+            stack.append(_children(adj_r, path, level, cells_r, members))
+        else:
+            images = _extract(path[leaf].cells, cells_r, n)
+            if _keeps_edges(adj_l, adj_r, images):
+                return images
+        while True:
             if not stack:
                 return None
+            cells_r = next(stack[-1], None)
+            if cells_r is not None:
+                break
+            stack.pop()
+
+
+def _keeps_edges(adj_l, adj_r, images):
+    """Whether ``images`` sends every edge u-v of ``adj_l``, read as bit v
+    of u's mask for v > u, onto an edge of ``adj_r``.  This is the walk of
+    ``symmetry.maps_edges_into``, written out here so that the re-check of
+    every result outside the kernel shares no code with it."""
+    for u, mask in enumerate(adj_l):
+        row = adj_r[images[u]]
+        mask >>= u + 1  # bit i is now neighbour v = u + 1 + i
+        v = u
+        while mask:
+            step = (mask & -mask).bit_length()
+            v += step
+            if not row >> images[v] & 1:
+                return False
+            mask >>= step
+    return True
 
 
 def automorphism_generators(adj, known=()):
@@ -464,7 +541,7 @@ def automorphism_generators(adj, known=()):
                 gens.append((g, v))
         siblings = (u for u in _members(cells[c]) if _root(parent, u) != _root(parent, v))
         for cr in _children(adj, path, depth, cells, siblings):
-            found = _descend(path, depth + 1, adj, cr)
+            found = _descend(adj, path, depth + 1, adj, cr)
             if found is not None:
                 gens.append((found, v))
                 _merged(parent, found)

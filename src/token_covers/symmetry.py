@@ -3,9 +3,10 @@ testing, the free-action test, colour refinement, and the
 edge-transitive token-graph classification checker.
 
 The heavy lifting (equitable refinement + backtracking) lives in the
-search kernel, which checks no edge itself; everything returned by it is
-re-verified here by ``is_automorphism`` or ``maps_edges_into``, the
-program's adjacency-preservation checks, independent of the search path.
+search kernel, which checks the edges of each leaf it accepts; everything
+returned by it is still re-verified here by ``is_automorphism`` or
+``maps_edges_into``, the program's adjacency-preservation checks,
+independent of the search path.
 ``edge_colour_pairs``, a colour refinement, is a label-free invariant kept
 outside the kernel: ``zz_checks`` reads an F_k's edge orbits off the group
 X's automorphisms induce on it when its edge colour pairs are as many as

@@ -11,23 +11,27 @@ per coset, and a base edge x-y with voltage w lifts to one edge per coset
 pair (K, H) with (K + w) meeting H.
 Over Z_m the cosets of the index-d subgroup are r + dZ_m (0 <= r < d), and
 r + w + d_x Z_m meets s + d_y Z_m exactly when r + w = s mod
-gcd(d_x, d_y), so ``lift`` lists the matching s for each r instead of
-testing every pair: its cost is that of the cover it returns, and its
-edges come ordered by base edge, then r, then s.  Loops follow the same
-rule (gcd(d_x, d_x) = d_x); one whose voltage has order 2 in Z_{d_x} meets
-each pair from both ends, so it lifts once per r < d_x / 2.
+gcd(d_x, d_y).  So over each pair of base vertices the cover depends only
+on the residues of its voltages mod that gcd, and ``lift`` builds the
+cover's simple graph as adjacency masks straight from them, one rotated
+pattern per fiber row, with the lifted multigraph's counts; the multigraph
+itself, its edges ordered by base edge, then r, then s, is built only when
+``Cover.graph`` is read.  Loops follow the same rule (gcd(d_x, d_x) = d_x);
+one whose voltage has order 2 in Z_{d_x} meets each pair from both ends,
+so it lifts once per r < d_x / 2.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, combinations
 from math import comb, factorial, gcd, lcm, prod
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .algebra import Permutation, Subgroup
-from .graphs import Multigraph, SimpleGraph, complete, star, to_dot, to_json, underlying_simple
+from .graphs import Multigraph, SimpleGraph, complete, star, to_dot, to_json
 from .report import STATUS_COMPLETED, Evidence, VerificationReport
 from .symmetry import (
     DEFAULT_VERTEX_CAP,
@@ -94,12 +98,47 @@ class CombinedVoltageGraph:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-class Cover(NamedTuple):
-    """A lifted multigraph and its vertices, the (base vertex, coset
-    representative) pairs (x, r), in ``lift``'s order."""
+@dataclass(frozen=True)
+class Cover:
+    """The cover ``lift`` builds from ``voltage_graph``.
 
-    graph: Multigraph
+    ``vertices`` are the pairs (x, r) of a base vertex and a coset
+    representative, in order; ``simple`` is the cover's underlying simple
+    graph (loops dropped, parallel edges merged), as unlabelled adjacency
+    masks.  Of the lifted multigraph it keeps ``edge_count``, its number
+    of edges, ``parallel_classes``, the number of vertex pairs (a loop's
+    included) that two or more edges join, and ``max_multiplicity``, the
+    most edges joining one pair (0 with no edge).  ``graph``, the lifted
+    multigraph itself, with labels "(x,{coset members})" and its edges
+    ordered by base edge, then r, then s, is built on first read."""
+
+    voltage_graph: CombinedVoltageGraph
     vertices: tuple
+    simple: SimpleGraph
+    edge_count: int
+    parallel_classes: int
+    max_multiplicity: int
+
+    @cached_property
+    def graph(self) -> Multigraph:
+        cvg = self.voltage_graph
+        base = cvg.base
+        sizes = [H.index for H in cvg.vertex_groups]
+        offset = list(accumulate(sizes, initial=0))
+        labels = []
+        for x, H in enumerate(cvg.vertex_groups):
+            name = base.labels[x] if base.labels is not None else str(x)
+            for r in range(H.index):
+                members = ",".join(map(str, H.members(r)))
+                labels.append(f"({name},{{{members}}})")
+        edges = []
+        for (u, v), w in zip(base.edges, cvg.voltages):
+            du, dv, ou, ov = sizes[u], sizes[v], offset[u], offset[v]
+            g = gcd(du, dv)
+            # a loop whose voltage has order 2 in Z_{d_u} meets each pair twice
+            rs = range(du // 2) if u == v and w % du and not 2 * w % du else range(du)
+            edges.extend((ou + r, ov + s) for r in rs for s in range((r + w) % g, dv, g))
+        return Multigraph(offset[-1], edges, labels=labels)
 
 
 def lift(cvg: CombinedVoltageGraph) -> Cover:
@@ -110,32 +149,71 @@ def lift(cvg: CombinedVoltageGraph) -> Cover:
     offset[x] + r, with offset[x] the total fiber size of the base
     vertices before x.  A base edge u-v of voltage w lifts to one edge per
     coset pair (K_r, H_s) with K_r + w meeting H_s, which holds exactly
-    when r + w = s mod gcd(d_u, d_v) for fiber sizes d_u, d_v; the
-    matching s are listed directly, so the cost is that of the output.
-    Edges come ordered by base edge, then r, then s.  A loop follows the
-    same rule, joining r to r + w mod d_u; when w has order 2 in the fiber
-    group Z_{d_u} (not necessarily in Z_m) each pair is met from both ends,
-    so that loop takes only r < d_u / 2.
+    when s = r + w mod g, g = gcd(d_u, d_v) for fiber sizes d_u, d_v.  A
+    loop follows the same rule, joining r to r + w mod d_u; when w has
+    order 2 in the fiber group Z_{d_u} (not necessarily in Z_m) each pair
+    is met from both ends, so that loop lifts once per pair.
+
+    The lift is a voltage lift (Gross & Tucker, *Topological Graph
+    Theory*), so no edge is listed: over each base pair u != v the cover
+    is read off the residues mod g of its voltages.  Repeated over d_v
+    bits, they give one pattern, and row offset[u] + r is that pattern
+    rotated by r and shifted to offset[v]; row offset[v] + s is built the
+    same way from the residues -w.  A loop's pattern is {w, -w} mod d_u,
+    and a zero voltage lifts to loops, which the simple graph drops.  Each
+    residue's count c is the multiplicity of the d_u d_v / g cover pairs it
+    joins (d_u for a loop, d_u / 2 when w has order 2), which gives the
+    multigraph's edge count, parallel classes and largest multiplicity.
     """
-    base = cvg.base
     sizes = [H.index for H in cvg.vertex_groups]
     offset = list(accumulate(sizes, initial=0))
-    verts = []
-    labels = []
-    for x, H in enumerate(cvg.vertex_groups):
-        name = base.labels[x] if base.labels is not None else str(x)
-        for r in range(H.index):
-            verts.append((x, r))
-            members = ",".join(map(str, H.members(r)))
-            labels.append(f"({name},{{{members}}})")
-    edges = []
-    for (u, v), w in zip(base.edges, cvg.voltages):
-        du, dv, ou, ov = sizes[u], sizes[v], offset[u], offset[v]
+    # the voltages over each base pair, counted by residue mod g, a loop's
+    # w and -w as one
+    residues = {}
+    for (u, v), w in zip(cvg.base.edges, cvg.voltages):
+        g = gcd(sizes[u], sizes[v])
+        w %= g
+        if u == v:
+            w = min(w, -w % g)
+        counts = residues.setdefault((u, v), {})
+        counts[w] = counts.get(w, 0) + 1
+    adj = [0] * offset[-1]
+    edge_count = parallel = top = 0
+    for (u, v), counts in residues.items():
+        du, dv = sizes[u], sizes[v]
         g = gcd(du, dv)
-        # a loop whose voltage has order 2 in Z_{d_u} meets each pair twice
-        rs = range(du // 2) if u == v and w % du and not 2 * w % du else range(du)
-        edges.extend((ou + r, ov + s) for r in rs for s in range((r + w) % g, dv, g))
-    return Cover(Multigraph(len(verts), edges, labels=labels), tuple(verts))
+        top = max(top, *counts.values())
+        for w, c in counts.items():
+            pairs = du // 2 if u == v and 2 * w == du else du * dv // g
+            edge_count += pairs * c
+            parallel += pairs if c > 1 else 0
+        if u == v:
+            _rotated_rows(adj, offset[u], du, sum(1 << w | 1 << -w % du for w in counts if w),
+                          du, offset[u], du)
+        else:
+            _rotated_rows(adj, offset[u], du, sum(1 << w for w in counts), g, offset[v], dv)
+            _rotated_rows(adj, offset[v], dv, sum(1 << -w % g for w in counts), g, offset[u], du)
+    vertices = tuple((x, r) for x, d in enumerate(sizes) for r in range(d))
+    return Cover(cvg, vertices, SimpleGraph._from_masks(len(adj), adj, None),
+                 edge_count, parallel, top)
+
+
+def _rotated_rows(adj, row_offset, rows, pattern, g, column_offset, columns):
+    """Or into row ``row_offset + r`` of ``adj``, for r < ``rows``, the
+    residue set ``pattern`` (bits below g) rotated by r mod g, repeated
+    over ``columns`` bits and shifted to ``column_offset``.  g divides
+    both ``rows`` and ``columns``, so only g rows differ."""
+    if not pattern:
+        return
+    full = (1 << columns) - 1
+    repeated = pattern * (full // ((1 << g) - 1))
+    # two copies side by side: each rotation is a window of ``columns`` bits
+    doubled = (repeated << columns | repeated) << column_offset
+    window = full << column_offset
+    for t in range(g):
+        row = doubled >> columns - t & window
+        for r in range(row_offset + t, row_offset + rows, g):
+            adj[r] |= row
 
 
 # ---------------------------------------------------------------------------
@@ -199,34 +277,29 @@ def verify_theorem1(n: int, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> Verifi
     cvg = theorem1_base(n)
     target = comb(n, 2)
     cover = lift(cvg)
-    count_ok = cover.graph.vertex_count == target
+    simple = cover.simple
+    count_ok = simple.vertex_count == target
 
     index = {pair: i for i, pair in enumerate(ksubsets(n, 2))}
     to_token = [index.get((a - 1, b - 1))
                 for a, b in (cover_token(n, cv) for cv in cover.vertices)]
     bijective = len(to_token) == target and set(to_token) == set(range(target))
 
-    simple = underlying_simple(cover.graph)
     tokens = token_graph(complete(n), 2)
     iso_ok = (bijective and simple.edge_count == tokens.edge_count
               and maps_edges_into(simple, tokens.adjacency_masks, to_token))
 
     witness = is_isomorphic(simple, tokens)
 
-    multiplicity = {}
-    for u, v in cover.graph.edges:
-        multiplicity[(u, v)] = multiplicity.get((u, v), 0) + 1
-    parallel_classes = sum(1 for c in multiplicity.values() if c > 1)
-
     passed = count_ok and bijective and iso_ok and witness is not None
     evidence = [
         Evidence("n", n),
-        Evidence("cover_vertices", cover.graph.vertex_count),
+        Evidence("cover_vertices", simple.vertex_count),
         Evidence("expected_vertices", target),
-        Evidence("cover_multi_edges", cover.graph.edge_count),
+        Evidence("cover_multi_edges", cover.edge_count),
         Evidence("cover_simple_edges", simple.edge_count),
-        Evidence("parallel_edge_classes", parallel_classes),
-        Evidence("max_edge_multiplicity", max(multiplicity.values(), default=0)),
+        Evidence("parallel_edge_classes", cover.parallel_classes),
+        Evidence("max_edge_multiplicity", cover.max_multiplicity),
         Evidence("explicit_map_bijective", bijective),
         Evidence("explicit_map_isomorphism", iso_ok),
         Evidence("independent_search_agrees", witness is not None),
@@ -317,7 +390,7 @@ def quotient_cyclic(X: SimpleGraph, g: Permutation):
                       labels=[str(orb[0]) for orb in orbits])
     cvg = CombinedVoltageGraph(base, m, tuple(volts), vertex_groups)
     cover = lift(cvg)
-    simple = underlying_simple(cover.graph)
+    simple = cover.simple
     projection = tuple(orbits[A][r] for A, r in cover.vertices)
     passed = (simple.edge_count == X.edge_count
               and maps_edges_into(simple, X.adjacency_masks, projection))
@@ -327,7 +400,7 @@ def quotient_cyclic(X: SimpleGraph, g: Permutation):
         Evidence("base_vertices", cvg.base.vertex_count),
         Evidence("base_edges", cvg.base.edge_count),
         Evidence("stabilizer_sizes", sorted(s.size for s in cvg.vertex_groups)),
-        Evidence("lift_vertices", cover.graph.vertex_count),
+        Evidence("lift_vertices", simple.vertex_count),
         Evidence("lift_simple_edges", simple.edge_count),
         Evidence("lift_matches", passed),
     ]

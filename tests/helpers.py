@@ -447,15 +447,17 @@ def regular_pairs():
     return pairs
 
 
-def full_scan_refine(adj_l, col_l, adj_r, col_r, ncolors, seeds):
+def full_scan_refine(adj_l, col_l, adj_r, col_r, ncolors, seeds, singletons=True):
     """Reference equitable refinement: the search kernel's original
     splitter-queue loop, which rescans all n vertices for every splitter
     (splitter masks, per-vertex counts, per-class histograms, recoloring),
     with the kernel's queue rule and tie-break, so that it allocates the
     same ids in the same order.  Refines both sides in lockstep; mutates
     ``col_l``/``col_r`` and returns the new color count, or -1 when the
-    sides are incompatible.  Both colorings must have the same class
-    sizes."""
+    sides are incompatible: some class has different count histograms on
+    the two sides, and with ``singletons`` False that class has two or
+    more members (the kernel's replay compares no singleton class, which
+    never splits).  Both colorings must have the same class sizes."""
     n = len(adj_l)
     in_queue = bytearray(n + 1)
     queue = deque()
@@ -495,7 +497,7 @@ def full_scan_refine(adj_l, col_l, adj_r, col_r, ncolors, seeds):
         splits = {}
         for c in sorted(hist_l):
             h = hist_l[c]
-            if hist_r.get(c) != h:
+            if hist_r.get(c) != h and (singletons or sum(h.values()) > 1):
                 return -1
             if len(h) > 1:
                 values = sorted(h)

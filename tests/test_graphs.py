@@ -153,6 +153,18 @@ def test_a_simple_graph_is_a_multigraph_but_never_equal_to_one():
     assert repr(Multigraph(3, [(0, 0), (0, 0)])) == "Multigraph(3 vertices, 2 edges)"
 
 
+def test_simple_graph_keeps_its_edge_count():
+    """The edge count is counted once: from the edge list by the validating
+    constructor, and from the masks on first read for a graph built from
+    masks alone.  Clearing the masks afterwards (graphs are immutable, so
+    only a test does) leaves the kept count."""
+    for G in (SimpleGraph(4, [(0, 1), (1, 2), (2, 3)]),
+              SimpleGraph._from_masks(4, [0b10, 0b101, 0b1010, 0b100], None)):
+        assert G.edge_count == 3
+        G._adj = (0, 0, 0, 0)
+        assert G.edge_count == 3
+
+
 def test_multigraph_loop_counts_twice():
     g = Multigraph(2, [(0, 1), (1, 1)])
     assert g.degree(1) == 3

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import token_covers
 from token_covers import search
-from token_covers.graphs import SimpleGraph, complete, cycle, star, underlying_simple
+from token_covers.graphs import SimpleGraph, complete, cycle, path, star, underlying_simple
 from token_covers.tokens import token_graph
 from token_covers.voltage import lift, theorem1_base
 
@@ -34,18 +34,30 @@ from helpers import (
 
 def _cells(col):
     """The kernel's form of a per-vertex coloring: one class member mask
-    per vertex, class c's at index c, the entries past the last class 0."""
-    cells = [0] * len(col)
+    per vertex, class c's at index c, the entries past the last class 0,
+    and last the union of the classes of two or more members."""
+    cells = [0] * (len(col) + 1)
     for v, c in enumerate(col):
         cells[c] |= 1 << v
+    cells[-1] = _live(cells[:-1])
     return cells
+
+
+def _live(classes):
+    """The union of the class masks with two or more members."""
+    live = 0
+    for members in classes:
+        if members.bit_count() > 1:
+            live |= members
+    return live
 
 
 def _col(cells):
     """The per-vertex coloring of the kernel's class masks ``cells``."""
-    col = [0] * len(cells)
-    for c, members in enumerate(cells):
-        for v in range(len(cells)):
+    n = len(cells) - 1
+    col = [0] * n
+    for c, members in enumerate(cells[:n]):
+        for v in range(n):
             if members >> v & 1:
                 col[v] = c
     return col
@@ -53,22 +65,29 @@ def _col(cells):
 
 def _assert_partition(cells, ncolors):
     """The first ``ncolors`` masks are non-empty, pairwise disjoint and
-    cover every vertex; the rest are 0."""
-    assert all(cells[:ncolors]) and not any(cells[ncolors:])
+    cover every vertex, the rest but the last are 0, and the last is the
+    union of the classes of two or more members."""
+    n = len(cells) - 1
+    assert all(cells[:ncolors]) and not any(cells[ncolors:n])
     union = 0
     for members in cells[:ncolors]:
         assert not union & members
         union |= members
-    assert union == (1 << len(cells)) - 1
+    assert union == (1 << n) - 1
+    assert cells[n] == _live(cells[:n])
 
 
 def _refine_both(adj_l, col_l, adj_r, col_r, ncolors, seeds):
     """Refine the left side recording its trace, then the right side
     against it, on the class masks of the colorings.  Require what the
-    lockstep full scan gives: the same color count or -1 verdict and the
-    same right coloring (where the scan stopped, on -1), and the left
-    coloring of a full scan of the left side alone, which the recording's
-    color lookup also holds.  Returns the lockstep result."""
+    lockstep full scan gives when it compares the classes of two or more
+    members alone: the same color count or -1 verdict and the same right
+    coloring (where the scan stopped, on -1), and the left coloring of a
+    full scan of the left side alone, which the recording's color lookup
+    also holds; and both sides' unions of non-singleton classes in step
+    with their masks.  A replay stops once every class is a singleton, as
+    the left was there, with nothing left to split, so on a match the
+    right coloring is still the scan's.  Returns the lockstep result."""
     trace = []
     lookup = list(col_l)
     left = search._refine(adj_l, cl := _cells(col_l), ncolors, trace, seeds, lookup)
@@ -76,9 +95,10 @@ def _refine_both(adj_l, col_l, adj_r, col_r, ncolors, seeds):
                                                  ncolors, seeds), a)
     got = search._refine(adj_r, cr := _cells(col_r), ncolors, trace)
     want = (full_scan_refine(adj_l, wl := list(col_l), adj_r, wr := list(col_r),
-                             ncolors, seeds), wl, wr)
+                             ncolors, seeds, singletons=False), wl, wr)
     assert (got, _col(cr)) == (want[0], wr)
     assert lookup == _col(cl)
+    assert cl[-1] == _live(cl[:-1]) and cr[-1] == _live(cr[:-1])
     if got >= 0:
         assert _col(cl) == wl
     return want
@@ -118,8 +138,7 @@ def test_refine_rejects_after_matching_first_pop():
     trace = []
     search._refine(X.adjacency_masks, _cells([0] * 5), 1, trace, (0,), [0] * 5)
     assert len(trace) > 1
-    first = search._splitter_hits(Y.adjacency_masks, 0b11111, [0b11111, 0, 0, 0, 0], 1,
-                                  [0] * 5, 6)
+    first = search._splitter_hits(Y.adjacency_masks, 0b11111, _cells([0] * 5), [0] * 5, 6)
     assert {k: m.bit_count() for k, m in first.items()} == trace[0][1]
     assert search._refine(Y.adjacency_masks, _cells([0] * 5), 1, trace) == -1
     _refine_both(X.adjacency_masks, [0] * 5, Y.adjacency_masks, [0] * 5, 1, (0,))
@@ -129,14 +148,13 @@ def test_refine_rejects_after_matching_first_pop():
 @given(dense_or_sparse_graphs(max_vertices=16), st.data())
 def test_counts_and_splitter_hits_match_brute_force(X, data):
     """``_counts`` holds every vertex's number of neighbours in the splitter,
-    and ``_splitter_hits`` groups the reached vertices by class and count as
-    a brute-force scan does, under a drawn coloring, the one-class coloring
-    and the discrete one.  An isolated vertex is added, which no splitter
-    reaches, so the discrete coloring has more classes than reached
-    vertices (the per-vertex path) and the one-class coloring, once the
-    splitter reaches anything, no more (the digit-mask path).  Each check
-    runs on the drawn splitter and on its least member alone,
-    whose counts the per-vertex path takes as 1 with no popcount."""
+    and ``_splitter_hits`` groups the reached vertices of the classes of two
+    or more members by class and count as a brute-force scan does, under a
+    drawn coloring, the one-class coloring and the discrete one, which has
+    no such class and so no key.  An isolated vertex is added, which no
+    splitter reaches.  Each check runs on the drawn splitter, grouped by
+    its count digits when it has several members, and on its least member
+    alone, whose counts are 1 with no digit."""
     X = disjoint_union(X, SimpleGraph(1))
     adj = X.adjacency_masks
     n = X.vertex_count
@@ -149,19 +167,16 @@ def test_counts_and_splitter_hits_match_brute_force(X, data):
         want_counts = [(a & splitter).bit_count() for a in adj]
         assert [sum((d >> v & 1) << i for i, d in enumerate(digits))
                 for v in range(n)] == want_counts
-        reached = sum(c > 0 for c in want_counts)
-        paths = set()
         for col in ([ids[c] for c in drawn], [0] * n, list(range(n))):
-            ncolors = max(col) + 1
             cells = _cells(col)
             want = {}
             for v in range(n):
-                if want_counts[v]:
+                if want_counts[v] and col.count(col[v]) > 1:
                     key = col[v] * (n + 1) + want_counts[v]
                     want[key] = want.get(key, 0) | 1 << v
-            assert search._splitter_hits(adj, splitter, cells, ncolors, col, n + 1) == want
-            paths.add("digits" if ncolors <= reached else "vertices")
-        assert paths == ({"digits", "vertices"} if reached else {"vertices"})
+            assert search._splitter_hits(adj, splitter, cells, col, n + 1) == want
+        assert search._splitter_hits(adj, splitter, _cells(list(range(n))), list(range(n)),
+                                     n + 1) == {}
 
 
 def test_no_split_replay_rejects_a_non_regular_graph():
@@ -176,14 +191,12 @@ def test_no_split_replay_rejects_a_non_regular_graph():
     trace = []
     assert search._refine(X.adjacency_masks, _cells([0] * 6), 1, trace, (0,), [0] * 6) == 1
     assert trace == [(0, {2: 6}, [])]
-    everyone = [0b111111, 0, 0, 0, 0, 0]
-    assert search._replayed(search._counts(Y.adjacency_masks, 0b111111), everyone, 1,
-                            trace[0][1], [], 7) == -1
+    everyone = [0b111111, 0, 0, 0, 0, 0, 0b111111]
+    assert search._replayed(Y.adjacency_masks, 0b111111, everyone, 1, trace[0][1], [], 7) == -1
     assert search._refine(Y.adjacency_masks, _cells([0] * 6), 1, trace) == -1
     Z = relabel(X, [3, 0, 5, 1, 4, 2])
-    assert search._replayed(search._counts(Z.adjacency_masks, 0b111111), everyone, 1,
-                            trace[0][1], [], 7) == 1
-    assert everyone == [0b111111, 0, 0, 0, 0, 0]
+    assert search._replayed(Z.adjacency_masks, 0b111111, everyone, 1, trace[0][1], [], 7) == 1
+    assert everyone == [0b111111, 0, 0, 0, 0, 0, 0b111111]
     assert search._refine(Z.adjacency_masks, _cells([0] * 6), 1, trace) == 1
     _refine_both(X.adjacency_masks, [0] * 6, Y.adjacency_masks, [0] * 6, 1, (0,))
     _refine_both(X.adjacency_masks, [0] * 6, Z.adjacency_masks, [0] * 6, 1, (0,))
@@ -192,27 +205,34 @@ def test_no_split_replay_rejects_a_non_regular_graph():
 def test_no_split_replay_rejects_counts_past_the_top_digit():
     """K_6's first pop records count 5 = 0b101 for every vertex.  In a
     perfect matching every count is 1, a single digit that agrees with 5
-    in its low bit: the replay must still reject."""
+    in its low bit: the replay must still reject.  So must the replay of a
+    one-member splitter, whose counts are all 1, against a count of 2 with
+    the size of its reached set (vertex 1 of P_3 reaches 0 and 2)."""
     trace = []
     assert search._refine(complete(6).adjacency_masks, _cells([0] * 6), 1, trace, (0,),
                           [0] * 6) == 1
     assert trace == [(0, {5: 6}, [])]
     matching = SimpleGraph(6, [(0, 1), (2, 3), (4, 5)]).adjacency_masks
     assert search._counts(matching, 0b111111) == [0b111111]
-    assert search._replayed([0b111111], _cells([0] * 6), 1, trace[0][1], [], 7) == -1
+    assert search._replayed(matching, 0b111111, _cells([0] * 6), 1, trace[0][1], [], 7) == -1
     assert search._refine(matching, _cells([0] * 6), 1, trace) == -1
+    p3 = path(3).adjacency_masks
+    assert search._replayed(p3, 0b010, _cells([0] * 3), 1, {1: 2}, [], 4) == 1
+    assert search._replayed(p3, 0b010, _cells([0] * 3), 1, {2: 2}, [], 4) == -1
 
 
 @settings(max_examples=300, deadline=None)
 @given(dense_or_sparse_graphs(max_vertices=16), st.data())
 def test_replayed_matches_brute_force_grouping(X, data):
     """``_replayed`` accepts a recorded pop exactly when a brute-force
-    grouping of the reached vertices by class and count has the recorded
-    keys and sizes, and then splits off the moved groups; on -1 it leaves
-    the class masks as they were.  The recorded sizes are the pop's own,
-    another drawn pop's, or the pop's own with one key dropped, added or
-    resized, or with two sizes swapped (so that they still add up to the
-    reached count)."""
+    grouping of the reached vertices of the classes of two or more members
+    by class and count has the recorded keys and sizes, and then splits
+    off the moved groups; on -1 it leaves the class masks as they were.
+    The recorded sizes are the pop's own, another drawn pop's, or the
+    pop's own with one key dropped, added or resized, or with two sizes
+    swapped (so that they still add up to the reached count).  The
+    splitter is a drawn vertex set or a drawn vertex alone, whose replay
+    reads no count digits."""
     adj = X.adjacency_masks
     n = X.vertex_count
     stride = n + 1
@@ -221,7 +241,7 @@ def test_replayed_matches_brute_force_grouping(X, data):
         hits = {}
         for v in range(n):
             count = (adj[v] & splitter).bit_count()
-            if count:
+            if count and col.count(col[v]) > 1:
                 key = col[v] * stride + count
                 hits[key] = hits.get(key, 0) | 1 << v
         return hits
@@ -231,7 +251,7 @@ def test_replayed_matches_brute_force_grouping(X, data):
         ids = {c: i for i, c in enumerate(dict.fromkeys(drawn))}
         return [ids[c] for c in drawn]
 
-    splitters = st.integers(1, (1 << n) - 1)
+    splitters = st.one_of(st.integers(1, (1 << n) - 1), st.integers(0, n - 1).map(lambda v: 1 << v))
     col, splitter = coloring(), data.draw(splitters)
     hits = grouping(col, splitter)
     sizes = {key: members.bit_count() for key, members in hits.items()}
@@ -260,7 +280,7 @@ def test_replayed_matches_brute_force_grouping(X, data):
         if sum(sizes.get(key, 0) for key in keys) == cells[c].bit_count():
             moves.remove(keys[0])
     ncolors = max(col) + 1
-    got = search._replayed(search._counts(adj, splitter), cells, ncolors, want, moves, stride)
+    got = search._replayed(adj, splitter, cells, ncolors, want, moves, stride)
     expected = _cells(col)
     if want != sizes:
         assert got == -1
@@ -269,6 +289,7 @@ def test_replayed_matches_brute_force_grouping(X, data):
             expected[key // stride] ^= hits[key]
             expected[ncolors] = hits[key]
             ncolors += 1
+        expected[-1] = _live(expected[:-1])
         assert got == ncolors
     assert cells == expected
 
@@ -279,15 +300,16 @@ def test_cells_stay_a_partition(monkeypatch):
     (whose branches replays reject deep in the search), recording a
     first-path level or replaying a trace, the class masks partition the
     vertices: the first ``ncolors`` are non-empty, pairwise disjoint and
-    cover every vertex, and the rest are 0.  A rejected replay leaves its
-    masks a partition into the classes it had reached, and a recording
+    cover every vertex, the rest but the last are 0, and the last is the
+    union of the classes of two or more members.  A rejected replay leaves
+    its masks a partition into the classes it had reached, and a recording
     leaves its color lookup in step with its masks."""
     refine = search._refine
     calls = Counter()
 
     def checking(adj, cells, ncolors, trace, seeds=None, col=None):
         got = refine(adj, cells, ncolors, trace, seeds, col)
-        _assert_partition(cells, got if got >= 0 else len(cells) - cells.count(0))
+        _assert_partition(cells, got if got >= 0 else len(adj) - cells[:-1].count(0))
         if seeds is not None:
             assert col == _col(cells)
         calls["recorded" if seeds is not None else "accepted" if got >= 0 else "rejected"] += 1
@@ -362,10 +384,11 @@ def test_search_matches_lockstep_reference_on_drawn_graphs(X, data):
     assert search.isomorphism_witness(adj, other) == reference_isomorphism_witness(adj, other)
 
 
-def _quotient(adj, col):
+def _quotient(adj, col, rows=None):
     """The quotient matrix of ``col`` on ``adj`` by brute-force counting,
     ``{(c, d): neighbours in class d of each member of class c}``, or None
-    if some class has members with different counts (not equitable)."""
+    if some class has members with different counts (not equitable).  With
+    ``rows``, only the rows of the classes in it are kept."""
     n = len(adj)
     quotient = {}
     for v in range(n):
@@ -376,7 +399,14 @@ def _quotient(adj, col):
         for d in set(col):
             if quotient.setdefault((col[v], d), counts.get(d, 0)) != counts.get(d, 0):
                 return None
+    if rows is not None:
+        quotient = {key: x for key, x in quotient.items() if key[0] in rows}
     return quotient
+
+
+def _shared(col):
+    """The classes of ``col`` with two or more members."""
+    return {c for c, size in Counter(col).items() if size > 1}
 
 
 def _assert_queue_rule(trace, col, ncolors, seeds):
@@ -408,10 +438,11 @@ def test_refinement_ends_equitable_on_both_sides(monkeypatch):
     """Every level of the first path is equitable, by brute-force counting
     on the kernel corpus, and its trace pops what the queue rule says; and
     on the witness pairs, every right side a replay accepts (at level 0,
-    and each ``_children`` yield the search reaches) has the quotient
-    matrix of the left level it is aligned with.  The queue leaves one
-    part of most splits unpopped, and the search's soundness rests on this
-    holding all the same."""
+    and each ``_children`` yield the search reaches) is equitable in the
+    rows of its classes of two or more members, which are those of the
+    left level it is aligned with.  A replay compares no singleton class,
+    so only those rows are pinned; the queue leaves one part of most
+    splits unpopped, and they hold all the same."""
     for g in kernel_corpus():
         adj = g.adjacency_masks
         col, ncolors, seeds = [0] * len(adj), 1, (0,)
@@ -426,7 +457,9 @@ def test_refinement_ends_equitable_on_both_sides(monkeypatch):
 
     def checking(adj_r, path, depth, cells_r, members):
         for cr in children(adj_r, path, depth, cells_r, members):
-            assert _quotient(adj_r, _col(cr)) == left[depth + 1]
+            rows = _shared(_col(cr))
+            assert rows == _shared(_col(path[depth + 1].cells))
+            assert _quotient(adj_r, _col(cr), rows) == _quotient(a, left[depth + 1], rows)
             seen.append(depth)
             yield cr
 
@@ -435,10 +468,11 @@ def test_refinement_ends_equitable_on_both_sides(monkeypatch):
         if len(a) != len(b) or not a:
             continue
         path = search._first_path(a)
-        left = [_quotient(a, _col(level.cells)) for level in path]
+        left = [_col(level.cells) for level in path]
         cells = _cells([0] * len(b))
         if search._refine(b, cells, 1, path[0].trace) >= 0:
-            assert _quotient(b, _col(cells)) == left[0]
+            rows = _shared(_col(cells))
+            assert _quotient(b, _col(cells), rows) == _quotient(a, left[0], rows)
             search.isomorphism_witness(a, b)
     assert len(seen) > 100
 
@@ -468,3 +502,38 @@ def test_isomorphism_witness_agrees_with_networkx():
             assert sorted(witness) == list(range(n))
             assert {tuple(sorted((witness[u], witness[v]))) for u, v in X.edges} == set(Y.edges)
     assert isomorphic >= 20
+
+
+# Same-size pairs of networkx atlas graphs (by atlas index) whose searches
+# reach a discrete leaf whose bijection is no isomorphism: every replay on
+# the way matched, since a replay compares no class of one member.
+REJECTED_LEAF_PAIRS = ((573, 575), (623, 624), (710, 711), (710, 712), (959, 964),
+                       (1126, 1127))
+
+
+def test_leaf_check_rejects_what_replays_let_through(monkeypatch):
+    """On each pair, both ways, the search reaches a leaf that the edge
+    check rejects, and the witness still exists exactly when networkx's
+    ``is_isomorphic`` says so (none of these pairs is isomorphic) and is
+    the lockstep search's, which compares every class at every pop.  A
+    leaf check that accepted every leaf would return a witness here."""
+    nx = pytest.importorskip("networkx")
+    atlas = nx.graph_atlas_g()
+    keeps = search._keeps_edges
+    verdicts = []
+
+    def counting(adj_l, adj_r, images):
+        verdicts.append(keeps(adj_l, adj_r, images))
+        return verdicts[-1]
+
+    monkeypatch.setattr(search, "_keeps_edges", counting)
+    for i, j in REJECTED_LEAF_PAIRS:
+        G, H = atlas[i], atlas[j]
+        a, b = (SimpleGraph(F.number_of_nodes(), list(F.edges)).adjacency_masks for F in (G, H))
+        assert sum(x.bit_count() for x in a) == sum(x.bit_count() for x in b)
+        for left, right in ((a, b), (b, a)):
+            verdicts.clear()
+            witness = search.isomorphism_witness(left, right)
+            assert False in verdicts
+            assert (witness is not None) == nx.is_isomorphic(G, H)
+            assert witness == reference_isomorphism_witness(left, right)

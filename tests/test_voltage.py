@@ -1,9 +1,10 @@
 import random
-from functools import reduce
+from collections import Counter
+from functools import cached_property, reduce
 from math import comb, factorial, gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from token_covers import symmetry, voltage
@@ -240,6 +241,36 @@ def test_lift_matches_set_oracle(cvg):
     assert_lift_matches_oracle(cvg)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_voltage_graphs())
+@example(CombinedVoltageGraph(
+    Multigraph(3, [(0, 0)] * 5 + [(0, 1)] * 3 + [(1, 1), (1, 2)] + [(2, 2)] * 2),
+    12, (2, 4, 1, 3, 7, 1, 5, 2, 3, 0, 0, 0),
+    (Subgroup(12, 4), Subgroup(12, 6), Subgroup(12, 12))))
+def test_lift_masks_and_counts_match_the_multigraph(cvg):
+    """``lift`` reads the simple graph and the multigraph's counts off the
+    voltage residues, listing no edge.  They are the underlying simple
+    graph of ``Cover.graph`` (the lifted multigraph, pinned edge by edge
+    by the set oracle), unlabelled, and its edge count, the number of
+    vertex pairs two or more of its edges join and the most edges joining
+    one pair, counted here over its edges.  The drawn graphs have loops,
+    zero voltages, voltages of order 2 in their fiber and fibers of
+    different sizes (gcd(d_u, d_v) < d_v); the example has each at once:
+    loops over Z_4 of voltage 2 (order 2), 4 (zero), 1, 3 and 7 (the pair
+    {r, r + 1} three times), three edges 0-1 whose voltages 1 and 5 agree
+    mod gcd(4, 6) = 2, a loop of order 2 in Z_6 and two zero loops."""
+    cover = lift(cvg)
+    multiplicity = Counter(cover.graph.edges)
+    simple = underlying_simple(cover.graph)
+    assert cover.simple == simple and cover.simple.edge_count == simple.edge_count
+    assert cover.simple.labels is None
+    assert cover.vertices == tuple((x, r) for x, H in enumerate(cvg.vertex_groups)
+                                   for r in range(H.index))
+    assert cover.edge_count == cover.graph.edge_count
+    assert cover.parallel_classes == sum(c > 1 for c in multiplicity.values())
+    assert cover.max_multiplicity == max(multiplicity.values(), default=0)
+
+
 @pytest.mark.parametrize("n", range(4, 31, 2))
 def test_theorem1_lift_matches_set_oracle(n):
     assert_lift_matches_oracle(theorem1_base(n))
@@ -283,10 +314,11 @@ def test_theorem1_lift_edge_counts_n6():
     # edges; per loop: 6; total 3*24 + 2*6 = 84, collapsing to the 60 edges
     # of the 8-regular token graph on 15 vertices
     cover = lift(theorem1_base(6))
-    assert cover.graph.edge_count == 84
+    assert cover.graph.edge_count == cover.edge_count == 84
     simple = underlying_simple(cover.graph)
     assert simple.edge_count == 60
     assert set(simple.degrees()) == {8}
+    assert cover.simple == simple
 
 
 def test_theorem1_base_rejects_bad_n():
@@ -360,17 +392,46 @@ def test_verify_theorem1_flags_a_map_that_breaks_an_edge(monkeypatch):
 def test_lifts_are_checked_from_masks(monkeypatch):
     """Theorem 1's cover, the F_2(K_n) it is checked against and a
     quotient's lift are checked from their adjacency masks: no edge tuple of
-    theirs is built.  Only the quotiented graph's are, for its edge
-    orbits."""
+    theirs is built, nor the lifted multigraph (``Cover.graph``).  Only the
+    quotiented graph's edge tuples are, for its edge orbits."""
     read = []
     edges = SimpleGraph.edges
     monkeypatch.setattr(SimpleGraph, "edges",
                         property(lambda self: read.append(self) or edges.fget(self)))
+    lifted = []
+    graph = voltage.Cover.graph
+    monkeypatch.setattr(voltage.Cover, "graph",
+                        property(lambda self: lifted.append(self) or graph.func(self)))
     assert verify_theorem1(20).passed and read == []
     X = token_graph(star(7), 4)
     assert quotient_cyclic(X, induced_token_permutation(
         voltage._leaf_permutation(7, (7,)), 4))[1].passed
     assert read and all(G is X for G in read)
+    assert lifted == []
+
+
+def test_each_permutation_walks_its_cycles_once(monkeypatch):
+    """``orbits``, ``cycles``, ``cycle_string``, ``order`` and
+    ``acts_freely`` read one walk of a permutation's images, kept on it;
+    ``orbits`` returns a new list each time, so a caller's edit changes
+    nothing.  A conjecture run walks no permutation twice: each class's
+    representative is tested for freeness, quotiented and reported from
+    one walk."""
+    walked = []
+    orbits = Permutation._orbits
+    counting = cached_property(lambda self: walked.append(self) or orbits.func(self))
+    counting.__set_name__(Permutation, "_orbits")
+    monkeypatch.setattr(Permutation, "_orbits", counting)
+    g = from_cycles(6, [(0, 2, 4), (1, 5)])
+    g.orbits().clear()
+    assert g.orbits() == [(0, 2, 4), (1, 5), (3,)]
+    assert g.cycles() == [(0, 2, 4), (1, 5)] and g.cycle_string() == "(0 2 4)(1 5)"
+    assert g.order() == 6 and not acts_freely(g, 6)
+    assert walked == [g]
+    walked.clear()
+    report = conjecture_search("star_half", 7)
+    assert len(walked) > report.find("order_m_classes")
+    assert len({id(p) for p in walked}) == len(walked)
 
 
 @pytest.mark.parametrize("n", [22, 26, 30])
