@@ -24,6 +24,7 @@ so it lifts once per r < d_x / 2.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
@@ -122,22 +123,20 @@ class Cover:
     @cached_property
     def graph(self) -> Multigraph:
         cvg = self.voltage_graph
-        base = cvg.base
-        sizes = [H.index for H in cvg.vertex_groups]
+        groups = cvg.vertex_groups
+        sizes = [H.index for H in groups]
         offset = list(accumulate(sizes, initial=0))
-        labels = []
-        for x, H in enumerate(cvg.vertex_groups):
-            name = base.labels[x] if base.labels is not None else str(x)
-            for r in range(H.index):
-                members = ",".join(map(str, H.members(r)))
-                labels.append(f"({name},{{{members}}})")
+        names = cvg.base.labels or range(len(sizes))
+        labels = [f"({names[x]},{{{','.join(map(str, groups[x].members(r)))}}})"
+                  for x, r in self.vertices]
         edges = []
-        for (u, v), w in zip(base.edges, cvg.voltages):
-            du, dv, ou, ov = sizes[u], sizes[v], offset[u], offset[v]
+        for (u, v), w in zip(cvg.base.edges, cvg.voltages):
+            du, dv = sizes[u], sizes[v]
             g = gcd(du, dv)
             # a loop whose voltage has order 2 in Z_{d_u} meets each pair twice
-            rs = range(du // 2) if u == v and w % du and not 2 * w % du else range(du)
-            edges.extend((ou + r, ov + s) for r in rs for s in range((r + w) % g, dv, g))
+            rs = range(du // 2 if u == v and w % du and not 2 * w % du else du)
+            edges.extend((offset[u] + r, offset[v] + s)
+                         for r in rs for s in range((r + w) % g, dv, g))
         return Multigraph(offset[-1], edges, labels=labels)
 
 
@@ -156,64 +155,44 @@ def lift(cvg: CombinedVoltageGraph) -> Cover:
 
     The lift is a voltage lift (Gross & Tucker, *Topological Graph
     Theory*), so no edge is listed: over each base pair u != v the cover
-    is read off the residues mod g of its voltages.  Repeated over d_v
-    bits, they give one pattern, and row offset[u] + r is that pattern
-    rotated by r and shifted to offset[v]; row offset[v] + s is built the
-    same way from the residues -w.  A loop's pattern is {w, -w} mod d_u,
-    and a zero voltage lifts to loops, which the simple graph drops.  Each
-    residue's count c is the multiplicity of the d_u d_v / g cover pairs it
-    joins (d_u for a loop, d_u / 2 when w has order 2), which gives the
-    multigraph's edge count, parallel classes and largest multiplicity.
+    is read off the residues mod g of its voltages.  As a g-bit pattern,
+    rotated by r mod g and repeated over d_v bits, they give row
+    offset[u] + r from offset[v] on; row offset[v] + s is built the same
+    way from the residues -w.  A loop's pattern is {w, -w} mod d_u, and a
+    zero voltage lifts to loops, which the simple graph drops.  The
+    voltages of one residue (a loop's w and -w as one) join each of their
+    d_u d_v / g cover pairs (d_u for a loop, d_u / 2 when w has order 2)
+    once each, which gives the multigraph's edge count, parallel classes
+    and largest multiplicity.
     """
     sizes = [H.index for H in cvg.vertex_groups]
     offset = list(accumulate(sizes, initial=0))
-    # the voltages over each base pair, counted by residue mod g, a loop's
-    # w and -w as one
-    residues = {}
+    counts, patterns = defaultdict(int), defaultdict(int)
     for (u, v), w in zip(cvg.base.edges, cvg.voltages):
         g = gcd(sizes[u], sizes[v])
-        w %= g
-        if u == v:
-            w = min(w, -w % g)
-        counts = residues.setdefault((u, v), {})
-        counts[w] = counts.get(w, 0) + 1
+        w = min(w % g, -w % g) if u == v else w % g
+        counts[u, v, w] += 1
+        if w or u != v:
+            patterns[u, v] |= 1 << w
+            patterns[v, u] |= 1 << -w % g
+    edge_count = parallel = 0
+    for (u, v, w), c in counts.items():
+        pairs = sizes[u] // 2 if u == v and 2 * w == sizes[u] else lcm(sizes[u], sizes[v])
+        edge_count += pairs * c
+        parallel += pairs * (c > 1)
     adj = [0] * offset[-1]
-    edge_count = parallel = top = 0
-    for (u, v), counts in residues.items():
-        du, dv = sizes[u], sizes[v]
-        g = gcd(du, dv)
-        top = max(top, *counts.values())
-        for w, c in counts.items():
-            pairs = du // 2 if u == v and 2 * w == du else du * dv // g
-            edge_count += pairs * c
-            parallel += pairs if c > 1 else 0
-        if u == v:
-            _rotated_rows(adj, offset[u], du, sum(1 << w | 1 << -w % du for w in counts if w),
-                          du, offset[u], du)
-        else:
-            _rotated_rows(adj, offset[u], du, sum(1 << w for w in counts), g, offset[v], dv)
-            _rotated_rows(adj, offset[v], dv, sum(1 << -w % g for w in counts), g, offset[u], du)
+    for (u, v), pattern in patterns.items():
+        g = gcd(sizes[u], sizes[v])
+        full = (1 << sizes[v]) - 1
+        # the pattern repeated over d_v bits, twice: each rotation is a window
+        doubled = pattern * (full // ((1 << g) - 1)) * (full + 2) << offset[v]
+        for t in range(g):
+            row = doubled >> sizes[v] - t & full << offset[v]
+            for r in range(offset[u] + t, offset[u + 1], g):
+                adj[r] |= row
     vertices = tuple((x, r) for x, d in enumerate(sizes) for r in range(d))
     return Cover(cvg, vertices, SimpleGraph._from_masks(len(adj), adj, None),
-                 edge_count, parallel, top)
-
-
-def _rotated_rows(adj, row_offset, rows, pattern, g, column_offset, columns):
-    """Or into row ``row_offset + r`` of ``adj``, for r < ``rows``, the
-    residue set ``pattern`` (bits below g) rotated by r mod g, repeated
-    over ``columns`` bits and shifted to ``column_offset``.  g divides
-    both ``rows`` and ``columns``, so only g rows differ."""
-    if not pattern:
-        return
-    full = (1 << columns) - 1
-    repeated = pattern * (full // ((1 << g) - 1))
-    # two copies side by side: each rotation is a window of ``columns`` bits
-    doubled = (repeated << columns | repeated) << column_offset
-    window = full << column_offset
-    for t in range(g):
-        row = doubled >> columns - t & window
-        for r in range(row_offset + t, row_offset + rows, g):
-            adj[r] |= row
+                 edge_count, parallel, max(counts.values(), default=0))
 
 
 # ---------------------------------------------------------------------------
